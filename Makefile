@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint unitcheck persistcheck sharecheck alloccheck test test-short race bench bench-json bench-gate profile experiments examples faults city replay fuzz-smoke clean
+.PHONY: all build vet lint unitcheck sharecheck alloccheck test test-short race bench bench-json bench-gate profile experiments examples faults city replay fuzz-smoke clean
 
 all: build vet lint test
 
@@ -21,11 +21,6 @@ lint:
 # make lint runs the full catalog).
 unitcheck:
 	$(GO) run ./cmd/mmv2v-lint -passes unitcheck ./...
-
-# Checkpoint-codec field-coverage pass alone (fast iteration while editing
-# SaveState/LoadState codecs; DESIGN.md §8 ↔ §11).
-persistcheck:
-	$(GO) run ./cmd/mmv2v-lint -passes persistcheck ./...
 
 # Shared-mutable-state pass alone (fast iteration on goroutine-facing code).
 sharecheck:
@@ -90,13 +85,13 @@ city:
 replay:
 	$(GO) run ./cmd/mmv2v-replay -verify testdata/golden.runlog
 
-# Short fuzzing pass over the geometry, channel, spatial-index and
-# persistence-codec kernels (mirrors CI).
+# Short fuzzing pass over the geometry, channel and spatial-index kernels,
+# the run-log record reader and the run-log recipe header (mirrors CI).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentBlocked -fuzztime=10s ./internal/geom/
 	$(GO) test -run='^$$' -fuzz=FuzzSINR -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzCellCoord -fuzztime=10s ./internal/world/
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/persist/
+	$(GO) test -run='^$$' -fuzz=FuzzRunLogHeader -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLog -fuzztime=10s ./internal/persist/
 
 examples:

@@ -21,6 +21,9 @@ type GridWorld struct {
 // NewGridWorld builds the grid fleet and its world. The first link table is
 // computed before returning, so the world is immediately queryable.
 func NewGridWorld(grid GridConfig, seed uint64) (*GridWorld, error) {
+	if err := grid.Validate(); err != nil {
+		return nil, err
+	}
 	nw, err := traffic.NewNetwork(grid.Network(), xrand.New(seed))
 	if err != nil {
 		return nil, err

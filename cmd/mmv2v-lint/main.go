@@ -1,5 +1,5 @@
 // Command mmv2v-lint enforces the repo's determinism and simulation-hygiene
-// contract (DESIGN.md §8) with ten stdlib-only static-analysis passes.
+// contract (DESIGN.md §8) with nine stdlib-only static-analysis passes.
 //
 // Usage:
 //

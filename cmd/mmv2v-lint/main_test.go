@@ -47,11 +47,11 @@ func fixture(parts ...string) string {
 
 // TestJSONGolden pins the -json schema byte-for-byte: an array of findings
 // with pass/msg/file/line/col, root-relative slash paths, sorted by
-// position, exit code 1 because findings exist. The sharecheck and
-// persistcheck rows pin the interprocedural suite's messages (directive
-// suppression keeps the justified sites out of the arrays), and the
-// wallclock_transitive rows pin the taint witness chains — rerun twice to
-// hold run-to-run byte stability.
+// position, exit code 1 because findings exist. The sharecheck rows pin
+// the interprocedural suite's messages (directive suppression keeps the
+// justified sites out of the arrays), and the wallclock_transitive rows
+// pin the taint witness chains — rerun twice to hold run-to-run byte
+// stability.
 func TestJSONGolden(t *testing.T) {
 	bin := buildLint(t)
 	cases := []struct {
@@ -60,7 +60,6 @@ func TestJSONGolden(t *testing.T) {
 	}{
 		{"errdrop.json", []string{"-C", fixture("errdrop"), "-passes", "errdrop", "-json", "./..."}},
 		{"sharecheck.json", []string{"-C", fixture("sharecheck"), "-passes", "sharecheck", "-json", "./..."}},
-		{"persistcheck.json", []string{"-C", fixture("persistcheck"), "-passes", "persistcheck", "-json", "./..."}},
 		{"wallclock_transitive.json", []string{"-C", fixture("wallclock"), "-passes", "wallclock", "-json", "./internal/caller"}},
 		{"alloccheck.json", []string{"-C", fixture("alloccheck"), "-passes", "alloccheck", "-json", "./..."}},
 	}
@@ -139,7 +138,7 @@ func TestUnknownPassUsage(t *testing.T) {
 		"valid passes:",
 		"usage: mmv2v-lint",
 		"maprange", "wallclock", "globalrand", "goroutine", "floateq",
-		"errdrop", "unitcheck", "persistcheck", "sharecheck", "alloccheck",
+		"errdrop", "unitcheck", "sharecheck", "alloccheck",
 	} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr missing %q:\n%s", want, stderr)

@@ -19,16 +19,14 @@
 // -faults scales the standard fault profile (control loss, blockage bursts,
 // radio churn, slot jitter; see internal/faults) by the given intensity;
 // 0 (the default) is a clean channel. Trials are crash-isolated: a trial
-// that panics is retried -retry times and then reported on stderr as a
-// TrialError with a repro command, while the remaining trials still pool.
+// that panics is reported on stderr as a TrialError with a repro command,
+// while the remaining trials still pool.
 //
-// -checkpoint <dir> makes every trial write a versioned, checksummed
-// snapshot of its full state after each completed measurement window; under
-// -retry, failed trials resume from their last snapshot instead of tick
-// zero, and -resume <file> re-runs one interrupted trial from its snapshot
-// (the other flags must reproduce the snapshot's scenario). -runlog <file>
-// records a replayable run log of the whole pooled run — re-render or
-// verify it with mmv2v-replay. See DESIGN.md §11.
+// -runlog <file> records a replayable run log of the whole pooled run —
+// re-render or verify it with mmv2v-replay. A killed run is recovered by
+// re-running the same command: every trial is a pure function of (flags,
+// seed), so the re-run reproduces the lost windows byte for byte. See
+// DESIGN.md §11.
 //
 // -stats <path> records per-layer statistics (discovery sweeps, control
 // frames, SINR histograms, airtime per MCS, ...) and writes them to the
@@ -41,7 +39,7 @@
 // the path ends in .csv), one scope per protocol. -http <addr> serves live
 // run telemetry — /healthz, /metrics, /series, /progress and
 // /debug/pprof/ — while the run executes; it implies -series sampling
-// (which, like -stats, is part of the checkpoint fingerprint) but changes
+// (which, like -stats, is part of the scenario fingerprint) but changes
 // nothing on stdout. Under -drive the HTTP surface reports per-refresh
 // link-table gauges instead. See DESIGN.md §9 for the contract.
 package main
@@ -51,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -82,12 +79,9 @@ func run() (err error) {
 		jsonOut   = flag.Bool("json", false, "emit per-protocol summaries as JSON instead of a table")
 		traceOut  = flag.String("trace", "", "write protocol events as JSON Lines to this file")
 		intensity = flag.Float64("faults", 0, "fault-injection intensity: scales the standard stress profile (0 = clean channel, 1 = full profile)")
-		retry     = flag.Int("retry", 0, "re-run a failed trial up to this many times before recording it as lost")
 		statsOut  = flag.String("stats", "", "record per-layer statistics and write them to this file (CSV if the path ends in .csv, JSON Lines otherwise)")
 		cpuOut    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memOut    = flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-		ckptDir   = flag.String("checkpoint", "", "directory for per-trial snapshots after every completed window; with -retry, failed trials resume from their last snapshot (per-protocol subdirectories under -protocol all)")
-		resumeCkp = flag.String("resume", "", "resume one trial from this snapshot file and report it alone (requires a single -protocol; flags must reproduce the snapshot's scenario)")
 		runlogOut = flag.String("runlog", "", "write a replayable run log to this file (requires a single -protocol; verify or re-render it with mmv2v-replay)")
 		worldKind = flag.String("world", "road", "mobility substrate: road (straight 1 km road) or grid (Manhattan road network)")
 		gridRows  = flag.Int("rows", 0, "grid world: intersection rows (0 = 3 for protocol runs, 12 for -drive)")
@@ -152,7 +146,6 @@ func run() (err error) {
 	cfg.WindowSec = *seconds
 	cfg.Windows = *windows
 	cfg.DemandBits = *demand
-	cfg.Retry = *retry
 	if *intensity < 0 {
 		return fmt.Errorf("negative fault intensity %v", *intensity)
 	}
@@ -198,20 +191,14 @@ func run() (err error) {
 		}
 		names = []string{*protocol}
 	}
-	if *resumeCkp != "" || *runlogOut != "" {
+	if *runlogOut != "" {
 		if len(names) > 1 {
-			return fmt.Errorf("-resume and -runlog need a single -protocol, not all")
+			return fmt.Errorf("-runlog needs a single -protocol, not all")
 		}
-		if *resumeCkp != "" && *runlogOut != "" {
-			return fmt.Errorf("-resume replays one trial and cannot record a full run log")
-		}
-		if *resumeCkp != "" && *traceOut != "" {
-			return fmt.Errorf("-resume cannot reconstruct trace events of completed windows; drop -trace")
-		}
-		if *runlogOut != "" && *statsOut != "" {
+		if *statsOut != "" {
 			return fmt.Errorf("-runlog records metric tables, not the -stats registry; drop one of the two")
 		}
-		if *runlogOut != "" && cfg.Series {
+		if cfg.Series {
 			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the series registry; drop -series/-http")
 		}
 	}
@@ -250,22 +237,11 @@ func run() (err error) {
 			srv.StartRun(name)
 			pcfg.Monitor = srv
 		}
-		if *ckptDir != "" {
-			pcfg.Checkpoint = *ckptDir
-			if len(names) > 1 {
-				// Checkpoint files are keyed by trial index alone; give each
-				// protocol its own directory so they cannot collide.
-				pcfg.Checkpoint = filepath.Join(*ckptDir, name)
-			}
-		}
 		var res *mmv2v.Result
 		var err error
-		switch {
-		case *resumeCkp != "":
-			res, err = mmv2v.Resume(pcfg, factories[name], *resumeCkp)
-		case *runlogOut != "":
+		if *runlogOut != "" {
 			res, err = mmv2v.RunTrialsLogged(pcfg, factories[name], *trials, runLogHeader(name, cfg, *density, *seed, *trials, *seconds, *windows, *demand, *intensity, *k, *m, *c), *runlogOut)
-		default:
+		} else {
 			res, err = mmv2v.RunTrials(pcfg, factories[name], *trials)
 		}
 		if err != nil {
@@ -283,9 +259,9 @@ func run() (err error) {
 		for _, te := range res.Failures {
 			fmt.Fprintf(os.Stderr, "mmv2v-sim: %v\n", te)
 		}
-		if res.Retried > 0 || len(res.Failures) > 0 {
-			fmt.Fprintf(os.Stderr, "mmv2v-sim: %s: %d/%d trial(s) pooled (%d retried, %d lost)\n",
-				res.Protocol, res.Trials, *trials, res.Retried, len(res.Failures))
+		if len(res.Failures) > 0 {
+			fmt.Fprintf(os.Stderr, "mmv2v-sim: %s: %d/%d trial(s) pooled (%d lost)\n",
+				res.Protocol, res.Trials, *trials, len(res.Failures))
 		}
 		if *jsonOut {
 			rows = append(rows, jsonRow{

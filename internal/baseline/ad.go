@@ -82,8 +82,8 @@ type assocReq struct {
 // pairs as service periods. Multiple PBSSs share the channel co-channel,
 // so inter-PBSS interference is real.
 type AD struct {
-	env *sim.Env //mmv2v:derived construction parameter re-supplied by NewAD on restore
-	cfg ADParams //mmv2v:derived construction parameter; config is run identity, not state
+	env *sim.Env
+	cfg ADParams
 
 	// isPCP[i] marks this frame's PCPs.
 	isPCP []bool
@@ -100,9 +100,9 @@ type AD struct {
 	sessions []*udt.Session
 
 	// Statistics handles (nil-safe no-ops when Env.Obs is nil).
-	obsBeaconTx     *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by NewAD
-	obsAssocTx      *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by NewAD
-	obsAssociations *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by NewAD
+	obsBeaconTx     *obs.Counter
+	obsAssocTx      *obs.Counter
+	obsAssociations *obs.Counter
 }
 
 // NewAD builds the 802.11ad baseline.

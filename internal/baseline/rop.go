@@ -107,12 +107,12 @@ type ropSweep struct {
 // uniformly random discovered neighbor; a pair matches only when the choice
 // is mutual (confirmed by decoding each other's requests).
 type ROP struct {
-	env *sim.Env  //mmv2v:derived construction parameter re-supplied by NewROP on restore
-	cfg ROPParams //mmv2v:derived construction parameter; config is run identity, not state
+	env *sim.Env
+	cfg ROPParams
 
 	discovered []map[int]*discovery
 	// pick[i] is i's matching choice this round (-1 idle).
-	pick []int //mmv2v:derived scratch for the current matching round; recomputed every frame
+	pick []int
 	// matched[i] is i's agreed partner (-1 none). Matches persist across
 	// frames — the paper matches vehicles that are "both unmatched before"
 	// — until the pair completes its exchange or the link breaks.
@@ -127,9 +127,9 @@ type ROP struct {
 	session  *udt.Session
 
 	// Statistics handles (nil-safe no-ops when Env.Obs is nil).
-	obsSweepTx     *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by NewROP
-	obsDiscoveries *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by NewROP
-	obsMatches     *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by NewROP
+	obsSweepTx     *obs.Counter
+	obsDiscoveries *obs.Counter
+	obsMatches     *obs.Counter
 }
 
 // NewROP builds the ROP baseline.

@@ -33,29 +33,29 @@ type candidate struct {
 // synchronized frames (phase boundaries are global because vehicles are
 // GPS-synchronized; per-vehicle decisions remain local).
 type Protocol struct {
-	env *sim.Env //mmv2v:derived construction parameter re-supplied by New on restore
-	cfg Params   //mmv2v:derived construction parameter; config is run identity, not state
+	env *sim.Env
+	cfg Params
 
 	// discovered[i] is vehicle i's working neighbor set ∪_f N_i^f.
 	discovered []map[int]*neighborInfo
 	// cand[i] is vehicle i's current DCM candidate (reset each frame).
-	cand []candidate //mmv2v:derived per-frame DCM scratch; reset at every frame boundary
+	cand []candidate
 	// roleTx[i] is vehicle i's role in the current discovery round.
-	roleTx []bool //mmv2v:derived per-round discovery scratch; redrawn each discovery round
+	roleTx []bool
 	// negPeer[i] is the neighbor i negotiates with in the current slot
 	// (-1 when idle).
-	negPeer []int //mmv2v:derived per-slot negotiation scratch; reassigned every DCM slot
+	negPeer []int
 	// gotMsg[i] holds the peer message i decoded in the current slot.
-	gotMsg []negotiationState //mmv2v:derived per-slot decode scratch; overwritten every DCM slot
+	gotMsg []negotiationState
 	// pendingBreak[i] is a queued break-up notification target (-1 none).
-	pendingBreak []int //mmv2v:derived queued within one frame; drained before the frame boundary checkpoints land
+	pendingBreak []int
 
 	frame    int
 	frameEnd des.Time
 	udt      udtState
 	// slotObserver, when set, is invoked after every DCM negotiation slot
 	// (experiment instrumentation, e.g. Fig. 6's capacity-vs-slots curve).
-	slotObserver func(frame, slot int) //mmv2v:derived experiment instrumentation hook re-attached by the harness, not protocol state
+	slotObserver func(frame, slot int)
 
 	// Diagnostics.
 	DiscoveredTotal uint64
@@ -65,12 +65,12 @@ type Protocol struct {
 	RefineFailures  uint64
 
 	// Statistics handles (nil-safe no-ops when Env.Obs is nil).
-	obsSSWTx        *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by New
-	obsDiscoveries  *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by New
-	obsNegTx        *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by New
-	obsBreakTx      *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by New
-	obsMatches      *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by New
-	obsBreakupsRecv *obs.Counter //mmv2v:derived statistics handle re-acquired from Env.Obs by New
+	obsSSWTx        *obs.Counter
+	obsDiscoveries  *obs.Counter
+	obsNegTx        *obs.Counter
+	obsBreakTx      *obs.Counter
+	obsMatches      *obs.Counter
+	obsBreakupsRecv *obs.Counter
 }
 
 // negotiationState records the peer negotiation message decoded in a slot.

@@ -66,8 +66,8 @@ func GreedyMatching(w *world.World, eligible func(i, j int) bool) [][2]int {
 // streams for the entire frame. It bounds what any distributed OHM scheme
 // on the same substrate can achieve.
 type Oracle struct {
-	env     *sim.Env //mmv2v:derived construction parameter re-supplied by NewOracle on restore
-	cfg     Params   //mmv2v:derived construction parameter; config is run identity, not state
+	env     *sim.Env
+	cfg     Params
 	frame   int
 	session *udt.Session
 }

@@ -129,37 +129,6 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // canceled events not yet reaped).
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// Drained reports whether no live event remains scheduled: canceled
-// events awaiting lazy reaping do not count. A drained simulator's future
-// behavior is fully determined by (Now, Executed) plus whatever its
-// owners schedule next, which is what makes a checkpoint at a drained
-// instant exact (DESIGN.md §11).
-func (s *Simulator) Drained() bool {
-	for _, ev := range s.queue {
-		if !ev.canceled {
-			return false
-		}
-	}
-	return true
-}
-
-// Restore forces the clock and executed-event counter of a fresh
-// simulator to a previously checkpointed position. It is only valid on a
-// simulator that has never scheduled or run anything; restoring a
-// simulator with queued events would silently invalidate their
-// timestamps, so that is an error.
-func (s *Simulator) Restore(now Time, executed uint64) error {
-	if len(s.queue) != 0 || s.running || s.seq != 0 {
-		return fmt.Errorf("des: Restore on a used simulator (%d queued, seq %d)", len(s.queue), s.seq)
-	}
-	if now < 0 {
-		return fmt.Errorf("des: Restore to negative time %d", now)
-	}
-	s.now = now
-	s.executed = executed
-	return nil
-}
-
 // ScheduleAt runs fn at the given absolute time. Scheduling in the past
 // (before Now) is a programming error and panics. The name is used only for
 // diagnostics.

@@ -116,11 +116,11 @@ func (r *Theorem2Result) WriteCSV(w io.Writer) error {
 }
 
 // WriteCSV emits intensity, protocol, ocr, atp, dtp, latency_sec, trials,
-// retried, failures rows.
+// failures rows.
 func (r *FaultsResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	rows := [][]string{{"intensity", "protocol", "ocr", "atp", "dtp",
-		"first_exchange_sec", "trials", "retried", "failures"}}
+		"first_exchange_sec", "trials", "failures"}}
 	for _, row := range r.Rows {
 		for _, c := range row.Cells {
 			lat := ""
@@ -130,7 +130,7 @@ func (r *FaultsResult) WriteCSV(w io.Writer) error {
 			rows = append(rows, []string{
 				f(row.Intensity), c.Protocol,
 				f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
-				lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Retried), strconv.Itoa(c.Failures),
+				lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Failures),
 			})
 		}
 	}

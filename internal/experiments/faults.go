@@ -30,8 +30,6 @@ type FaultsOptions struct {
 	Intensities []float64
 	// Profile is the intensity-1 fault mix.
 	Profile faults.Config
-	// Retry is the per-trial retry budget forwarded to sim.Config.
-	Retry int
 	// Workers bounds concurrent trial simulations across all cells
 	// (0 = GOMAXPROCS). The tables are identical for any value.
 	Workers int
@@ -65,10 +63,9 @@ type FaultsCell struct {
 	// MeanLatencySec is the mean time from window start to each neighbor
 	// pair's first exchanged bit (NaN when nothing was exchanged).
 	MeanLatencySec float64
-	// Trials/Retried/Failures echo the crash-isolation summary of the
-	// cell's pooled run.
+	// Trials/Failures echo the crash-isolation summary of the cell's
+	// pooled run.
 	Trials   int
-	Retried  int
 	Failures int
 	// Obs is the cell's pooled layer statistics (nil unless Options.Stats).
 	Obs *obs.Registry
@@ -110,7 +107,6 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 		if opts.WindowSec > 0 {
 			cfg.WindowSec = opts.WindowSec
 		}
-		cfg.Retry = opts.Retry
 		cfg.Stats = opts.Stats
 		cfg.Series = opts.Series
 		profile := opts.Profile.Scale(opts.Intensities[ii])
@@ -124,7 +120,6 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 			Summary:        pooled.Summary,
 			MeanLatencySec: pooled.MeanLatencySec(),
 			Trials:         pooled.Trials,
-			Retried:        pooled.Retried,
 			Failures:       len(pooled.Failures),
 			Obs:            pooled.Obs,
 			Series:         pooled.Series,
@@ -198,7 +193,7 @@ func (r *FaultsResult) SeriesRows() []obs.SeriesRow {
 
 // WriteTable prints the degradation table: (a) OCR, (b) time to first
 // exchange, (c) ATP by intensity and protocol, plus a crash-isolation
-// summary line when any trial was retried or lost.
+// summary line when any trial was lost.
 func (r *FaultsResult) WriteTable(w io.Writer) {
 	writeHeader(w, "Fault sweep — graceful degradation under channel/radio faults")
 	fmt.Fprintf(w, "density %g vpl; profile at intensity 1: %+v\n", r.Opts.DensityVPL, r.Opts.Profile)
@@ -228,14 +223,13 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-	retried, failed := 0, 0
+	failed := 0
 	for _, row := range r.Rows {
 		for _, c := range row.Cells {
-			retried += c.Retried
 			failed += c.Failures
 		}
 	}
-	if retried > 0 || failed > 0 {
-		fmt.Fprintf(w, "trial health: %d retried, %d failed after retries\n", retried, failed)
+	if failed > 0 {
+		fmt.Fprintf(w, "trial health: %d failed\n", failed)
 	}
 }

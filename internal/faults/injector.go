@@ -60,15 +60,15 @@ type radioState struct {
 // (the DES is single-threaded) and, like the rest of the simulator, is
 // deterministic: same config + seed ⇒ the same fault history, bit for bit.
 type Injector struct {
-	cfg   Config //mmv2v:derived construction parameter re-supplied by NewInjector on restore
-	seed  uint64 //mmv2v:derived construction parameter; part of trial identity, not evolving state
-	clock Clock  //mmv2v:derived wiring to the host simulator, re-injected on construction
+	cfg   Config
+	seed  uint64
+	clock Clock
 
 	// Per-tick P(clear → blocked), P(blocked → clear), and the linear gain
 	// factor inside a burst.
-	pGoodBad float64 //mmv2v:derived precomputed from cfg by NewInjector
-	pBadGood float64 //mmv2v:derived precomputed from cfg by NewInjector
-	attenLin float64 //mmv2v:derived precomputed from cfg by NewInjector
+	pGoodBad float64
+	pBadGood float64
+	attenLin float64
 
 	ge    map[uint64]*geState
 	radio map[int]*radioState
@@ -82,9 +82,9 @@ type Injector struct {
 
 	// Statistics handles (nil-safe no-ops until SetObs installs a live
 	// registry).
-	obsDrops       *obs.Counter //mmv2v:derived statistics handle reinstalled by SetObs
-	obsBlocked     *obs.Counter //mmv2v:derived statistics handle reinstalled by SetObs
-	obsTransitions *obs.Counter //mmv2v:derived statistics handle reinstalled by SetObs
+	obsDrops       *obs.Counter
+	obsBlocked     *obs.Counter
+	obsTransitions *obs.Counter
 }
 
 // SetObs installs the statistics registry. A nil registry (the default)

@@ -35,7 +35,7 @@ import (
 // function literal's body belongs to its declarer. The detectors are
 // syntactic may-allocate checks, not an escape analysis — the point is
 // that every allocation construct on a hot path is either hoisted or
-// carries a reviewed justification, exactly the derived/shared discipline
+// carries a reviewed justification, exactly the //mmv2v:shared discipline
 // applied to performance.
 
 // runAllocCheck flags allocation sites in the hot functions declared in p.

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the interprocedural substrate of the analyzer (DESIGN.md §8):
-// a lightweight, stdlib-only call-graph and struct-model layer built once
-// per Run over every loaded package. Passes that reason beyond a single
-// expression — persistcheck's codec field coverage, and the transitive
-// wallclock/globalrand taint — consume it through Package.Mod.
+// a lightweight, stdlib-only call-graph layer built once per Run over every
+// loaded package. Passes that reason beyond a single expression — the
+// transitive wallclock/globalrand taint and alloccheck's hot-path closure —
+// consume it through Package.Mod.
 //
 // The model is deliberately static and conservative:
 //
@@ -58,9 +58,6 @@ type funcInfo struct {
 	// functions in source order.
 	wallclock []directUse
 	rand      []directUse
-	// fieldRefs is the set of struct fields this function's body mentions —
-	// selections, composite-literal keys — reads and writes alike.
-	fieldRefs map[*types.Var]bool
 }
 
 // Module is the whole-module analysis index shared by every package of one
@@ -100,7 +97,7 @@ func buildModule(pkgs []*Package) *Module {
 				if !ok {
 					continue
 				}
-				fi := &funcInfo{obj: obj, pkg: p, decl: fd, fieldRefs: make(map[*types.Var]bool)}
+				fi := &funcInfo{obj: obj, pkg: p, decl: fd}
 				collectBody(p, fd, fi)
 				m.funcs[obj] = fi
 				m.order = append(m.order, fi)
@@ -172,15 +169,11 @@ func (m *Module) hotpaths() map[*types.Func]string {
 }
 
 // collectBody walks one declared function (closures included) and records
-// call edges, direct forbidden-stdlib uses, and struct-field references.
+// call edges and direct forbidden-stdlib uses.
 func collectBody(p *Package, fd *ast.FuncDecl, fi *funcInfo) {
 	record := func(id *ast.Ident) {
-		obj := p.Info.Uses[id]
-		fn, ok := obj.(*types.Func)
+		fn, ok := p.Info.Uses[id].(*types.Func)
 		if !ok {
-			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				fi.fieldRefs[v] = true // composite-literal key
-			}
 			return
 		}
 		if fn.Pkg() == nil {
@@ -196,15 +189,8 @@ func collectBody(p *Package, fd *ast.FuncDecl, fi *funcInfo) {
 		}
 	}
 	ast.Inspect(fd, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.Ident:
-			record(e)
-		case *ast.SelectorExpr:
-			if sel, ok := p.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-				if v, ok := sel.Obj().(*types.Var); ok {
-					fi.fieldRefs[v] = true
-				}
-			}
+		if id, ok := n.(*ast.Ident); ok {
+			record(id)
 		}
 		return true
 	})
@@ -260,39 +246,4 @@ func (m *Module) propagate(sources func(*funcInfo) []directUse, sealed func(*fun
 		frontier = next
 	}
 	return taint
-}
-
-// closure returns the functions statically reachable from root (inclusive)
-// through module call edges, in deterministic breadth-first order.
-func (m *Module) closure(root *types.Func) []*types.Func {
-	seen := map[*types.Func]bool{root: true}
-	out := []*types.Func{root}
-	for i := 0; i < len(out); i++ {
-		fi, ok := m.funcs[out[i]]
-		if !ok {
-			continue
-		}
-		for _, cs := range fi.calls {
-			if !seen[cs.callee] {
-				seen[cs.callee] = true
-				out = append(out, cs.callee)
-			}
-		}
-	}
-	return out
-}
-
-// fieldRefsOf unions the field-reference sets of every function in the
-// closure of root. The result is consumed by membership lookups only.
-func (m *Module) fieldRefsOf(root *types.Func) map[*types.Var]bool {
-	refs := make(map[*types.Var]bool)
-	for _, fn := range m.closure(root) {
-		if fi, ok := m.funcs[fn]; ok {
-			//mmv2v:sorted pure set union; membership-only consumer
-			for v := range fi.fieldRefs {
-				refs[v] = true
-			}
-		}
-	}
-	return refs
 }

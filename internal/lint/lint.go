@@ -2,10 +2,10 @@
 // simulation-hygiene analyzer (DESIGN.md §8).
 //
 // The evaluation pipeline's core invariant — runs are byte-identical for any
-// -workers value and any seed — is enforced mechanically by ten passes over
+// -workers value and any seed — is enforced mechanically by nine passes over
 // the type-checked source of every non-test package: maprange, wallclock,
-// globalrand, goroutine, floateq, errdrop, unitcheck, persistcheck,
-// sharecheck and alloccheck. The analyzer is stdlib-only (go/parser,
+// globalrand, goroutine, floateq, errdrop, unitcheck, sharecheck and
+// alloccheck. The analyzer is stdlib-only (go/parser,
 // go/ast, go/types with go/importer's source importer; no x/tools),
 // honoring the repo's no-external-dependency rule.
 //
@@ -16,7 +16,6 @@
 //	//mmv2v:sorted   <why the loop body is order-independent>
 //	//mmv2v:exact    <why exact float equality is intended>
 //	//mmv2v:unitless <why the quantity is genuinely dimensionless>
-//	//mmv2v:derived  <how restore rebuilds the field>
 //	//mmv2v:shared   <why the cross-goroutine write is safe>
 //	//mmv2v:alloc    <why the hot-path allocation is amortized or setup-time>
 //

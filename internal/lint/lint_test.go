@@ -94,20 +94,6 @@ func TestPassesOnFixtures(t *testing.T) {
 			},
 		},
 		{
-			// 33: uncovered field; 35: //mmv2v:derived without justification
-			// does not suppress; 49: encoded but never restored; 68: no
-			// load path at all. Counter (helper save + justified derived)
-			// and ctor.Session (free-function restore, composite-literal
-			// key coverage) stay clean.
-			pass: "persistcheck",
-			want: []string{
-				"internal/state/state.go:33: persistcheck",
-				"internal/state/state.go:35: persistcheck",
-				"internal/state/state.go:49: persistcheck",
-				"internal/state/state.go:68: persistcheck",
-			},
-		},
-		{
 			// global.go: package-level writes outside init (init and the
 			// justified knob stay clean); spawn.go:13: a captured-slice
 			// write plus two loop-variable captures on one closure line
@@ -315,59 +301,6 @@ func copyModule(t *testing.T, src, dst string) {
 	}
 }
 
-// injectField inserts a field declaration right after the opening brace of
-// the named struct type in file.
-func injectField(t *testing.T, file, typeName, fieldDecl string) {
-	t.Helper()
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	marker := "type " + typeName + " struct {"
-	if !strings.Contains(string(data), marker) {
-		t.Fatalf("%s: no %q", file, marker)
-	}
-	mutated := strings.Replace(string(data), marker, marker+"\n\t"+fieldDecl, 1)
-	if err := os.WriteFile(file, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPersistCheckMutation is the codec-drift mutation test: adding a field
-// to a covered fixture struct must produce a persistcheck finding, and the
-// same field annotated //mmv2v:derived with a justification must not.
-func TestPersistCheckMutation(t *testing.T) {
-	cases := []struct {
-		name     string
-		field    string
-		findings int
-	}{
-		{"uncovered-field", "ghost int", 1},
-		{"derived-annotation", "ghost int //mmv2v:derived rebuilt lazily on first use", 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tmp := t.TempDir()
-			copyModule(t, filepath.Join("testdata", "persistcheck"), tmp)
-			target := filepath.Join(tmp, "internal", "ctor", "ctor.go")
-			injectField(t, target, "Session", tc.field)
-			findings, err := Run(tmp, Options{Passes: []string{"persistcheck"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var hits []string
-			for _, f := range findings {
-				if strings.Contains(f.Msg, "ghost") {
-					hits = append(hits, f.String())
-				}
-			}
-			if len(hits) != tc.findings {
-				t.Errorf("ghost-field findings = %v, want %d", hits, tc.findings)
-			}
-		})
-	}
-}
-
 // injectBefore inserts stmt on its own line immediately before the first
 // occurrence of marker in file, inheriting the marker's indentation.
 func injectBefore(t *testing.T, file, marker, stmt string) {
@@ -455,40 +388,6 @@ func TestRepoHotAllocIsCaught(t *testing.T) {
 	}
 	if !hit {
 		t.Error("injected make inside world.Refresh produced no alloccheck finding")
-	}
-}
-
-// TestRepoCodecDriftIsCaught is the deliberate-injection meta-test (the
-// PR 5 laundered-dB pattern): a copy of the real repository with one
-// unannotated field added to a codec-bearing struct must fail persistcheck,
-// proving the pass — and therefore TestRepoIsClean and make lint — would
-// catch real add-a-field drift in internal/medium's checkpoint codec.
-func TestRepoCodecDriftIsCaught(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp := t.TempDir()
-	copyModule(t, root, tmp)
-	injectField(t, filepath.Join(tmp, "internal", "medium", "medium.go"),
-		"Medium", "driftDemo uint64")
-	findings, err := Run(tmp, Options{Passes: []string{"persistcheck"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hit bool
-	for _, f := range findings {
-		if strings.Contains(f.Msg, "driftDemo") {
-			hit = true
-		} else {
-			t.Errorf("unexpected extra finding: %s", f)
-		}
-	}
-	if !hit {
-		t.Error("injected uncovered field Medium.driftDemo produced no persistcheck finding")
 	}
 }
 

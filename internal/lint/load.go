@@ -29,8 +29,8 @@ type Package struct {
 	Info  *types.Info
 	Types *types.Package
 
-	// Mod is the whole-module call-graph and struct-model index shared by
-	// every package of one Run (see callgraph.go).
+	// Mod is the whole-module call-graph index shared by every package of
+	// one Run (see callgraph.go).
 	Mod *Module
 
 	root       string

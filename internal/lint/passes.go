@@ -55,11 +55,6 @@ func Passes() []Pass {
 			run:  runUnitCheck,
 		},
 		{
-			Name: "persistcheck",
-			Doc:  "checkpoint-codec field coverage: every field of a SaveState type is encoded or //mmv2v:derived, and every encoded field is restored by the load path",
-			run:  runPersistCheck,
-		},
-		{
 			Name: "sharecheck",
 			Doc:  "shared mutable state across the goroutine boundary: package-level var writes outside init, loop-variable capture in go closures, and unowned writes from goroutines, unless //mmv2v:shared justifies them",
 			run:  runShareCheck,

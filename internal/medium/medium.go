@@ -90,19 +90,19 @@ type FaultModel interface {
 // Medium is the shared channel. Create with New; not safe for concurrent
 // use (the DES is single-threaded).
 type Medium struct {
-	sim *des.Simulator //mmv2v:derived wiring to the host simulator, re-injected on construction
-	w   *world.World   //mmv2v:derived wiring to the world, re-injected on construction
+	sim *des.Simulator
+	w   *world.World
 
-	active    []*transmission //mmv2v:derived in-flight transmissions; checkpoints land at frame boundaries when the channel is quiescent
-	listeners []listener      //mmv2v:derived in-frame listener registrations; empty at frame-boundary checkpoints
+	active    []*transmission
+	listeners []listener
 	// nextID starts at 1 so the zero StreamID is never a live stream.
 	nextID int64
 	// resolveAt de-duplicates end-of-frame resolution events.
-	resolveAt map[des.Time]bool //mmv2v:derived event de-dup cache for pending resolutions; empty at frame-boundary checkpoints
+	resolveAt map[des.Time]bool
 
 	// faults, when non-nil, injects radio churn, control-frame loss and
 	// slot jitter into every transmission and delivery.
-	faults FaultModel //mmv2v:derived wiring re-attached by SetFaults; the injector checkpoints its own state
+	faults FaultModel
 
 	// Delivered counts decoded control frames (diagnostics).
 	Delivered uint64
@@ -117,14 +117,14 @@ type Medium struct {
 
 	// Statistics handles (nil-safe no-ops until SetObs installs a live
 	// registry).
-	obsControlTx     *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsControlDeliv  *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsControlLost   *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsControlFault  *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsFaultMuted    *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsRxAims        *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsStreamStarts  *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsControlSINRdB *obs.Histogram //mmv2v:derived statistics handle reinstalled by SetObs
+	obsControlTx     *obs.Counter
+	obsControlDeliv  *obs.Counter
+	obsControlLost   *obs.Counter
+	obsControlFault  *obs.Counter
+	obsFaultMuted    *obs.Counter
+	obsRxAims        *obs.Counter
+	obsStreamStarts  *obs.Counter
+	obsControlSINRdB *obs.Histogram
 }
 
 // SetFaults installs a fault model; nil restores the clean channel.

@@ -4,8 +4,8 @@
 // stream mmWave simulators treat as the primary experiment output.
 //
 // Sampling is pull-based and allocation-bounded: the window loop calls
-// Sample once per window at the same drained-event-queue boundary used for
-// checkpoints, so a series never observes a half-executed window. Like the
+// Sample once per window, after the window's events have run, so a series
+// never observes a half-executed window. Like the
 // cumulative registry, series merge slot-per-trial (MergeSeries mirrors
 // Merge/metrics.Merge): integer deltas are order-free and float sums fold
 // in slot order, so pooled series exports are bit-identical for any worker

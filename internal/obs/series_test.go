@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mmv2v/internal/obs"
-	"mmv2v/internal/persist"
 )
 
 // findSeriesRow returns the first row in a point matching (name, kind), or
@@ -173,76 +172,6 @@ func TestMergeSeriesMatchesRegistryMerge(t *testing.T) {
 		if want.Kind != obs.KindCounter && sums[want.Name] != want.Sum {
 			t.Fatalf("%s: summed window sums = %v, want cumulative %v", want.Name, sums[want.Name], want.Sum)
 		}
-	}
-}
-
-func TestSeriesCodecResumeContinuity(t *testing.T) {
-	// Sample two windows, checkpoint, restore into a fresh series, then
-	// continue sampling both the original and the restored series from
-	// identically-advanced registries: the full exports must match byte
-	// for byte — the "no gap, no duplicate window" resume property.
-	advance := func(r *obs.Registry, w int) {
-		r.Counter("c").Add(uint64(w + 1))
-		r.Gauge("g").Observe(float64(5 - w))
-		r.Histogram("h", []float64{3}).Observe(float64(2 * w))
-	}
-	r1 := obs.New()
-	s1 := obs.NewSeries()
-	for w := 0; w < 2; w++ {
-		advance(r1, w)
-		s1.Sample(w, r1)
-	}
-
-	var e persist.Encoder
-	s1.SaveState(&e)
-	regBytes := func() []byte {
-		var re persist.Encoder
-		r1.SaveState(&re)
-		return re.Bytes()
-	}()
-
-	s2 := obs.NewSeries()
-	if err := s2.LoadState(persist.NewDecoder(e.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	r2 := obs.New()
-	if err := r2.LoadState(persist.NewDecoder(regBytes)); err != nil {
-		t.Fatal(err)
-	}
-
-	for w := 2; w < 4; w++ {
-		advance(r1, w)
-		s1.Sample(w, r1)
-		advance(r2, w)
-		s2.Sample(w, r2)
-	}
-
-	render := func(s *obs.Series) string {
-		var buf bytes.Buffer
-		if err := obs.WriteSeriesJSONL(&buf, obs.SeriesRows(s.Points(), "run")); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if got, want := render(s2), render(s1); got != want {
-		t.Fatalf("resumed series diverged:\ngot:\n%swant:\n%s", got, want)
-	}
-	wins := make([]int, 0, 4)
-	for _, pt := range s2.Points() {
-		wins = append(wins, pt.Window)
-	}
-	if !reflect.DeepEqual(wins, []int{0, 1, 2, 3}) {
-		t.Fatalf("resumed windows = %v, want [0 1 2 3]", wins)
-	}
-}
-
-func TestSeriesCodecRejectsTruncation(t *testing.T) {
-	s := trialSeries(1, 3)
-	var e persist.Encoder
-	s.SaveState(&e)
-	raw := e.Bytes()
-	if err := obs.NewSeries().LoadState(persist.NewDecoder(raw[:len(raw)/2])); err == nil {
-		t.Fatal("truncated series state should fail to decode")
 	}
 }
 

@@ -1,15 +1,13 @@
-// Package persist is the deterministic persistence substrate (DESIGN.md
-// §11): a little-endian binary codec plus two checksummed container
-// formats — a versioned snapshot frame for checkpoint files and an
-// append-only record log for run logs.
+// Package persist is the run-log substrate (DESIGN.md §11): a
+// little-endian binary codec plus a checksummed, append-only record log.
 //
 // The package is deliberately stdlib-only and knows nothing about the
-// simulator: every layer (traffic, world, faults, metrics, obs, protocols,
-// sim) encodes its own state through an Encoder and restores it through a
-// Decoder. The decoder is hostile-input safe by construction: every read is
-// bounds-checked, every length prefix is validated against the bytes that
-// remain, the first failure latches and all subsequent reads return zero
-// values. Corrupted input yields a structured error, never a panic.
+// simulator: run-log writers encode records through an Encoder and readers
+// decode them through a Decoder. The decoder is hostile-input safe by
+// construction: every read is bounds-checked, every length prefix is
+// validated against the bytes that remain, the first failure latches and
+// all subsequent reads return zero values. Corrupted input yields a
+// structured error, never a panic.
 package persist
 
 import (
@@ -23,7 +21,7 @@ import (
 )
 
 // castagnoli is the CRC-32C polynomial table used for every checksum in
-// the formats below (hardware-accelerated on amd64/arm64).
+// the record log (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // crc32c returns the CRC-32C checksum of b.
@@ -89,12 +87,6 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Blob appends a length-prefixed byte slice (a nested payload).
-func (e *Encoder) Blob(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
 // Decoder reads the Encoder's wire format back with sticky-error
 // semantics: the first failure latches, every later read returns the zero
 // value, and Err reports the latched failure. No method panics on any
@@ -119,13 +111,6 @@ func (d *Decoder) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
-}
-
-// Failf latches a caller-level structural error wrapping ErrCorrupt; used
-// by state loaders that discover an out-of-range value after a
-// syntactically valid read.
-func (d *Decoder) Failf(format string, args ...any) {
-	d.fail(fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...))
 }
 
 // take returns the next n bytes, or nil after latching ErrTruncated.
@@ -191,12 +176,6 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// Blob reads a length-prefixed byte slice (aliasing the input buffer).
-func (d *Decoder) Blob() []byte {
-	n := int(d.U32())
-	return d.take(n)
-}
-
 // Count reads a u32 element count and validates it against the bytes that
 // remain, given a per-element lower bound in bytes. This clamps attacker-
 // controlled counts so loaders can allocate count-sized slices without an
@@ -215,49 +194,6 @@ func (d *Decoder) Count(minElemBytes int) int {
 		return 0
 	}
 	return n
-}
-
-// Snapshot frame: magic, format version, payload length, CRC-32
-// (Castagnoli) of the payload, payload bytes.
-const (
-	snapshotMagic   = "MMV2VSNP"
-	SnapshotVersion = 1
-	snapshotHdrLen  = 8 + 4 + 8 + 4
-)
-
-// EncodeSnapshot wraps a payload in the versioned, checksummed snapshot
-// frame.
-func EncodeSnapshot(payload []byte) []byte {
-	var e Encoder
-	e.buf = append(e.buf, snapshotMagic...)
-	e.U32(SnapshotVersion)
-	e.U64(uint64(len(payload)))
-	e.U32(crc32c(payload))
-	e.buf = append(e.buf, payload...)
-	return e.buf
-}
-
-// DecodeSnapshot validates a snapshot frame and returns its payload.
-func DecodeSnapshot(b []byte) ([]byte, error) {
-	if len(b) < snapshotHdrLen {
-		return nil, fmt.Errorf("%w: %d-byte input shorter than snapshot header", ErrTruncated, len(b))
-	}
-	if string(b[:8]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: want %q", ErrMagic, snapshotMagic)
-	}
-	v := binary.LittleEndian.Uint32(b[8:12])
-	if v != SnapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d (this build reads %d)", ErrVersion, v, SnapshotVersion)
-	}
-	n := binary.LittleEndian.Uint64(b[12:20])
-	if n != uint64(len(b)-snapshotHdrLen) {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, frame carries %d", ErrTruncated, n, len(b)-snapshotHdrLen)
-	}
-	payload := b[snapshotHdrLen:]
-	if got, want := crc32c(payload), binary.LittleEndian.Uint32(b[20:24]); got != want {
-		return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", ErrChecksum, got, want)
-	}
-	return payload, nil
 }
 
 // Record log: magic, format version, then a sequence of records, each
@@ -335,7 +271,7 @@ func ReadLog(b []byte) (recs []Record, truncated bool, err error) {
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and
-// rename, so readers never observe a half-written snapshot and a crash
+// rename, so readers never observe a half-written file and a crash
 // mid-write leaves the previous file intact.
 func WriteFileAtomic(path string, data []byte) error {
 	dir, base := filepath.Split(path)

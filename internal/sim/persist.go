@@ -1,58 +1,23 @@
-// Deterministic persistence (DESIGN.md §11): versioned, checksummed
-// per-trial snapshots at drained window boundaries, and crash-resume that
-// reproduces the uncheckpointed run byte-for-byte.
-//
-// A snapshot captures everything a trial's future depends on: the DES
-// clock and executed-event counter, the fleet kinematics and RNG cursors,
-// the world's x-order permutation and link table (saved, not re-derived —
-// re-running pair enumeration on restore would re-query the fault hook and
-// advance its chains), the medium's stream-ID allocator, the fault
-// injector's lazy chain maps, the statistics registry, the task ledger,
-// the completed windows' results and the protocol's durable state. Resume
-// rebuilds the environment from (config, seed) exactly as a fresh run
-// would — so everything derived purely from the seed is identical — and
-// then overlays the snapshot's mutable state.
-//
-// A config fingerprint stored in the snapshot rejects resuming under a
-// different scenario; the CRC-framed codec (internal/persist) rejects
-// truncated or bit-flipped files with structured errors, never a panic.
+// Canonical encodings for run logs (DESIGN.md §11): the scenario
+// fingerprint a run-log recipe must reconstruct, and the byte-stable window
+// encoding and digest that replay verification compares.
 package sim
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
 
-	"mmv2v/internal/des"
 	"mmv2v/internal/metrics"
 	"mmv2v/internal/persist"
-	"mmv2v/internal/traffic"
-	"mmv2v/internal/world"
-	"mmv2v/internal/xrand"
 )
-
-// Stateful is a Protocol whose durable state can be checkpointed and
-// restored. All protocols in this repository implement it; checkpointing
-// (Config.Checkpoint) and Resume require it.
-type Stateful interface {
-	Protocol
-	// SaveState appends the protocol's durable (cross-frame) state.
-	SaveState(e *persist.Encoder)
-	// LoadState restores state checkpointed by SaveState onto a protocol
-	// freshly built over the resumed environment. Corrupted input returns
-	// a structured error and must never panic.
-	LoadState(d *persist.Decoder) error
-}
 
 // Fingerprint hashes the scenario-defining configuration fields: everything
 // that changes what a trial computes (seed, traffic, world, timing, demand,
 // windows, warm-up, faults, stats) and nothing that only changes how it is
-// executed (workers, retry budget, tracing, checkpoint location). A
-// snapshot stores the fingerprint of the config it was taken under, so
-// resuming with mismatched flags fails loudly instead of diverging
-// silently.
+// executed (workers, tracing, monitoring). A run log stores the fingerprint
+// of the config it recorded, so a recipe that no longer reconstructs that
+// config fails loudly instead of diverging silently.
 func Fingerprint(cfg Config) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seed=%d|traffic=%#v|world=%#v|timing=%#v|demand=%d|winsec=%d|windows=%d|warmup=%d|stats=%t",
@@ -66,34 +31,21 @@ func Fingerprint(cfg Config) uint64 {
 		fmt.Fprintf(h, "|faults=%#v", *cfg.Faults)
 	}
 	// Appended conditionally so every pre-series fingerprint (committed run
-	// logs, old snapshots) stays valid for runs without a series.
+	// logs) stays valid for runs without a series.
 	if cfg.Series {
 		fmt.Fprintf(h, "|series=true")
 	}
 	return h.Sum64()
 }
 
-// CheckpointPath returns the snapshot file a trial writes inside a
-// checkpoint directory. Trials of one pooled run share the directory and
-// are distinguished by index.
-func CheckpointPath(dir string, trial int) string {
-	return filepath.Join(dir, fmt.Sprintf("trial%03d.ckpt", trial))
-}
-
-const (
-	fleetKindRoad    = 0
-	fleetKindNetwork = 1
-
-	// vehicleStatsWire and windowWireMin are minimum encoded sizes used to
-	// clamp hostile element counts while decoding.
-	vehicleStatsWire = 8 + 8 + 3*8
-	windowWireMin    = 8 + 4 + (8 + 3*8) + 8 + 8 + 8
-)
+// vehicleStatsWire is the minimum encoded size of one VehicleStats, used
+// to clamp hostile element counts while decoding.
+const vehicleStatsWire = 8 + 8 + 3*8
 
 // EncodeWindowResult appends one window's results in the canonical form
-// shared by snapshots and run-log digests: field order is fixed and floats
-// are encoded as IEEE-754 bits, so equal results always produce equal
-// bytes.
+// shared by run-log window records and digests: field order is fixed and
+// floats are encoded as IEEE-754 bits, so equal results always produce
+// equal bytes.
 func EncodeWindowResult(e *persist.Encoder, w WindowResult) {
 	e.Int(w.Window)
 	e.U32(uint32(len(w.Stats)))
@@ -152,219 +104,4 @@ func WindowDigest(trial int, w WindowResult) uint64 {
 	// fnv's Write never fails; the hash.Hash interface just carries error.
 	_, _ = h.Write(e.Bytes())
 	return h.Sum64()
-}
-
-// snapshotPayload encodes the full trial state. windows are the completed
-// windows' results; the next window to run is len(windows).
-func snapshotPayload(cfg Config, env *Env, proto Stateful, windows []WindowResult) []byte {
-	var e persist.Encoder
-	e.U64(Fingerprint(cfg))
-	e.U64(cfg.Seed)
-	e.String(proto.Name())
-	e.Int(len(windows))
-	e.Int(cfg.Windows)
-	e.I64(int64(env.Sim.Now()))
-	e.U64(env.Sim.Executed())
-	e.U64(env.Rand.Cursor())
-	if _, ok := env.World.Fleet().(*traffic.Network); ok {
-		e.U8(fleetKindNetwork)
-	} else {
-		e.U8(fleetKindRoad)
-	}
-	env.World.Fleet().SaveState(&e)
-	env.World.SaveState(&e)
-	env.Medium.SaveState(&e)
-	e.Bool(env.Faults != nil)
-	if env.Faults != nil {
-		env.Faults.SaveState(&e)
-	}
-	e.Bool(env.Obs != nil)
-	if env.Obs != nil {
-		env.Obs.SaveState(&e)
-	}
-	e.Bool(env.Series != nil)
-	if env.Series != nil {
-		env.Series.SaveState(&e)
-	}
-	env.Ledger.SaveState(&e)
-	e.U32(uint32(len(windows)))
-	for _, w := range windows {
-		EncodeWindowResult(&e, w)
-	}
-	proto.SaveState(&e)
-	return e.Bytes()
-}
-
-// writeCheckpoint atomically replaces the trial's snapshot file with the
-// current state.
-func writeCheckpoint(cfg Config, env *Env, proto Stateful, windows []WindowResult) error {
-	if err := os.MkdirAll(cfg.Checkpoint, 0o755); err != nil {
-		return fmt.Errorf("sim: checkpoint dir: %w", err)
-	}
-	data := persist.EncodeSnapshot(snapshotPayload(cfg, env, proto, windows))
-	path := CheckpointPath(cfg.Checkpoint, cfg.Trial)
-	if err := persist.WriteFileAtomic(path, data); err != nil {
-		return fmt.Errorf("sim: checkpoint %s: %w", path, err)
-	}
-	return nil
-}
-
-// Resume continues a trial from a snapshot file written under
-// Config.Checkpoint, producing a Result byte-identical to the run that
-// would have happened without the interruption. cfg must describe the same
-// scenario the snapshot was taken under (any seed — the snapshot's derived
-// per-trial seed overrides cfg.Seed; everything else is checked against
-// the stored fingerprint). Tracing cannot be resumed: events of completed
-// windows are gone, so cfg.Trace must be nil.
-func Resume(cfg Config, factory Factory, path string) (*Result, error) {
-	if cfg.Trace != nil {
-		return nil, fmt.Errorf("sim: resume cannot reconstruct trace events of completed windows; disable tracing or rerun from scratch")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("sim: resume: %w", err)
-	}
-	payload, err := persist.DecodeSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, err)
-	}
-	d := persist.NewDecoder(payload)
-	fp := d.U64()
-	seed := d.U64()
-	protoName := d.String()
-	nextWin := d.Int()
-	totalWin := d.Int()
-	desNow := des.Time(d.I64())
-	desExec := d.U64()
-	randCursor := d.U64()
-	fleetKind := d.U8()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, err)
-	}
-
-	c := cfg
-	c.Seed = seed
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if got := Fingerprint(c); got != fp {
-		return nil, fmt.Errorf("sim: checkpoint %s was taken under a different scenario (snapshot fingerprint %#x, this config %#x)",
-			path, fp, got)
-	}
-	if totalWin != c.Windows || nextWin < 1 || nextWin > totalWin {
-		return nil, fmt.Errorf("sim: checkpoint %s has corrupt window cursor %d/%d (config: %d windows)",
-			path, nextWin, totalWin, c.Windows)
-	}
-
-	// Rebuild the substrate from (config, seed) exactly as a fresh run
-	// would — minus the warm-up, whose effect is contained in the restored
-	// kinematic state.
-	rand := xrand.New(c.Seed)
-	var fleet traffic.Fleet
-	if c.Grid != nil {
-		if fleetKind != fleetKindNetwork {
-			return nil, fmt.Errorf("sim: checkpoint %s holds a ring-road fleet but the config is a grid scenario", path)
-		}
-		nw, err := traffic.NewNetwork(c.Grid.Network(), rand)
-		if err != nil {
-			return nil, err
-		}
-		fleet = nw
-	} else {
-		if fleetKind != fleetKindRoad {
-			return nil, fmt.Errorf("sim: checkpoint %s holds a grid fleet but the config is a ring-road scenario", path)
-		}
-		road, err := traffic.New(c.Traffic, rand)
-		if err != nil {
-			return nil, err
-		}
-		fleet = road
-	}
-	if err := fleet.LoadState(d); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s fleet: %w", path, err)
-	}
-	w, err := world.New(c.World, fleet)
-	if err != nil {
-		return nil, err
-	}
-	env, err := NewEnvWithWorld(c, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := env.Sim.Restore(desNow, desExec); err != nil {
-		return nil, err
-	}
-	env.Rand.SetCursor(randCursor)
-	if err := env.World.LoadState(d); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s world: %w", path, err)
-	}
-	if err := env.Medium.LoadState(d); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s medium: %w", path, err)
-	}
-	hasFaults := d.Bool()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, d.Err())
-	}
-	if hasFaults != (env.Faults != nil) {
-		return nil, fmt.Errorf("sim: checkpoint %s fault-injection state does not match the config", path)
-	}
-	if env.Faults != nil {
-		if err := env.Faults.LoadState(d); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s faults: %w", path, err)
-		}
-	}
-	hasObs := d.Bool()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, d.Err())
-	}
-	if hasObs != (env.Obs != nil) {
-		return nil, fmt.Errorf("sim: checkpoint %s statistics state does not match the config", path)
-	}
-	if env.Obs != nil {
-		if err := env.Obs.LoadState(d); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s stats: %w", path, err)
-		}
-	}
-	hasSeries := d.Bool()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, d.Err())
-	}
-	if hasSeries != (env.Series != nil) {
-		return nil, fmt.Errorf("sim: checkpoint %s series state does not match the config", path)
-	}
-	if env.Series != nil {
-		if err := env.Series.LoadState(d); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint %s series: %w", path, err)
-		}
-	}
-	if err := env.Ledger.LoadState(d); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s ledger: %w", path, err)
-	}
-	nw := d.Count(windowWireMin)
-	if d.Err() == nil && nw != nextWin {
-		d.Failf("snapshot carries %d completed windows but its cursor says %d", nw, nextWin)
-	}
-	completed := make([]WindowResult, 0, nw)
-	for i := 0; i < nw && d.Err() == nil; i++ {
-		completed = append(completed, DecodeWindowResult(d))
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s windows: %w", path, err)
-	}
-
-	proto := factory(env)
-	if proto.Name() != protoName {
-		return nil, fmt.Errorf("sim: checkpoint %s is for protocol %q, not %q", path, protoName, proto.Name())
-	}
-	st, ok := proto.(Stateful)
-	if !ok {
-		return nil, fmt.Errorf("sim: protocol %q does not support checkpoint restore", proto.Name())
-	}
-	if err := st.LoadState(d); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s protocol: %w", path, err)
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("sim: checkpoint %s: %w (%d trailing bytes)", path, persist.ErrCorrupt, d.Remaining())
-	}
-	return runWindows(c, env, proto, completed, nextWin)
 }

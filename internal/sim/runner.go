@@ -9,11 +9,11 @@
 // order, which makes the pooled output bit-identical to a serial loop for
 // every worker count — the invariant the determinism regression tests pin.
 //
-// Each trial runs under recover(): a panic (or error) is retried up to
-// Config.Retry times and then recorded as a TrialError carrying the
-// scenario, trial index, derived seed, stack and a repro command. RunTrials
-// merges the surviving trials and only fails outright when no trial
-// succeeded.
+// Each trial runs under recover(): a panic (or error) is recorded as a
+// TrialError carrying the scenario, trial index, derived seed, stack and a
+// repro command. Trials are deterministic, so a failed trial is not
+// re-run: it would fail the same way. RunTrials merges the surviving trials
+// and only fails outright when no trial succeeded.
 package sim
 
 import (
@@ -102,11 +102,10 @@ func Gather(n int, job func(i int) error) error {
 // index — so traced runs use every worker and still emit a deterministic
 // stream.
 //
-// Each trial is crash-isolated: a panicking or erroring trial is re-run up
-// to cfg.Retry times, and if it still fails it becomes a TrialError in
-// Result.Failures while the remaining trials complete and merge. The
-// returned error is non-nil only when every trial failed (the join of all
-// TrialErrors, lowest trial first).
+// Each trial is crash-isolated: a panicking or erroring trial becomes a
+// TrialError in Result.Failures while the remaining trials complete and
+// merge. The returned error is non-nil only when every trial failed (the
+// join of all TrialErrors, lowest trial first).
 func (r *Runner) RunTrials(cfg Config, factory Factory, trials int) (*Result, error) {
 	return r.RunTrialsEach(cfg, factory, trials, nil)
 }
@@ -124,61 +123,26 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 	results := make([]*Result, trials)
 	failures := make([]*TrialError, trials)
 	captures := make([]*trace.Capture, trials)
-	var retriedMu sync.Mutex
-	retried := 0
 	_ = r.Do(trials, func(tr int) error {
 		c := cfg
 		c.Seed = xrand.Mix(cfg.Seed, uint64(tr))
 		c.Trial = tr
-		var res *Result
-		var err error
-		for attempt := 0; attempt <= cfg.Retry; attempt++ {
-			if attempt > 0 {
-				retriedMu.Lock()
-				retried++
-				retriedMu.Unlock()
-				// With checkpointing on, retry from the trial's last good
-				// snapshot instead of tick zero — the resumed result is
-				// byte-identical to an uninterrupted run. A missing or
-				// corrupt snapshot (crash before the first window, torn
-				// file) falls back to a scratch re-run; traced runs always
-				// re-run from scratch because completed windows' events
-				// cannot be reconstructed.
-				if c.Checkpoint != "" && cfg.Trace == nil {
-					if rres, rerr := resumeIsolated(c, factory, CheckpointPath(c.Checkpoint, tr)); rerr == nil {
-						res, err = rres, nil
-						break
-					}
-				}
-			}
-			// Each attempt traces into a fresh private capture so a
-			// retried crash leaves no partial events behind; only the
-			// succeeding attempt's capture is kept for replay.
-			var cp *trace.Capture
-			if cfg.Trace != nil {
-				cp = trace.NewCapture()
-				c.Trace = trace.New(cp)
-			}
-			res, err = runIsolated(c, factory)
-			if err == nil {
-				captures[tr] = cp
-				break
-			}
+		// Each trial traces into a private capture; only a successful
+		// trial's capture is kept for replay, so a crash leaves no partial
+		// events behind.
+		var cp *trace.Capture
+		if cfg.Trace != nil {
+			cp = trace.NewCapture()
+			c.Trace = trace.New(cp)
 		}
+		res, err := runIsolated(c, factory)
 		if err != nil {
 			te := &TrialError{
-				Scenario:   scenarioLabel(c),
-				DensityVPL: c.Traffic.DensityVPL,
-				BaseSeed:   cfg.Seed,
-				Trial:      tr,
-				Seed:       c.Seed,
-				FaultsOn:   c.Faults != nil && c.Faults.Enabled(),
-				Err:        err,
-			}
-			if c.Checkpoint != "" {
-				if p := CheckpointPath(c.Checkpoint, tr); fileExists(p) {
-					te.Checkpoint = p
-				}
+				Scenario: scenarioLabel(c),
+				Config:   cfg,
+				Trial:    tr,
+				Seed:     c.Seed,
+				Err:      err,
 			}
 			var pe *PanicError
 			if errors.As(err, &pe) {
@@ -188,6 +152,7 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 			return te
 		}
 		results[tr] = res
+		captures[tr] = cp
 		return nil
 	})
 	if cfg.Trace != nil {
@@ -211,7 +176,6 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 		}
 	}
 	pooled := MergeTrials(results)
-	pooled.Retried = retried
 	for _, f := range failures {
 		if f != nil {
 			pooled.Failures = append(pooled.Failures, f)

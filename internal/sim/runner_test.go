@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mmv2v/internal/sim"
+	"mmv2v/internal/traffic"
 	"mmv2v/internal/xrand"
 )
 
@@ -144,9 +145,9 @@ func TestRunTrialsRecoversPanicIntoTrialError(t *testing.T) {
 		t.Fatalf("Failures = %d, want 1", len(res.Failures))
 	}
 	f := res.Failures[0]
-	if f.Trial != 1 || f.Seed != badSeed || f.BaseSeed != cfg.Seed {
+	if f.Trial != 1 || f.Seed != badSeed || f.Config.Seed != cfg.Seed {
 		t.Errorf("TrialError = trial %d seed %#x base %#x, want trial 1 seed %#x base %#x",
-			f.Trial, f.Seed, f.BaseSeed, badSeed, cfg.Seed)
+			f.Trial, f.Seed, f.Config.Seed, badSeed, cfg.Seed)
 	}
 	if !strings.Contains(f.Scenario, "density=10") {
 		t.Errorf("Scenario = %q, want density context", f.Scenario)
@@ -158,33 +159,31 @@ func TestRunTrialsRecoversPanicIntoTrialError(t *testing.T) {
 	if !errors.As(f, &pe) || pe.Value != "deliberate test panic" {
 		t.Errorf("Unwrap chain lost the panic: %v", f.Err)
 	}
-	if repro := f.Repro(); !strings.Contains(repro, "-seed 5") || !strings.Contains(repro, "-trials 2") {
-		t.Errorf("Repro = %q, want -seed 5 -trials 2", repro)
+	if repro, want := f.Repro(), "go run ./cmd/mmv2v-sim -density 10 -seed 5 -trials 2 -seconds 0.1"; repro != want {
+		t.Errorf("Repro = %q, want %q", repro, want)
 	}
-}
 
-// TestRunTrialsRetryRecoversFlakyTrial checks the bounded retry policy: a
-// trial that fails on its first attempt only is salvaged and counted.
-func TestRunTrialsRetryRecoversFlakyTrial(t *testing.T) {
-	cfg := sim.DefaultConfig(10, 5)
-	cfg.WindowSec = 0.1
-	cfg.Workers = 2
-	cfg.Retry = 1
-	badSeed := xrand.Mix(cfg.Seed, 2)
-	var tripped atomic.Bool
-	factory := func(env *sim.Env) sim.Protocol {
-		if env.Seed == badSeed && tripped.CompareAndSwap(false, true) {
-			panic("flaky first attempt")
-		}
-		return greedyFactory()(env)
+	// A grid scenario reproduces as the grid, not as the unused road
+	// density the grid config still carries, and a multi-window run keeps
+	// its window count so a crash in a later window reproduces too.
+	grid := traffic.DefaultGridConfig(12)
+	grid.Rows, grid.Cols, grid.BlockM = 2, 3, 200
+	gcfg := sim.DefaultConfig(15, 9)
+	gcfg.Grid = &grid
+	gcfg.WarmupSec = 0
+	gcfg.WindowSec = 0.1
+	gcfg.Windows = 2
+	_, err = sim.RunTrials(gcfg, func(*sim.Env) sim.Protocol { panic("grid down") }, 1)
+	var gf *sim.TrialError
+	if !errors.As(err, &gf) {
+		t.Fatalf("err = %v, want TrialError", err)
 	}
-	res, err := sim.RunTrials(cfg, factory, 3)
-	if err != nil {
-		t.Fatal(err)
+	if want := "grid=2x3, 200 m blocks, 12 vehicles, 2×0.1s windows"; gf.Scenario != want {
+		t.Errorf("grid Scenario = %q, want %q", gf.Scenario, want)
 	}
-	if res.Trials != 3 || res.Retried != 1 || len(res.Failures) != 0 {
-		t.Errorf("Trials/Retried/Failures = %d/%d/%d, want 3/1/0",
-			res.Trials, res.Retried, len(res.Failures))
+	want := "go run ./cmd/mmv2v-sim -world grid -rows 2 -cols 3 -block 200 -grid-vehicles 12 -seed 9 -trials 1 -seconds 0.1 -windows 2"
+	if repro := gf.Repro(); repro != want {
+		t.Errorf("grid Repro = %q, want %q", repro, want)
 	}
 }
 

@@ -63,9 +63,6 @@ type Config struct {
 	// a config with every intensity zero, is an exact no-op: outputs are
 	// byte-identical to a run without fault injection.
 	Faults *faults.Config
-	// Retry re-runs a failed (errored or panicking) trial up to this many
-	// times before RunTrials records it as a TrialError. Default 0.
-	Retry int
 	// Trace, when non-nil, receives structured protocol events
 	// (discoveries, matches, streams, completions). Nil disables tracing
 	// at zero cost. Pooled runs replay per-trial captures into this
@@ -91,19 +88,8 @@ type Config struct {
 	// goroutines under RunTrials; implementations must be safe for
 	// concurrent use.
 	Monitor Monitor
-	// Checkpoint, when non-empty, is a directory where each trial writes a
-	// versioned, checksummed snapshot of its full state after every
-	// completed measurement window (at drained event-queue boundaries, so
-	// the snapshot is exact; see DESIGN.md §11). A crashed or killed trial
-	// then resumes from its last good snapshot via Resume — and under
-	// Config.Retry, RunTrials retries failed trials from their checkpoint
-	// instead of from tick zero. Requires the protocol to implement
-	// Stateful (all protocols in this repository do). Empty (the default)
-	// disables checkpointing entirely.
-	Checkpoint string
-	// Trial names this run's checkpoint file inside the Checkpoint
-	// directory (CheckpointPath). RunTrials sets it to the trial index;
-	// single runs default to 0.
+	// Trial is this run's trial index, reported to Monitor. RunTrials sets
+	// it; single runs default to 0.
 	Trial int
 }
 
@@ -137,19 +123,19 @@ func (c Config) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}
+	// NaN fails every ordered comparison, so each float is checked for
+	// finiteness before its range.
 	switch {
-	case c.DemandBits < 0:
-		return fmt.Errorf("sim: negative demand %v", c.DemandBits)
-	case c.WindowSec <= 0:
-		return fmt.Errorf("sim: non-positive window %v", c.WindowSec)
+	case !finite(c.DemandBits) || c.DemandBits < 0:
+		return fmt.Errorf("sim: demand %v is not a finite non-negative bit count", c.DemandBits)
+	case !finite(c.WindowSec) || c.WindowSec <= 0:
+		return fmt.Errorf("sim: window %v is not a finite positive length", c.WindowSec)
 	case c.Windows <= 0:
 		return fmt.Errorf("sim: non-positive window count %d", c.Windows)
-	case c.WarmupSec < 0:
-		return fmt.Errorf("sim: negative warmup %v", c.WarmupSec)
+	case !finite(c.WarmupSec) || c.WarmupSec < 0:
+		return fmt.Errorf("sim: warmup %v is not a finite non-negative length", c.WarmupSec)
 	case c.Workers < 0:
 		return fmt.Errorf("sim: negative worker count %d", c.Workers)
-	case c.Retry < 0:
-		return fmt.Errorf("sim: negative retry budget %d", c.Retry)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -158,6 +144,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Env is the shared simulation environment handed to protocols.
 type Env struct {
@@ -257,10 +246,8 @@ type Result struct {
 	// Trials is the number of successful trials pooled into this result
 	// (1 for a single Run).
 	Trials int
-	// Retried counts trial re-executions performed under Config.Retry, and
-	// Failures lists trials abandoned after the retry budget (in trial
-	// order). Both are zero/nil for a single Run.
-	Retried  int
+	// Failures lists the trials RunTrials lost to a panic or error, in
+	// trial order; nil for a single Run.
 	Failures []*TrialError
 	// Obs carries the run's layer statistics when Config.Stats (or
 	// Config.Series, which implies the registry) was set, pooled in trial
@@ -398,38 +385,13 @@ func RunOnEnv(cfg Config, env *Env, factory Factory) (*Result, error) {
 	if cfg.Windows <= 0 || cfg.WindowSec <= 0 {
 		return nil, fmt.Errorf("sim: invalid window settings (%d × %v s)", cfg.Windows, cfg.WindowSec)
 	}
-	return runWindows(cfg, env, factory(env), nil, 0)
-}
-
-// runWindows executes measurement windows [firstWin, cfg.Windows) over the
-// environment and folds the results onto any previously completed windows
-// (Resume passes the snapshot's; a fresh run passes none). When
-// cfg.Checkpoint is set, a snapshot is written after each completed window
-// whose boundary left the event queue drained — boundaries with residual
-// events (which window timing never produces, but nothing forbids) simply
-// keep the previous snapshot valid.
-func runWindows(cfg Config, env *Env, proto Protocol, completed []WindowResult, firstWin int) (*Result, error) {
+	proto := factory(env)
 	res := &Result{Protocol: proto.Name()}
 	framesPerWindow := int(cfg.WindowSec / cfg.Timing.Frame.Seconds())
 	if framesPerWindow < 1 {
 		return nil, fmt.Errorf("sim: window %vs cannot hold a %v frame", cfg.WindowSec, cfg.Timing.Frame)
 	}
-	var st Stateful
-	if cfg.Checkpoint != "" {
-		var ok bool
-		if st, ok = proto.(Stateful); !ok {
-			return nil, fmt.Errorf("sim: protocol %q does not support checkpointing (no SaveState/LoadState)", proto.Name())
-		}
-	}
-	for _, w := range completed {
-		res.Windows = append(res.Windows, w)
-		res.Stats = append(res.Stats, w.Stats...)
-		res.AvgNeighbors += w.AvgNeighbors
-		res.LatencySumSec += w.LatencySumSec
-		res.LatencyPairs += w.LatencyPairs
-	}
-
-	for win := firstWin; win < cfg.Windows; win++ {
+	for win := 0; win < cfg.Windows; win++ {
 		env.Ledger.Reset()
 		env.Medium.Reset()
 		denominator := env.World.NeighborSnapshot()
@@ -453,21 +415,11 @@ func runWindows(cfg Config, env *Env, proto Protocol, completed []WindowResult, 
 		res.LatencySumSec += latSum
 		res.LatencyPairs += latPairs
 
-		// Sample the series before any checkpoint so the snapshot carries
-		// this window's point: a resumed run continues at the next window
-		// with no gap or duplicate.
 		env.Series.Sample(win, env.Obs)
 		if cfg.Monitor != nil {
 			// Rows and Points return fresh copies, so the monitor owns what
 			// it receives and can publish it to concurrent readers.
 			cfg.Monitor.WindowDone(cfg.Trial, win, cfg.Windows, env.Obs.Rows(""), env.Series.Points())
-		}
-
-		// A snapshot after the final window would never be resumed; skip it.
-		if st != nil && win < cfg.Windows-1 && env.Sim.Drained() {
-			if err := writeCheckpoint(cfg, env, st, res.Windows); err != nil {
-				return nil, err
-			}
 		}
 	}
 	res.Summary = metrics.Summarize(res.Stats)

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -81,9 +82,12 @@ func TestConfigValidate(t *testing.T) {
 		{"bad world", func(c *sim.Config) { c.World.CommRange = 0 }},
 		{"bad timing", func(c *sim.Config) { c.Timing.Frame = 0 }},
 		{"negative demand", func(c *sim.Config) { c.DemandBits = -1 }},
+		{"NaN demand", func(c *sim.Config) { c.DemandBits = math.NaN() }},
 		{"zero window", func(c *sim.Config) { c.WindowSec = 0 }},
+		{"infinite window", func(c *sim.Config) { c.WindowSec = math.Inf(1) }},
 		{"zero windows", func(c *sim.Config) { c.Windows = 0 }},
 		{"negative warmup", func(c *sim.Config) { c.WarmupSec = -1 }},
+		{"infinite warmup", func(c *sim.Config) { c.WarmupSec = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

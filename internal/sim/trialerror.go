@@ -10,30 +10,20 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
 	"strings"
 )
 
-// TrialError describes one trial abandoned by RunTrials after exhausting
-// the Config.Retry budget.
+// TrialError describes one trial RunTrials lost to a panic or error.
 type TrialError struct {
 	// Scenario is a human-readable summary of the failing configuration.
 	Scenario string
-	// DensityVPL and BaseSeed echo the scenario inputs the repro command
-	// needs; Trial is the failing index and Seed the derived per-trial
-	// scenario seed (Seed = xrand.Mix(BaseSeed, Trial)).
-	DensityVPL float64
-	BaseSeed   uint64
-	Trial      int
-	Seed       uint64
-	// FaultsOn records whether fault injection was active in the run.
-	FaultsOn bool
-	// Checkpoint is the failing trial's last good snapshot file, when
-	// Config.Checkpoint was set and a snapshot had been written; the repro
-	// command resumes from it so the crash reproduces from the last window
-	// boundary instead of replaying the whole trial.
-	Checkpoint string
+	// Config is the pooled run's scenario, which the repro command
+	// rebuilds; Trial is the failing index and Seed the derived per-trial
+	// scenario seed (Seed = xrand.Mix(Config.Seed, Trial)).
+	Config Config
+	Trial  int
+	Seed   uint64
 	// Err is the underlying failure; a recovered panic is wrapped as a
 	// PanicError. Stack is the goroutine stack captured at recovery
 	// (empty when the trial returned an ordinary error).
@@ -51,23 +41,40 @@ func (e *TrialError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *TrialError) Unwrap() error { return e.Err }
 
-// Repro returns a one-line command that deterministically replays the
-// failing trial (trials 0..Trial re-run; all are pure functions of the
-// seed, so the crash reproduces on the last one).
+// Repro returns a one-line mmv2v-sim command that deterministically
+// replays the failing trial: trials 0..Trial re-run, and all are pure
+// functions of the seed, so the crash reproduces on the last one. The
+// command rebuilds the world (road density or grid geometry), seed and
+// window timing from Config. It carries no -protocol: sim sees only a
+// Factory, so a crash under a protocol other than mmv2v needs that flag
+// added by hand, as does the intensity of an active fault profile.
 func (e *TrialError) Repro() string {
-	cmd := fmt.Sprintf("go run ./cmd/mmv2v-sim -density %g -seed %d -trials %d",
-		e.DensityVPL, e.BaseSeed, e.Trial+1)
-	if e.Checkpoint != "" {
-		cmd += fmt.Sprintf(" -resume %s", e.Checkpoint)
+	var b strings.Builder
+	b.WriteString("go run ./cmd/mmv2v-sim")
+	cfg := e.Config
+	if g := cfg.Grid; g != nil {
+		fmt.Fprintf(&b, " -world grid -rows %d -cols %d -block %g -grid-vehicles %d",
+			g.Rows, g.Cols, g.BlockM, g.Vehicles)
+	} else {
+		fmt.Fprintf(&b, " -density %g", cfg.Traffic.DensityVPL)
 	}
-	if e.FaultsOn {
-		cmd += " -faults <intensity>  # re-apply this run's FaultConfig"
+	fmt.Fprintf(&b, " -seed %d -trials %d", cfg.Seed, e.Trial+1)
+	def := DefaultConfig(0, 0)
+	//mmv2v:exact flag-default test: any other window length must be spelled out
+	if cfg.WindowSec != def.WindowSec {
+		fmt.Fprintf(&b, " -seconds %g", cfg.WindowSec)
 	}
-	return cmd
+	if cfg.Windows != def.Windows {
+		fmt.Fprintf(&b, " -windows %d", cfg.Windows)
+	}
+	if cfg.Faults != nil && cfg.Faults.Enabled() {
+		b.WriteString(" -faults <intensity>  # re-apply this run's FaultConfig")
+	}
+	return b.String()
 }
 
 // PanicError wraps a value recovered from a panicking trial so it can
-// travel as an error through the retry and aggregation machinery.
+// travel as an error through the aggregation machinery.
 type PanicError struct {
 	Value any
 	Stack string
@@ -86,28 +93,15 @@ func runIsolated(cfg Config, factory Factory) (res *Result, err error) {
 	return Run(cfg, factory)
 }
 
-// resumeIsolated resumes one trial from a snapshot with panics converted
-// into PanicErrors (a deterministic crash recurs on resume just as it
-// would on a scratch re-run).
-func resumeIsolated(cfg Config, factory Factory, path string) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Value: p, Stack: string(debug.Stack())}
-		}
-	}()
-	return Resume(cfg, factory, path)
-}
-
-// fileExists reports whether path names an existing file.
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
 // scenarioLabel summarizes a config for TrialError messages.
 func scenarioLabel(cfg Config) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "density=%g vpl, %d×%gs windows", cfg.Traffic.DensityVPL, cfg.Windows, cfg.WindowSec)
+	if g := cfg.Grid; g != nil {
+		fmt.Fprintf(&b, "grid=%dx%d, %g m blocks, %d vehicles", g.Rows, g.Cols, g.BlockM, g.Vehicles)
+	} else {
+		fmt.Fprintf(&b, "density=%g vpl", cfg.Traffic.DensityVPL)
+	}
+	fmt.Fprintf(&b, ", %d×%gs windows", cfg.Windows, cfg.WindowSec)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		b.WriteString(", faults on")
 	}

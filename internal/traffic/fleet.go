@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"mmv2v/internal/geom"
-	"mmv2v/internal/persist"
 	"mmv2v/internal/units"
 )
 
@@ -29,12 +28,6 @@ type Fleet interface {
 	// center for the whole run (the world layer sizes its spatial-hash grid
 	// from it).
 	Bounds() (min, max geom.Vec)
-	// SaveState appends the fleet's mutable state (kinematics, elapsed
-	// time, RNG cursor) for a checkpoint (DESIGN.md §11).
-	SaveState(e *persist.Encoder)
-	// LoadState restores checkpointed state onto a fleet rebuilt from the
-	// same (config, seed). Corrupted input returns a structured error.
-	LoadState(d *persist.Decoder) error
 }
 
 // Pose returns the world-frame pose of vehicle i. It is the Fleet view of

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"mmv2v/internal/geom"
 )
@@ -56,13 +57,21 @@ func DefaultGridConfig(vehicles int) GridConfig {
 	}
 }
 
+// MaxGridSide bounds Rows and Cols. Network allocates Rows×Cols nodes, so
+// the bound is checked before any expansion; 256 intersections per side is
+// a 127 km square at the default 500 m blocks, far beyond any city study.
+const MaxGridSide = 256
+
 // Validate reports configuration errors.
 func (c GridConfig) Validate() error {
 	if c.Rows < 2 || c.Cols < 2 {
 		return fmt.Errorf("traffic: grid needs at least 2x2 intersections, got %dx%d", c.Rows, c.Cols)
 	}
-	if c.BlockM <= 0 {
-		return fmt.Errorf("traffic: non-positive block length %v", c.BlockM)
+	if c.Rows > MaxGridSide || c.Cols > MaxGridSide {
+		return fmt.Errorf("traffic: grid %dx%d exceeds %d intersections per side", c.Rows, c.Cols, MaxGridSide)
+	}
+	if math.IsNaN(c.BlockM) || math.IsInf(c.BlockM, 0) || c.BlockM <= 0 {
+		return fmt.Errorf("traffic: block length %v is not finite and positive", c.BlockM)
 	}
 	return c.Network().Validate()
 }

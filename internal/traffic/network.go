@@ -123,18 +123,18 @@ type segGeom struct {
 // Network is a running road-graph traffic simulation. Create with
 // NewNetwork; not safe for concurrent use. It implements Fleet.
 type Network struct {
-	cfg  NetworkConfig //mmv2v:derived construction parameter re-supplied by the restore caller
-	segs []segGeom     //mmv2v:derived precomputed road-graph geometry derived from cfg by NewNetwork
+	cfg  NetworkConfig
+	segs []segGeom
 	// outs holds outgoing segment indices per node, ascending.
-	outs     [][]int //mmv2v:derived adjacency index derived from cfg topology by NewNetwork
+	outs     [][]int
 	vehicles []*Vehicle
 	rng      *xrand.Source
 	// routeSeed drives the pure-hash route choice at intersections.
-	routeSeed uint64 //mmv2v:derived derived from the rng construction seed; constant per trial
+	routeSeed uint64
 	elapsed   float64
 	// groups[laneBase+lane] holds the segment-lane's vehicles sorted by S;
 	// rebuilt each step from persistent scratch slices.
-	groups [][]*Vehicle //mmv2v:derived per-step sort scratch; rebuilt from vehicles every Step
+	groups [][]*Vehicle
 }
 
 // NewNetwork builds a network and populates it with cfg.Vehicles vehicles

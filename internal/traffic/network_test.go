@@ -59,6 +59,36 @@ func TestNetworkConfigValidate(t *testing.T) {
 	}
 }
 
+// TestGridConfigValidate pins that an oversized grid is rejected before
+// Network expands it (Rows×Cols nodes are allocated up front, so a
+// 2^31-per-side grid must fail with an error, not a makeslice panic), and
+// that a non-finite block length, which every ordered comparison lets
+// through, is rejected too.
+func TestGridConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*GridConfig)
+	}{
+		{"rows over bound", func(g *GridConfig) { g.Rows = MaxGridSide + 1 }},
+		{"cols over bound", func(g *GridConfig) { g.Cols = MaxGridSide + 1 }},
+		{"2^31 per side", func(g *GridConfig) { g.Rows, g.Cols = 1<<31, 1<<31 }},
+		{"NaN block", func(g *GridConfig) { g.BlockM = math.NaN() }},
+		{"infinite block", func(g *GridConfig) { g.BlockM = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		g := DefaultGridConfig(240)
+		tc.mut(&g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: want validation error", tc.name)
+		}
+	}
+	g := DefaultGridConfig(240)
+	g.Rows, g.Cols = MaxGridSide, 2
+	if err := g.Validate(); err != nil {
+		t.Errorf("%dx%d grid rejected: %v", g.Rows, g.Cols, err)
+	}
+}
+
 // TestRoadNetworkPoseEquivalence pins the claim that the legacy straight
 // road is the trivial two-wrap-segment network: for every (direction, lane,
 // arc position), the network's segment-frame pose reproduces the ring

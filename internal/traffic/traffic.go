@@ -167,8 +167,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("traffic: non-positive lanes per direction %d", c.LanesPerDir)
 	case len(c.SpeedBands) < c.LanesPerDir:
 		return fmt.Errorf("traffic: %d speed bands for %d lanes", len(c.SpeedBands), c.LanesPerDir)
-	case c.DensityVPL < 0:
-		return fmt.Errorf("traffic: negative density %v", c.DensityVPL)
+	case math.IsNaN(c.DensityVPL) || math.IsInf(c.DensityVPL, 0) || c.DensityVPL < 0:
+		return fmt.Errorf("traffic: density %v is not a finite non-negative value", c.DensityVPL)
 	case c.VehicleLength <= 0 || c.VehicleWidth <= 0:
 		return fmt.Errorf("traffic: non-positive vehicle dimensions %vx%v", c.VehicleLength, c.VehicleWidth)
 	case c.TruckFraction < 0 || c.TruckFraction > 1:
@@ -229,14 +229,14 @@ type Vehicle struct {
 // Road is a running traffic simulation. Create with New; not safe for
 // concurrent use.
 type Road struct {
-	cfg      Config //mmv2v:derived construction parameter re-supplied by the restore caller
+	cfg      Config
 	vehicles []*Vehicle
 	rng      *xrand.Source
 	// groups[0] (westbound) and groups[1] (eastbound) hold the per-direction
 	// vehicle lists sorted by S for leader lookups. They are scratch, rebuilt
 	// from vehicles at the top of every Step; the backing arrays are reused
 	// so the steady-state mobility tick allocates nothing.
-	groups  [2][]*Vehicle //mmv2v:derived per-step sort scratch; rebuilt from vehicles at the top of every Step
+	groups  [2][]*Vehicle
 	elapsed float64
 }
 

@@ -35,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero lanes", func(c *Config) { c.LanesPerDir = 0 }},
 		{"missing bands", func(c *Config) { c.SpeedBands = c.SpeedBands[:1] }},
 		{"negative density", func(c *Config) { c.DensityVPL = -5 }},
+		{"NaN density", func(c *Config) { c.DensityVPL = math.NaN() }},
 		{"zero vehicle length", func(c *Config) { c.VehicleLength = 0 }},
 		{"inverted band", func(c *Config) { c.SpeedBands[0] = SpeedBand{20, 10} }},
 	}

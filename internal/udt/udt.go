@@ -56,7 +56,7 @@ type pairState struct {
 // wire OnRefresh into the protocol's refresh hook; Stop before the pairs'
 // agreement expires (normally the frame boundary).
 type Session struct {
-	env   *sim.Env //mmv2v:derived wiring to the host simulator, re-supplied by Restore
+	env   *sim.Env
 	pairs []*pairState
 	open  bool
 	// track re-aims each pair's narrow beams at every refresh (beam
@@ -66,8 +66,8 @@ type Session struct {
 
 	// Statistics handles (nil-safe no-ops when Env.Obs is nil). airtime[m]
 	// accrues streaming seconds spent at MCS m.
-	airtime        [phy.NumMCS]*obs.Gauge //mmv2v:derived statistics handles re-acquired from Env.Obs by Restore
-	obsCompletions *obs.Counter           //mmv2v:derived statistics handle re-acquired from Env.Obs by Restore
+	airtime        [phy.NumMCS]*obs.Gauge
+	obsCompletions *obs.Counter
 }
 
 // EnableTracking turns on per-refresh beam re-refinement with the given

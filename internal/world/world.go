@@ -99,25 +99,25 @@ func (l Link) LOS() bool { return l.Blockers == 0 }
 // World is the live geometric + radio state. Create with New; refresh with
 // Refresh after advancing traffic. Not safe for concurrent use.
 type World struct {
-	cfg      Config                //mmv2v:derived construction parameter re-supplied by the restore caller
-	fleet    traffic.Fleet         //mmv2v:derived wiring to the traffic model, re-injected on construction; the fleet checkpoints itself
-	model    *channel.Model        //mmv2v:derived stateless channel evaluator rebuilt from cfg by New
-	patterns *channel.PatternCache //mmv2v:derived memoization cache; repopulates on demand with identical values
+	cfg      Config
+	fleet    traffic.Fleet
+	model    *channel.Model
+	patterns *channel.PatternCache
 
 	n         int
-	pos       []geom.Vec          //mmv2v:derived kinematics re-read from the fleet by the post-restore Refresh
-	heading   []geom.Bearing      //mmv2v:derived kinematics re-read from the fleet by the post-restore Refresh
-	speed     []units.MeterPerSec //mmv2v:derived kinematics re-read from the fleet by the post-restore Refresh
+	pos       []geom.Vec
+	heading   []geom.Bearing
+	speed     []units.MeterPerSec
 	links     [][]Link
-	neighbors [][]int //mmv2v:derived LOS adjacency recomputed from links by the post-restore Refresh
+	neighbors [][]int
 	// halfLen/halfWid/halfDiag cache per-vehicle body half extents and the
 	// half-diagonal bound used to prune blocker candidates; frames cache
 	// each body's corner geometry for the blockage tests (one sincos per
 	// vehicle per refresh instead of one per candidate test).
-	halfLen  []float64        //mmv2v:derived body-extent cache derived from cfg by New
-	halfWid  []float64        //mmv2v:derived body-extent cache derived from cfg by New
-	halfDiag []float64        //mmv2v:derived body-extent cache derived from cfg by New
-	frames   []geom.BodyFrame //mmv2v:derived per-refresh corner-geometry scratch; rebuilt every Refresh
+	halfLen  []float64
+	halfWid  []float64
+	halfDiag []float64
+	frames   []geom.BodyFrame
 
 	// order is the x-sorted vehicle permutation; rank its inverse. They
 	// persist across Refresh calls: positions move only micrometers per
@@ -126,7 +126,7 @@ type World struct {
 	// partner rank) — the order the legacy x-sweep produced — and key the
 	// rank-window slot index below.
 	order []int
-	rank  []int32 //mmv2v:derived inverse of the checkpointed order permutation; rebuilt on restore
+	rank  []int32
 	// slotLo/slots form the O(1) link lookup: when vehicle i's partners
 	// occupy a narrow band of consecutive x-ranks (always true on a 1-D
 	// road), slots[i][rank[j]-slotLo[i]] holds the index of the i→j entry
@@ -134,29 +134,29 @@ type World struct {
 	// link count (2-D road graphs), slotLo[i] is -1 and Link falls back to
 	// a binary search of the rank-sorted slice, keeping total index memory
 	// O(links) on every topology.
-	slotLo []int32   //mmv2v:derived rank-window link index rebuilt from links by the post-restore Refresh
-	slots  [][]int32 //mmv2v:derived rank-window link index rebuilt from links by the post-restore Refresh
+	slotLo []int32
+	slots  [][]int32
 
 	// Spatial hash: a dense grid of cells over the fleet's static bounds.
 	// cells[cy*cellsX+cx] lists the vehicles whose center lies in the cell,
 	// in ascending vehicle index; rebuilt every Refresh into persistent
 	// buckets. reach is the cell radius of the pair scan.
-	cellM          float64   //mmv2v:derived spatial-hash parameter derived from cfg by New
-	invCellM       float64   //mmv2v:derived spatial-hash parameter derived from cfg by New
-	gridMin        geom.Vec  //mmv2v:derived spatial-hash bound derived from the fleet static extents by New
-	cellsX, cellsY int       //mmv2v:derived spatial-hash dimensions derived from cfg and fleet bounds by New
-	cells          [][]int32 //mmv2v:derived spatial-hash buckets rebuilt every Refresh
-	reach          int       //mmv2v:derived pair-scan radius derived from cfg by New
+	cellM          float64
+	invCellM       float64
+	gridMin        geom.Vec
+	cellsX, cellsY int
+	cells          [][]int32
+	reach          int
 
 	// linkFault, when non-nil, multiplies every refreshed link's path gain
 	// by an extra factor (transient blockage bursts; see internal/faults).
-	linkFault LinkFault //mmv2v:derived fault wiring re-attached by SetLinkFault; the injector checkpoints its own state
+	linkFault LinkFault
 
 	// Refresh statistics handles (nil-safe no-ops until SetObs installs a
 	// live registry).
-	obsRefreshes    *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
-	obsRefreshLinks *obs.Histogram //mmv2v:derived statistics handle reinstalled by SetObs
-	obsNLOSLinks    *obs.Counter   //mmv2v:derived statistics handle reinstalled by SetObs
+	obsRefreshes    *obs.Counter
+	obsRefreshLinks *obs.Histogram
+	obsNLOSLinks    *obs.Counter
 }
 
 // LinkFault is the world's fault-injection hook: an extra linear gain
@@ -423,9 +423,7 @@ func (w *World) Refresh() {
 
 // rebuildIndex canonicalizes per-vehicle link order (ascending partner rank
 // — what the x-sweep produced by construction), derives the LOS neighbor
-// sets, and rebuilds the rank-window slot tables. It consumes only
-// w.links/w.rank, so checkpoint restore reuses it to rebuild the query
-// index from a restored link table without re-enumerating pairs.
+// sets, and rebuilds the rank-window slot tables from w.links/w.rank.
 func (w *World) rebuildIndex() {
 	for i := range w.neighbors {
 		w.neighbors[i] = w.neighbors[i][:0]

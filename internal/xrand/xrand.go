@@ -88,18 +88,6 @@ func New(seed uint64) *Source {
 // Seed returns the seed this source was created with.
 func (s *Source) Seed() uint64 { return s.seed }
 
-// Cursor returns the stream's position: the raw SplitMix64 state after
-// every draw consumed so far. Together with Seed it pins the stream
-// exactly, so a checkpointed simulation resumes mid-stream (DESIGN.md
-// §11). Only the 8-byte generator state is captured; none of the wrapped
-// math/rand distribution helpers used by the simulator buffer additional
-// state between calls.
-func (s *Source) Cursor() uint64 { return s.state.state }
-
-// SetCursor repositions the stream at a cursor previously captured from a
-// source with the same seed.
-func (s *Source) SetCursor(c uint64) { s.state.state = c }
-
 // Child derives an independent stream identified by a label and an arbitrary
 // list of indices (for example ("role", vehicleID, round)). Calling Child
 // with the same arguments always yields an identically seeded stream, and it

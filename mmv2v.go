@@ -65,9 +65,9 @@ type ADParams = baseline.ADParams
 // one to ScenarioConfig.Faults to stress a run; see internal/faults.
 type FaultConfig = faults.Config
 
-// TrialError describes one trial abandoned by RunTrials after its retry
-// budget: the scenario, trial index, derived seed, captured stack and a
-// one-line repro command (TrialError.Repro). Collected in Result.Failures.
+// TrialError describes one trial RunTrials lost to a panic or error: the
+// scenario, trial index, derived seed, captured stack and a one-line repro
+// command (TrialError.Repro). Collected in Result.Failures.
 type TrialError = sim.TrialError
 
 // Protocol is a runnable OHM scheme bound to a scenario environment.
@@ -138,19 +138,6 @@ func Run(cfg ScenarioConfig, f Factory) (*Result, error) { return sim.Run(cfg, f
 func RunTrials(cfg ScenarioConfig, f Factory, trials int) (*Result, error) {
 	return sim.RunTrials(cfg, f, trials)
 }
-
-// Resume continues a single trial from a snapshot file written under
-// ScenarioConfig.Checkpoint, producing a Result byte-identical to the run
-// the interrupted trial would have produced (DESIGN.md §11). cfg must
-// describe the same scenario the snapshot was taken under; the snapshot's
-// stored per-trial seed overrides cfg.Seed.
-func Resume(cfg ScenarioConfig, f Factory, path string) (*Result, error) {
-	return sim.Resume(cfg, f, path)
-}
-
-// CheckpointPath returns the snapshot file a given trial writes inside a
-// checkpoint directory (ScenarioConfig.Checkpoint).
-func CheckpointPath(dir string, trial int) string { return sim.CheckpointPath(dir, trial) }
 
 // Direction of travel for custom scenarios.
 type Direction = traffic.Direction

@@ -1,31 +1,24 @@
-// End-to-end tests of deterministic persistence (DESIGN.md §11): snapshots
-// must be an exact pause button (checkpointed, resumed and crash-recovered
-// runs byte-identical to uninterrupted ones, for any worker count), and
-// every decode path must turn corrupted input into structured errors, never
-// panics.
+// End-to-end tests of persistence by re-execution (DESIGN.md §11): a run
+// log must re-render its run byte-identically and verify against a live
+// re-execution from its recipe, and every decode path must turn corrupted
+// input into structured errors, never panics.
 package mmv2v_test
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"mmv2v"
-	"mmv2v/internal/obs"
 	"mmv2v/internal/persist"
 	"mmv2v/internal/sim"
 )
 
-// persistScenario is the small scenario persistence tests run: several
-// windows so checkpoints are actually written, short windows so the suite
-// stays fast.
+// persistScenario is the small scenario run-log tests run: several windows
+// so every trial logs more than one window record, short windows so the
+// suite stays fast.
 func persistScenario(seed uint64) mmv2v.ScenarioConfig {
 	cfg := mmv2v.DefaultScenario(10, seed)
 	cfg.WindowSec = 0.2
@@ -33,9 +26,9 @@ func persistScenario(seed uint64) mmv2v.ScenarioConfig {
 	return cfg
 }
 
-// comparable strips a Result to the deterministic fields the byte-identity
-// contract covers (Obs holds pointers and Retried/Failures describe the
-// execution, not the outcome).
+// comparableResult strips a Result to the deterministic fields the
+// byte-identity contract covers (Obs holds pointers and Failures describe
+// the execution, not the outcome).
 type comparableResult struct {
 	Protocol      string
 	Windows       []mmv2v.WindowResult
@@ -66,322 +59,6 @@ func requireSameResult(t *testing.T, label string, want, got *mmv2v.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(stripResult(want), stripResult(got)) {
 		t.Fatalf("%s: results differ\nwant: %+v\ngot:  %+v", label, stripResult(want), stripResult(got))
-	}
-}
-
-// TestCheckpointedRunMatchesUncheckpointed pins that writing snapshots is
-// observationally free: a run with Config.Checkpoint set produces the same
-// bytes as one without.
-func TestCheckpointedRunMatchesUncheckpointed(t *testing.T) {
-	cfg := persistScenario(21)
-	cfg.Workers = 2
-	clean, err := mmv2v.RunTrials(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Checkpoint = t.TempDir()
-	ckpt, err := mmv2v.RunTrials(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "checkpointed vs clean", clean, ckpt)
-	for tr := 0; tr < 2; tr++ {
-		if _, err := os.Stat(mmv2v.CheckpointPath(cfg.Checkpoint, tr)); err != nil {
-			t.Errorf("trial %d snapshot missing: %v", tr, err)
-		}
-	}
-}
-
-// TestResumeMatchesUninterrupted pins the pause-button contract: resuming a
-// trial from its last snapshot reproduces the uninterrupted trial's result
-// byte-for-byte, including the DES event count.
-func TestResumeMatchesUninterrupted(t *testing.T) {
-	for _, proto := range []struct {
-		name string
-		f    mmv2v.Factory
-	}{
-		{"mmv2v", mmv2v.MMV2V(mmv2v.DefaultParams())},
-		{"rop", mmv2v.ROP(mmv2v.DefaultROPParams())},
-		{"ad", mmv2v.AD(mmv2v.DefaultADParams())},
-		{"oracle", mmv2v.Oracle(mmv2v.DefaultParams())},
-	} {
-		t.Run(proto.name, func(t *testing.T) {
-			cfg := persistScenario(9)
-			cfg.Checkpoint = t.TempDir()
-			full, err := mmv2v.RunTrials(cfg, proto.f, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := mmv2v.Resume(cfg, proto.f, mmv2v.CheckpointPath(cfg.Checkpoint, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "resumed vs uninterrupted", full, resumed)
-		})
-	}
-}
-
-// seriesExport renders a result's pooled series canonically, for byte
-// comparison.
-func seriesExport(t *testing.T, res *mmv2v.Result) []byte {
-	t.Helper()
-	if res.Series == nil {
-		t.Fatal("series run returned nil Series")
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteSeriesJSONL(&buf, obs.SeriesRows(res.Series.Points(), "run")); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestResumeContinuesSeries pins the series half of the pause-button
-// contract: a resumed trial's windowed series is byte-identical to the
-// uninterrupted one — every window present exactly once, no gap where the
-// interruption fell and no re-sampled duplicate.
-func TestResumeContinuesSeries(t *testing.T) {
-	cfg := persistScenario(9)
-	cfg.Series = true
-	cfg.Checkpoint = t.TempDir()
-	full, err := mmv2v.RunTrials(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := mmv2v.Resume(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), mmv2v.CheckpointPath(cfg.Checkpoint, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "resumed vs uninterrupted", full, resumed)
-	if got, want := seriesExport(t, resumed), seriesExport(t, full); !bytes.Equal(got, want) {
-		t.Fatalf("resumed series diverged:\nresumed:\n%s\nfull:\n%s", got, want)
-	}
-	wins := make([]int, 0, cfg.Windows)
-	for _, pt := range resumed.Series.Points() {
-		wins = append(wins, pt.Window)
-	}
-	want := make([]int, cfg.Windows)
-	for i := range want {
-		want[i] = i
-	}
-	if !reflect.DeepEqual(wins, want) {
-		t.Fatalf("resumed series windows = %v, want %v (no gap, no duplicate)", wins, want)
-	}
-}
-
-// TestResumeRejectsScenarioMismatch pins the fingerprint guard: a snapshot
-// must not resume under a different scenario.
-func TestResumeRejectsScenarioMismatch(t *testing.T) {
-	cfg := persistScenario(4)
-	cfg.Checkpoint = t.TempDir()
-	if _, err := mmv2v.RunTrials(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), 1); err != nil {
-		t.Fatal(err)
-	}
-	path := mmv2v.CheckpointPath(cfg.Checkpoint, 0)
-	other := cfg
-	other.DemandBits *= 2
-	if _, err := mmv2v.Resume(other, mmv2v.MMV2V(mmv2v.DefaultParams()), path); err == nil {
-		t.Error("resume under a different scenario succeeded")
-	} else if !strings.Contains(err.Error(), "different scenario") {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if _, err := mmv2v.Resume(cfg, mmv2v.ROP(mmv2v.DefaultROPParams()), path); err == nil {
-		t.Error("resume under a different protocol succeeded")
-	}
-}
-
-// crashSet makes the injected crash fire exactly once per trial seed, so
-// the retried (resumed) attempt survives.
-type crashSet struct {
-	mu   sync.Mutex
-	done map[uint64]bool
-}
-
-func (s *crashSet) first(seed uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done[seed] {
-		return false
-	}
-	s.done[seed] = true
-	return true
-}
-
-// crashingProto delegates to a real protocol but panics at a seed-hashed
-// frame in window >= 1 on the first attempt per trial — after a checkpoint
-// exists, before the run completes.
-type crashingProto struct {
-	inner      sim.Stateful
-	seed       uint64
-	crashFrame int
-	set        *crashSet
-}
-
-func (p *crashingProto) Name() string { return p.inner.Name() }
-
-func (p *crashingProto) RunFrame(frame int) {
-	if frame == p.crashFrame && p.set.first(p.seed) {
-		panic(fmt.Sprintf("torture: injected crash at frame %d (seed %#x)", frame, p.seed))
-	}
-	p.inner.RunFrame(frame)
-}
-
-func (p *crashingProto) SaveState(e *persist.Encoder)       { p.inner.SaveState(e) }
-func (p *crashingProto) LoadState(d *persist.Decoder) error { return p.inner.LoadState(d) }
-
-func crashingFactory(f mmv2v.Factory, set *crashSet, framesPerWindow, windows int) mmv2v.Factory {
-	return func(env *sim.Env) sim.Protocol {
-		inner := f(env).(sim.Stateful)
-		span := framesPerWindow * (windows - 1)
-		return &crashingProto{
-			inner:      inner,
-			seed:       env.Seed,
-			crashFrame: framesPerWindow + int(env.Seed%uint64(span)),
-			set:        set,
-		}
-	}
-}
-
-// TestCrashResumeTortureByteIdentical is the torture smoke: every trial
-// panics mid-run at a seed-hashed frame, RunTrials retries from the trial's
-// last checkpoint, and the pooled tables must still be byte-identical to a
-// clean run — across worker counts.
-func TestCrashResumeTortureByteIdentical(t *testing.T) {
-	const trials = 3
-	base := persistScenario(77)
-	base.Series = true // crash-resume must also splice the series seamlessly
-	framesPerWindow := int(base.WindowSec / base.Timing.Frame.Seconds())
-	clean, err := mmv2v.RunTrials(base, mmv2v.MMV2V(mmv2v.DefaultParams()), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := base
-			cfg.Workers = workers
-			cfg.Retry = 1
-			cfg.Checkpoint = t.TempDir()
-			factory := crashingFactory(mmv2v.MMV2V(mmv2v.DefaultParams()),
-				&crashSet{done: map[uint64]bool{}}, framesPerWindow, cfg.Windows)
-			res, err := mmv2v.RunTrials(cfg, factory, trials)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Retried != trials {
-				t.Errorf("retried = %d, want %d (every trial crashes once)", res.Retried, trials)
-			}
-			if len(res.Failures) != 0 {
-				t.Errorf("failures = %v", res.Failures)
-			}
-			requireSameResult(t, "crash-resumed vs clean", clean, res)
-			if got, want := seriesExport(t, res), seriesExport(t, clean); !bytes.Equal(got, want) {
-				t.Fatal("crash-resumed series diverged from the clean run")
-			}
-		})
-	}
-}
-
-// TestTrialErrorCarriesCheckpoint pins the repro upgrade: a trial that dies
-// with checkpointing on reports its last snapshot and a -resume repro.
-func TestTrialErrorCarriesCheckpoint(t *testing.T) {
-	cfg := persistScenario(5)
-	cfg.Checkpoint = t.TempDir()
-	framesPerWindow := int(cfg.WindowSec / cfg.Timing.Frame.Seconds())
-	// A crash set that never reports "done" keeps the trial dying through
-	// its whole retry budget.
-	factory := func(env *sim.Env) sim.Protocol {
-		inner := mmv2v.MMV2V(mmv2v.DefaultParams())(env).(sim.Stateful)
-		return &crashingProto{inner: inner, seed: env.Seed,
-			crashFrame: framesPerWindow + 1, set: &crashSet{done: nil}}
-	}
-	res, err := mmv2v.RunTrials(cfg, factory, 1)
-	if res != nil || err == nil {
-		t.Fatalf("run with a always-crashing trial returned %v, %v", res, err)
-	}
-	var te *mmv2v.TrialError
-	if !asTrialError(err, &te) {
-		t.Fatalf("error %T does not unwrap to a TrialError: %v", err, err)
-	}
-	want := mmv2v.CheckpointPath(cfg.Checkpoint, 0)
-	if te.Checkpoint != want {
-		t.Errorf("TrialError.Checkpoint = %q, want %q", te.Checkpoint, want)
-	}
-	if !strings.Contains(te.Repro(), "-resume "+want) {
-		t.Errorf("repro %q lacks -resume %s", te.Repro(), want)
-	}
-}
-
-// asTrialError unwraps err to a TrialError (errors.As through the join).
-func asTrialError(err error, te **mmv2v.TrialError) bool {
-	type unwrapper interface{ Unwrap() []error }
-	if t, ok := err.(*mmv2v.TrialError); ok {
-		*te = t
-		return true
-	}
-	if u, ok := err.(unwrapper); ok {
-		for _, e := range u.Unwrap() {
-			if asTrialError(e, te) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// TestResumeCorruptedSnapshotNeverPanics feeds systematically damaged
-// snapshot files — truncations, raw bit flips, and bit flips with the frame
-// CRC re-stamped so the damage reaches the state decoders — through Resume.
-// Every variant must produce a structured error or a clean result, never a
-// panic. The corpus is deterministic, so a pass here is stable.
-func TestResumeCorruptedSnapshotNeverPanics(t *testing.T) {
-	cfg := mmv2v.DefaultScenario(5, 13) // sparse road: small snapshot, fast re-runs
-	cfg.WindowSec = 0.2
-	cfg.Windows = 2
-	cfg.Checkpoint = t.TempDir()
-	if _, err := mmv2v.RunTrials(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), 1); err != nil {
-		t.Fatal(err)
-	}
-	path := mmv2v.CheckpointPath(cfg.Checkpoint, 0)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	try := func(label string, b []byte) {
-		t.Helper()
-		defer func() {
-			if p := recover(); p != nil {
-				t.Fatalf("%s: resume panicked: %v", label, p)
-			}
-		}()
-		mut := filepath.Join(dir, "mut.ckpt")
-		if err := os.WriteFile(mut, b, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		// Either outcome is fine; the contract under corruption is only
-		// "structured error or success, never a panic".
-		_, _ = mmv2v.Resume(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()), mut)
-	}
-
-	step := len(data)/97 + 1
-	if testing.Short() {
-		step = len(data)/29 + 1
-	}
-	for n := 0; n < len(data); n += step {
-		try(fmt.Sprintf("truncate to %d", n), data[:n])
-	}
-	for off := 0; off < len(data); off += step {
-		b := append([]byte(nil), data...)
-		b[off] ^= 1 << (off % 8)
-		try(fmt.Sprintf("flip byte %d", off), b)
-	}
-	// Re-stamp the payload CRC (frame layout: 8 magic, 4 version, 8 length,
-	// 4 CRC, payload) so flips get past the container and into the decoders.
-	crcTable := crc32.MakeTable(crc32.Castagnoli)
-	for off := 24; off < len(data); off += step {
-		b := append([]byte(nil), data...)
-		b[off] ^= 1 << (off % 8)
-		binary.LittleEndian.PutUint32(b[20:24], crc32.Checksum(b[24:], crcTable))
-		try(fmt.Sprintf("flip byte %d with CRC re-stamped", off), b)
 	}
 }
 
@@ -556,4 +233,40 @@ func TestRunLogHeaderMustReconstructScenario(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("log file written despite header mismatch")
 	}
+}
+
+// FuzzRunLogHeader mutates every field of a run-log recipe header. The
+// header is input from outside the program (a log file), so rebuilding its
+// scenario and protocol must return a value or an error, never panic.
+func FuzzRunLogHeader(f *testing.F) {
+	rl, err := mmv2v.ReadRunLog(filepath.Join("testdata", "golden.runlog"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	add := func(h mmv2v.RunLogHeader) {
+		f.Add(h.Protocol, h.K, h.M, h.C, h.Grid, h.DensityVPL,
+			h.GridRows, h.GridCols, h.GridBlockM, h.GridVehicles,
+			h.Seed, h.Trials, h.WindowSec, h.Windows, h.DemandBits, h.FaultIntensity)
+	}
+	add(rl.Header)
+	huge := rl.Header
+	huge.Grid = true
+	huge.GridRows, huge.GridCols = 1<<31, 1<<31
+	huge.GridBlockM, huge.GridVehicles = 200, 240
+	add(huge)
+	f.Fuzz(func(t *testing.T, protocol string, k, m, c int, grid bool, density float64,
+		rows, cols int, blockM float64, vehicles int,
+		seed uint64, trials int, windowSec float64, windows int, demand, intensity float64) {
+		h := mmv2v.RunLogHeader{
+			Protocol: protocol, K: k, M: m, C: c,
+			Grid: grid, DensityVPL: density,
+			GridRows: rows, GridCols: cols, GridBlockM: blockM, GridVehicles: vehicles,
+			Seed: seed, Trials: trials, WindowSec: windowSec, Windows: windows,
+			DemandBits: demand, FaultIntensity: intensity,
+		}
+		_, _ = h.Config()
+		if fac, err := h.Factory(); err == nil && fac == nil {
+			t.Fatal("Factory returned neither a factory nor an error")
+		}
+	})
 }
