@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mmv2v/internal/faults"
+	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the legacy-tables golden file")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // renderLegacyTables renders a reduced-scale version of every legacy
 // straight-road figure (the -fig all composition) into one byte stream:
@@ -116,8 +118,55 @@ func TestLegacyTablesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the reduced full-figure suite")
 	}
-	got := renderLegacyTables(t)
-	path := filepath.Join("testdata", "legacy_tables.golden")
+	checkGolden(t, "legacy_tables.golden", renderLegacyTables(t))
+}
+
+// renderFaultTables renders the reduced fault sweep (the same options as
+// TestFaultSweepByteIdenticalAcrossWorkers) with statistics on: the table,
+// its CSV, and every cell's stats rows, including the faults.* and medium.*
+// counters.
+func renderFaultTables(t *testing.T) []byte {
+	t.Helper()
+	res, err := FaultSweep(FaultsOptions{
+		Seed:        1,
+		Trials:      2,
+		DensityVPL:  12,
+		WindowSec:   0.2,
+		Intensities: []float64{0, 1},
+		Profile:     faults.DefaultConfig(),
+		Stats:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	res.WriteTable(&buf)
+	if err := res.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteCSV(&buf, res.StatsRows()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestFaultTablesByteIdentical pins the bytes of faulted runs: radio churn,
+// frame loss and slot jitter exercise medium paths the clean-channel
+// goldens never reach, so a fast path that changed them would otherwise go
+// unnoticed. Regenerate only for an intentional, reviewed output change
+// (same -update flag as TestLegacyTablesByteIdentical).
+func TestFaultTablesByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the reduced fault sweep")
+	}
+	checkGolden(t, "faults_tables.golden", renderFaultTables(t))
+}
+
+// checkGolden compares got against testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -133,8 +182,8 @@ func TestLegacyTablesByteIdentical(t *testing.T) {
 		t.Fatalf("missing golden (run with -update at a known-good commit): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("legacy tables diverged from pre-refactor goldens (%d vs %d bytes)\n--- got ---\n%s",
-			len(got), len(want), got)
+		t.Errorf("%s diverged from the golden (%d vs %d bytes)\n--- got ---\n%s",
+			name, len(got), len(want), got)
 	}
 }
 
