@@ -57,7 +57,7 @@ bench-json:
 # when a runner generation turns out noisy (see README).
 bench-gate:
 	$(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/mmv2v-bench2json \
-		-baseline BENCH_2026-08-09.json -threshold 0.15 -alloc-threshold 0.25 > /dev/null
+		-baseline BENCH_2026-10-17.json -threshold 0.15 -alloc-threshold 0.25 > /dev/null
 
 # CPU + heap profiles of a representative pooled run with statistics on;
 # inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.

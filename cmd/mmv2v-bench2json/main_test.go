@@ -194,7 +194,7 @@ func TestCompareAllocGateSkipsUnmeasured(t *testing.T) {
 // committed baseline: the pinned hot paths must parse out of the repo's
 // BENCH_*.json with usable ns/op values.
 func TestCompareAgainstCommittedBaseline(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_2026-08-09.json"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_2026-10-17.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

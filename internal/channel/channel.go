@@ -218,24 +218,27 @@ func OmniPattern() Pattern {
 
 // PatternCache memoizes patterns by beam width; the simulator uses only a
 // handful of widths (α, β, θ_min, quasi-omni) but evaluates gains millions
-// of times.
+// of times. A linear scan over that handful beats hashing a float64 key.
 type PatternCache struct {
 	sideLobe units.DB
-	byWidth  map[units.Radian]Pattern
+	patterns []Pattern
 }
 
 // NewPatternCache builds a cache with the given side-lobe level.
 func NewPatternCache(sideLobe units.DB) *PatternCache {
-	return &PatternCache{sideLobe: sideLobe, byWidth: make(map[units.Radian]Pattern)}
+	return &PatternCache{sideLobe: sideLobe}
 }
 
 // Get returns the pattern for a beam width, deriving it on first use.
 func (c *PatternCache) Get(width units.Radian) Pattern {
-	if p, ok := c.byWidth[width]; ok {
-		return p
+	for i := range c.patterns {
+		//mmv2v:exact memo key: the same equality a map keyed by width would use
+		if c.patterns[i].Width == width {
+			return c.patterns[i]
+		}
 	}
 	p := NewPattern(width, c.sideLobe)
-	//mmv2v:alloc memoization miss: each distinct beam width is derived and inserted once per run
-	c.byWidth[width] = p
+	//mmv2v:alloc memoization miss: each distinct beam width is derived and appended once per run
+	c.patterns = append(c.patterns, p)
 	return p
 }

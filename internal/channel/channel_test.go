@@ -269,6 +269,14 @@ func TestPatternCache(t *testing.T) {
 	if c.Get(geom.Deg(12)).G1 <= p1.G1 {
 		t.Error("cached 12° beam should out-gain 30° beam")
 	}
+	for _, w := range []units.Radian{geom.Deg(30), geom.Deg(12), geom.Deg(3), 2 * math.Pi} {
+		if got, want := c.Get(w), NewPattern(w, 20); got != want {
+			t.Errorf("Get(%v) = %+v, want NewPattern's %+v", w, got, want)
+		}
+	}
+	if len(c.patterns) != 4 {
+		t.Errorf("cache holds %d patterns after 4 distinct widths", len(c.patterns))
+	}
 }
 
 func TestExpectedPeakGains(t *testing.T) {

@@ -64,7 +64,13 @@ func NormalizeBearing(b Bearing) Bearing {
 // AngleDiff returns the signed smallest rotation from bearing a to bearing b,
 // in (-π, π]. Positive means b is clockwise of a.
 func AngleDiff(a, b Bearing) units.Radian {
-	d := math.Mod(float64(b-a), 2*math.Pi)
+	d := float64(b - a)
+	// math.Mod returns its argument unchanged when |d| < 2π — always the
+	// case for two normalized bearings — so only call it otherwise (±Inf
+	// and NaN included).
+	if !(d > -2*math.Pi && d < 2*math.Pi) {
+		d = math.Mod(d, 2*math.Pi)
+	}
 	switch {
 	case d > math.Pi:
 		d -= 2 * math.Pi

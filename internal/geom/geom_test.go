@@ -92,6 +92,53 @@ func TestAngleDiff(t *testing.T) {
 	}
 }
 
+// angleDiffMod is AngleDiff as first written, calling math.Mod
+// unconditionally: the plain reference for the fast path's differential test.
+func angleDiffMod(a, b Bearing) float64 {
+	d := math.Mod(float64(b-a), 2*math.Pi)
+	switch {
+	case d > math.Pi:
+		d -= 2 * math.Pi
+	case d <= -math.Pi:
+		d += 2 * math.Pi
+	}
+	return d
+}
+
+// TestAngleDiffMatchesModForm checks bit for bit that skipping math.Mod for
+// |b−a| < 2π changes nothing: around the ±2π boundary, at signed zeros and
+// non-finite inputs, and over random bearings in and out of [0, 2π).
+func TestAngleDiffMatchesModForm(t *testing.T) {
+	twoPi := 2 * math.Pi
+	edges := []float64{
+		0, math.Copysign(0, -1), math.Pi, -math.Pi, twoPi, -twoPi,
+		math.Nextafter(twoPi, 0), math.Nextafter(twoPi, 10),
+		math.Nextafter(-twoPi, 0), math.Nextafter(-twoPi, -10),
+		3 * math.Pi, -3 * math.Pi, 1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	same := func(a, b Bearing) bool {
+		got, want := AngleDiff(a, b).Rad(), angleDiffMod(a, b)
+		return math.Float64bits(got) == math.Float64bits(want) ||
+			(math.IsNaN(got) && math.IsNaN(want))
+	}
+	for _, d := range edges {
+		for _, a := range []float64{0, 1, math.Pi} {
+			if !same(Bearing(a), Bearing(a+d)) {
+				t.Errorf("AngleDiff(%v, %v) = %v, Mod form %v", a, a+d,
+					AngleDiff(Bearing(a), Bearing(a+d)), angleDiffMod(Bearing(a), Bearing(a+d)))
+			}
+		}
+	}
+	f := func(a, b float64) bool {
+		a, b = math.Mod(a, 20), math.Mod(b, 20)
+		return same(Bearing(a), Bearing(b)) &&
+			same(NormalizeBearing(Bearing(a)), NormalizeBearing(Bearing(b)))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAngleDiffProperties(t *testing.T) {
 	// AngleDiff is always in (-π, π] and adding it to a recovers b.
 	f := func(a, b float64) bool {

@@ -19,6 +19,7 @@ package medium
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"mmv2v/internal/des"
@@ -104,6 +105,20 @@ type Medium struct {
 	// slot jitter into every transmission and delivery.
 	faults FaultModel
 
+	// Resolution scratch, reused across resolutions (see deliverGroup).
+	// group is resolve's batch of frames ending now. onAir lists the
+	// transmissions overlapping the batch's window in m.active order;
+	// firstOnAir[v] is the onAir index of vehicle v's first such
+	// transmission (-1 when none), chained through onAir[k].next. heard is
+	// a bitmap over onAir of the terms collected for the current listener.
+	group      []*transmission
+	onAir      []airTerm
+	firstOnAir []int32
+	heard      []uint64
+	// removals counts StopStream removals and Resets, so deliverGroup can
+	// tell when a handler shifted m.active under its onAir index.
+	removals uint64
+
 	// Delivered counts decoded control frames (diagnostics).
 	Delivered uint64
 	// Lost counts control frames that at least one aligned listener failed
@@ -146,11 +161,12 @@ func (m *Medium) SetObs(r *obs.Registry) {
 // New builds a Medium over a world and simulator.
 func New(sim *des.Simulator, w *world.World) *Medium {
 	return &Medium{
-		sim:       sim,
-		w:         w,
-		nextID:    1,
-		listeners: make([]listener, w.NumVehicles()),
-		resolveAt: make(map[des.Time]bool),
+		sim:        sim,
+		w:          w,
+		nextID:     1,
+		listeners:  make([]listener, w.NumVehicles()),
+		resolveAt:  make(map[des.Time]bool),
+		firstOnAir: make([]int32, w.NumVehicles()),
 	}
 }
 
@@ -231,6 +247,7 @@ func (m *Medium) StopStream(id StreamID) {
 	for k, tx := range m.active {
 		if tx.id == int64(id) && tx.stream {
 			m.active = append(m.active[:k], m.active[k+1:]...)
+			m.removals++
 			return
 		}
 	}
@@ -251,38 +268,95 @@ const retireGrace = 100 * time.Microsecond
 
 // resolve delivers every control frame ending now, then retires frames old
 // enough that nothing still on the air overlapped them.
+//
+//mmv2v:hotpath the per-slot control-frame resolution; pinned by BenchmarkSectorSlotResolution
 func (m *Medium) resolve() {
 	now := m.sim.Now()
 	delete(m.resolveAt, now)
-	var group []*transmission
+	// Size the reused batch slice exactly: most of m.active is frames
+	// lingering in their grace window, not the batch.
+	size := 0
+	for _, tx := range m.active {
+		if tx.end == now && !tx.stream && !tx.resolved {
+			size++
+		}
+	}
+	if cap(m.group) < size {
+		//mmv2v:alloc amortized: regrown only when a batch outgrows every earlier one
+		m.group = make([]*transmission, 0, size)
+	}
+	group := m.group[:0]
 	for _, tx := range m.active {
 		if tx.end == now && !tx.stream && !tx.resolved {
 			tx.resolved = true
+			//mmv2v:alloc never grows: the capacity was sized to the batch above
 			group = append(group, tx)
 		}
 	}
 	if len(group) > 0 {
 		m.deliverGroup(group)
 	}
+	clear(group) // let retired frames be collected
+	m.group = group[:0]
 	kept := m.active[:0]
 	cutoff := now.Add(-retireGrace)
 	for _, tx := range m.active {
 		if tx.end > now || (tx.resolved && tx.end > cutoff) {
+			//mmv2v:alloc in-place filter: kept shares m.active's backing array and never outgrows it
 			kept = append(kept, tx)
 		}
 	}
 	m.active = kept
 }
 
-// deliverGroup resolves reception of a batch of frames sharing an end time.
-// For each listening vehicle the total incident power is computed once; each
-// frame's SINR then counts every other overlapping signal as interference
-// (Eq. 3).
+// airTerm is one transmission on the air during a resolution window.
+type airTerm struct {
+	tx *transmission
+	// rxMw is tx's received power at the listener being resolved; valid
+	// where that listener's heard bit is set.
+	rxMw units.MilliWatt
+	// next is the onAir index of the sender's next term (-1 ends the chain).
+	next int32
+	// live caches the fault model's verdict on the sender's radio at the
+	// resolution instant.
+	live bool
+	// group marks the frames being resolved.
+	group bool
+}
+
+// deliverGroup resolves reception of a batch of frames sharing an end time
+// (Eq. 3): a listener's SINR for a frame counts every other signal that
+// overlapped the batch's window as interference. The resolution contract,
+// held bit for bit against the all-pairs reference by
+// TestDeliverGroupMatchesAllPairs:
+//
+//   - A listener takes its interferers from its own link slice
+//     (world.Links), so pairs beyond the interference range are never
+//     evaluated. The all-pairs sum added exactly +0 for them, so skipping
+//     them changes no bit.
+//   - Each (transmitter, listener) received power is evaluated once. It is
+//     an interference term and, for a batch frame, the desired signal.
+//   - A listener's interference terms are summed in m.active order, never
+//     link-slice order: float addition is not associative.
+//   - Handlers run for listeners in ascending order, then for batch frames
+//     in m.active order. The listener is re-read after every handler, which
+//     may re-aim or stop it.
+//   - The fault model is asked about the same (vehicle, now) set as the
+//     all-pairs form: every active listener and, once some listener's
+//     radio is live, every sender on the air in the window.
 func (m *Medium) deliverGroup(group []*transmission) {
 	noise := m.w.Channel().NoiseMw()
-	n := m.w.NumVehicles()
 	now := m.sim.Now()
-	for j := 0; j < n; j++ {
+	groupStart := group[0].start
+	for _, g := range group {
+		if g.start < groupStart {
+			groupStart = g.start
+		}
+	}
+	removals := m.removals
+	m.indexOnAir(group, groupStart, now)
+	asked := m.faults == nil
+	for j := range m.listeners {
 		l := &m.listeners[j]
 		if !l.active {
 			continue
@@ -292,46 +366,117 @@ func (m *Medium) deliverGroup(group []*transmission) {
 		if m.faults != nil && !m.faults.RadioUp(j, now) {
 			continue
 		}
-		// Incident power from every signal overlapping the group window,
-		// and whether j itself was transmitting (half-duplex: cannot hear).
-		groupStart := group[0].start
-		for _, g := range group {
-			if g.start < groupStart {
-				groupStart = g.start
-			}
+		// A handler's StopStream or Reset shifted m.active: re-index.
+		if m.removals != removals {
+			removals = m.removals
+			m.indexOnAir(group, groupStart, now)
+			asked = m.faults == nil
 		}
-		total := units.MilliWatt(0)
-		selfBusy := false
-		for _, tx := range m.active {
-			if !overlaps(tx.start, tx.end, groupStart, now) {
-				continue
-			}
-			if tx.from == j {
-				selfBusy = true
-				continue
-			}
-			// A transmitter whose radio died mid-frame radiates nothing.
-			if m.faults != nil && !m.faults.RadioUp(tx.from, now) {
-				continue
-			}
-			total += m.w.RxPowerMw(tx.from, j, tx.beam, l.beam)
+		// The all-pairs form asks about every overlapping sender while
+		// summing the first live listener's interference (that listener's
+		// own radio was just asked): settle them all once.
+		if !asked {
+			m.askRadios(now)
+			asked = true
 		}
-		if selfBusy {
+		// Half-duplex: a vehicle transmitting during the window cannot hear.
+		if m.firstOnAir[j] >= 0 {
 			continue
 		}
-		for _, g := range group {
-			if g.from == j {
+		total := m.collect(j, l.beam)
+		m.decode(j, l, total, noise, now)
+		clear(m.heard)
+	}
+	clear(m.onAir) // let retired frames be collected
+}
+
+// indexOnAir rebuilds onAir, firstOnAir and heard from m.active for the
+// window [groupStart, now). Under a fault model, the terms' live flags are
+// unset until askRadios.
+func (m *Medium) indexOnAir(group []*transmission, groupStart, now des.Time) {
+	for v := range m.firstOnAir {
+		m.firstOnAir[v] = -1
+	}
+	size := 0
+	for _, tx := range m.active {
+		if overlaps(tx.start, tx.end, groupStart, now) {
+			size++
+		}
+	}
+	if cap(m.onAir) < size {
+		//mmv2v:alloc amortized: regrown only when a window's signals outnumber every earlier one's
+		m.onAir = make([]airTerm, 0, size)
+	}
+	on := m.onAir[:0]
+	gi := 0
+	for _, tx := range m.active {
+		// group is a subsequence of m.active, in order.
+		inGroup := gi < len(group) && tx == group[gi]
+		if inGroup {
+			gi++
+		}
+		if !overlaps(tx.start, tx.end, groupStart, now) {
+			continue
+		}
+		k := int32(len(on))
+		//mmv2v:alloc never grows: the capacity was sized to the window's signals above
+		on = append(on, airTerm{tx: tx, next: m.firstOnAir[tx.from], live: m.faults == nil, group: inGroup})
+		m.firstOnAir[tx.from] = k
+	}
+	m.onAir = on
+	words := (len(on) + 63) / 64
+	if cap(m.heard) < words {
+		//mmv2v:alloc amortized: one bit per term, regrown only past the largest window so far
+		m.heard = make([]uint64, words)
+	}
+	m.heard = m.heard[:words]
+	clear(m.heard)
+}
+
+// askRadios asks the fault model whether each term's sender is on the air.
+func (m *Medium) askRadios(now des.Time) {
+	for k := range m.onAir {
+		a := &m.onAir[k]
+		a.live = m.faults.RadioUp(a.tx.from, now)
+	}
+}
+
+// collect evaluates the power listener j receives from every live term on
+// the air whose sender is in j's link slice, marks each in heard, and
+// returns their sum in onAir (that is, m.active) order.
+func (m *Medium) collect(j int, rxBeam phy.Beam) units.MilliWatt {
+	for _, lnk := range m.w.Links(j) {
+		for k := m.firstOnAir[lnk.J]; k >= 0; k = m.onAir[k].next {
+			a := &m.onAir[k]
+			// A transmitter whose radio died mid-frame radiates nothing.
+			if !a.live {
 				continue
 			}
+			a.rxMw = m.w.RxPowerMwOver(j, lnk, a.tx.beam, rxBeam)
+			m.heard[k/64] |= 1 << (k % 64)
+		}
+	}
+	total := units.MilliWatt(0)
+	for w, word := range m.heard {
+		for ; word != 0; word &= word - 1 {
+			total += m.onAir[w*64+bits.TrailingZeros64(word)].rxMw
+		}
+	}
+	return total
+}
+
+// decode delivers the batch frames listener j heard, in onAir order, given
+// j's total incident power.
+func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now des.Time) {
+	for w, word := range m.heard {
+		for ; word != 0; word &= word - 1 {
+			a := &m.onAir[w*64+bits.TrailingZeros64(word)]
+			g := a.tx
 			// The listener must have been aimed for the whole frame.
-			if l.since > g.start {
+			if !a.group || l.since > g.start {
 				continue
 			}
-			// A frame whose sender's radio died mid-air is gone.
-			if m.faults != nil && !m.faults.RadioUp(g.from, now) {
-				continue
-			}
-			desired := m.w.RxPowerMw(g.from, j, g.beam, l.beam)
+			desired := a.rxMw
 			//mmv2v:exact RxPowerMw returns exactly 0 as its out-of-range/beam-miss sentinel
 			if desired == 0 {
 				continue
@@ -346,18 +491,17 @@ func (m *Medium) deliverGroup(group []*transmission) {
 				}
 				m.Delivered++
 				m.obsControlDeliv.Inc()
-				// Handler may re-aim or stop the listener; re-check.
-				h := l.handler
-				h(Delivery{
+				l.handler(Delivery{
 					From:    g.from,
 					To:      j,
 					Payload: g.payload,
 					SINRdB:  sinr,
 					SNRdB:   units.RatioDB(desired, noise),
-					At:      m.sim.Now(),
+					At:      now,
 				})
+				// The handler may have re-aimed or stopped the listener.
 				if !l.active {
-					break
+					return
 				}
 			} else if sinr > -10 {
 				// Near-miss: an aligned listener lost a decodable-class
@@ -405,6 +549,7 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 // trials sharing a medium).
 func (m *Medium) Reset() {
 	m.active = m.active[:0]
+	m.removals++
 	for i := range m.listeners {
 		m.listeners[i] = listener{}
 	}

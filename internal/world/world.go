@@ -697,11 +697,20 @@ func (w *World) beamGain(beam phy.Beam, toward geom.Bearing) float64 {
 // RxPowerMw returns the power vehicle rx receives from tx given both beam
 // configurations, or 0 if the pair is out of interference range.
 func (w *World) RxPowerMw(tx, rx int, txBeam, rxBeam phy.Beam) units.MilliWatt {
-	lnk, ok := w.Link(tx, rx)
+	back, ok := w.Link(rx, tx)
 	if !ok {
 		return 0
 	}
-	back, _ := w.Link(rx, tx)
+	return w.RxPowerMwOver(rx, back, txBeam, rxBeam)
+}
+
+// RxPowerMwOver is RxPowerMw for a pair whose link entry the caller already
+// holds: back is rx's own entry toward the transmitter back.J (an element
+// of Links(rx)), so only the transmitter's mirror entry is looked up. Both
+// bearings come from the stored entries: recomputing one from the other
+// (±π) is not bit-identical for the pair's higher-rank side.
+func (w *World) RxPowerMwOver(rx int, back Link, txBeam, rxBeam phy.Beam) units.MilliWatt {
+	lnk, _ := w.Link(back.J, rx)
 	gTx := w.beamGain(txBeam, lnk.Bearing)  // tx's gain toward rx
 	gRx := w.beamGain(rxBeam, back.Bearing) // rx's gain toward tx
 	return units.MilliWatt(w.model.TxPowerMw().MW() * gTx * lnk.PathGainLin * gRx)
