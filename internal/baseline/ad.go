@@ -62,11 +62,10 @@ func (p ADParams) Validate() error {
 	return p.Codebook.Validate()
 }
 
-// beacon is a DMG beacon swept by a PCP during the BTI.
-type beacon struct {
-	pcp    int
-	sector int
-}
+// beacon is a DMG beacon swept by a PCP during the BTI: the swept sector.
+// The PCP is the delivery's From. An integer below 256 boxes into a
+// Delivery payload without allocating.
+type beacon int
 
 // assocReq is an A-BFT association frame from a member toward its PCP.
 type assocReq struct {
@@ -95,6 +94,10 @@ type AD struct {
 	members map[int][]int
 	// spRotation persists round-robin fairness across frames, per PCP.
 	spRotation map[int]int
+	// beaconRx[i] and assocRx[i] are vehicle i's BTI and A-BFT receive
+	// handlers, built once.
+	beaconRx []medium.Handler
+	assocRx  []medium.Handler
 
 	frame    int
 	sessions []*udt.Session
@@ -119,9 +122,13 @@ func NewAD(env *sim.Env, cfg ADParams) *AD {
 		heardBeacons: make([]map[int]*discovery, n),
 		joined:       make([]int, n),
 		spRotation:   make(map[int]int),
+		beaconRx:     make([]medium.Handler, n),
+		assocRx:      make([]medium.Handler, n),
 	}
 	for i := range a.heardBeacons {
 		a.heardBeacons[i] = make(map[int]*discovery)
+		a.beaconRx[i] = func(d medium.Delivery) { a.onBeacon(i, d) }
+		a.assocRx[i] = func(d medium.Delivery) { a.onAssoc(i, d) }
 	}
 	a.obsBeaconTx = env.Obs.Counter("ad.beacon_tx")
 	a.obsAssocTx = env.Obs.Counter("ad.assoc_tx")
@@ -191,15 +198,14 @@ func (a *AD) btiSlot(sector int) {
 		if a.isPCP[i] {
 			continue
 		}
-		i := i
-		a.env.Medium.StartListen(i, phy.Omni, func(d medium.Delivery) { a.onBeacon(i, d) })
+		a.env.Medium.StartListen(i, phy.Omni, a.beaconRx[i])
 	}
 	beam := phy.Beam{Bearing: cb.Sectors.Center(sector), Width: cb.TxWidth}
 	for i := 0; i < n; i++ {
 		if !a.isPCP[i] {
 			continue
 		}
-		a.env.Medium.Transmit(i, beam, a.env.Timing.SSW, beacon{pcp: i, sector: sector})
+		a.env.Medium.Transmit(i, beam, a.env.Timing.SSW, beacon(sector))
 		a.obsBeaconTx.Inc()
 	}
 }
@@ -209,19 +215,19 @@ func (a *AD) btiSlot(sector int) {
 // (sectors are indexed from absolute north for everyone, so the member's
 // toward-sector is the opposite of the PCP's best sweep sector).
 func (a *AD) onBeacon(me int, d medium.Delivery) {
-	b, ok := d.Payload.(beacon)
+	sector, ok := d.Payload.(beacon)
 	if !ok {
 		return
 	}
-	info := a.heardBeacons[me][b.pcp]
+	info := a.heardBeacons[me][d.From]
 	if info == nil {
-		info = &discovery{snrDB: d.SNRdB, towardSector: a.cfg.Codebook.Sectors.Opposite(b.sector), lastFrame: a.frame}
-		a.heardBeacons[me][b.pcp] = info
+		info = &discovery{snrDB: d.SNRdB, towardSector: a.cfg.Codebook.Sectors.Opposite(int(sector)), lastFrame: a.frame}
+		a.heardBeacons[me][d.From] = info
 		return
 	}
 	if d.SNRdB > info.snrDB {
 		info.snrDB = d.SNRdB
-		info.towardSector = a.cfg.Codebook.Sectors.Opposite(b.sector)
+		info.towardSector = a.cfg.Codebook.Sectors.Opposite(int(sector))
 	}
 }
 
@@ -256,8 +262,7 @@ func (a *AD) abftSlot(k int) {
 		if !a.isPCP[i] {
 			continue
 		}
-		i := i
-		a.env.Medium.StartListen(i, phy.Omni, func(d medium.Delivery) { a.onAssoc(i, d) })
+		a.env.Medium.StartListen(i, phy.Omni, a.assocRx[i])
 	}
 	for i := 0; i < n; i++ {
 		p := a.joined[i]

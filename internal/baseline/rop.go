@@ -95,9 +95,14 @@ func (p ROPParams) Validate() error {
 	return p.Codebook.Validate()
 }
 
-// ropSweep is the payload of a random discovery sweep.
-type ropSweep struct {
-	from   int
+// ropSweep is the payload of a random discovery sweep: the swept sector.
+// The sender is the delivery's From. An integer below 256 boxes into a
+// Delivery payload without allocating.
+type ropSweep int
+
+// txPlan is a transmitter of a discovery slot and the sector it sweeps.
+type txPlan struct {
+	i      int
 	sector int
 }
 
@@ -121,6 +126,12 @@ type ROP struct {
 	// boundary, and idleFrames counts consecutive frames without progress.
 	pairBits   []float64
 	idleFrames []int
+	// senseSector[i] is the sector vehicle i last aimed its receiver at, and
+	// rx[i] its receive handler, built once.
+	senseSector []int
+	rx          []medium.Handler
+	// txs is discoverSlot's scratch list of the slot's transmitters.
+	txs []txPlan
 
 	frame    int
 	frameEnd des.Time
@@ -140,16 +151,19 @@ func NewROP(env *sim.Env, cfg ROPParams) *ROP {
 	}
 	n := env.N()
 	r := &ROP{
-		env:        env,
-		cfg:        cfg,
-		discovered: make([]map[int]*discovery, n),
-		pick:       make([]int, n),
-		matched:    make([]int, n),
-		pairBits:   make([]float64, n),
-		idleFrames: make([]int, n),
+		env:         env,
+		cfg:         cfg,
+		discovered:  make([]map[int]*discovery, n),
+		pick:        make([]int, n),
+		matched:     make([]int, n),
+		pairBits:    make([]float64, n),
+		idleFrames:  make([]int, n),
+		senseSector: make([]int, n),
+		rx:          make([]medium.Handler, n),
 	}
 	for i := range r.matched {
 		r.matched[i] = -1
+		r.rx[i] = func(d medium.Delivery) { r.onSweep(i, d) }
 	}
 	for i := range r.discovered {
 		r.discovered[i] = make(map[int]*discovery)
@@ -224,11 +238,7 @@ func (r *ROP) RunFrame(frame int) {
 func (r *ROP) discoverSlot(k int) {
 	n := r.env.N()
 	cb := r.cfg.Codebook
-	type txPlan struct {
-		i      int
-		sector int
-	}
-	var txs []txPlan
+	txs := r.txs[:0]
 	for i := 0; i < n; i++ {
 		rng := r.env.Rand.Child("rop.slot", uint64(i), uint64(r.frame), uint64(k))
 		sector := rng.Intn(cb.Sectors.Count)
@@ -237,38 +247,41 @@ func (r *ROP) discoverSlot(k int) {
 			r.env.Medium.StopListen(i)
 		} else {
 			beam := phy.Beam{Bearing: cb.Sectors.Center(sector), Width: cb.RxWidth}
-			i, sector := i, sector
-			r.env.Medium.StartListen(i, beam, func(d medium.Delivery) { r.onSweep(i, sector, d) })
+			// A frame reaches only a listener aimed for its whole
+			// duration, so the handler reads the sector of the aim that
+			// heard it.
+			r.senseSector[i] = sector
+			r.env.Medium.StartListen(i, beam, r.rx[i])
 		}
 	}
+	r.txs = txs
 	for _, tx := range txs {
 		beam := phy.Beam{Bearing: cb.Sectors.Center(tx.sector), Width: cb.TxWidth}
-		r.env.Medium.Transmit(tx.i, beam, r.env.Timing.SSW, ropSweep{from: tx.i, sector: tx.sector})
+		r.env.Medium.Transmit(tx.i, beam, r.env.Timing.SSW, ropSweep(tx.sector))
 		r.obsSweepTx.Inc()
 	}
 }
 
 // onSweep records a decoded random sweep, keeping the strongest reception
 // per frame like mmV2V's SND.
-func (r *ROP) onSweep(me, senseSector int, d medium.Delivery) {
-	msg, ok := d.Payload.(ropSweep)
-	if !ok {
+func (r *ROP) onSweep(me int, d medium.Delivery) {
+	if _, ok := d.Payload.(ropSweep); !ok {
 		return
 	}
 	if d.SINRdB < r.cfg.MinLinkSNRdB {
 		return
 	}
-	info := r.discovered[me][msg.from]
+	info := r.discovered[me][d.From]
 	if info == nil {
 		info = &discovery{}
-		r.discovered[me][msg.from] = info
+		r.discovered[me][d.From] = info
 		r.obsDiscoveries.Inc()
 	}
 	if info.lastFrame == r.frame && info.snrDB >= d.SINRdB {
 		return
 	}
 	info.snrDB = d.SINRdB
-	info.towardSector = senseSector
+	info.towardSector = r.senseSector[me]
 	info.lastFrame = r.frame
 }
 

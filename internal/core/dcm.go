@@ -30,6 +30,10 @@ type breakMsg struct {
 	from, to int
 }
 
+// breakup is a break-up notification decided in a slot: from has switched
+// away from its previous candidate to.
+type breakup struct{ from, to int }
+
 // scheduleDCM schedules the Distributed Consensual Matching phase
 // (Sec. III-C): M negotiation slots, each serving CNS bucket (slot mod C).
 //
@@ -53,9 +57,10 @@ func (p *Protocol) scheduleDCM(start des.Time) {
 }
 
 // eligibleNeighbors returns i's sorted working set: discovered, fresh, and
-// with the task not yet complete.
+// with the task not yet complete. The slice is scratch, valid until the
+// next call.
 func (p *Protocol) eligibleNeighbors(i int) []int {
-	out := make([]int, 0, len(p.discovered[i]))
+	out := p.elig[:0]
 	//mmv2v:sorted pure key collection with order-free filter; sorted below before returning
 	for j, info := range p.discovered[i] {
 		if p.frame-info.lastFrame >= p.cfg.StalenessFrames {
@@ -67,6 +72,7 @@ func (p *Protocol) eligibleNeighbors(i int) []int {
 		out = append(out, j)
 	}
 	sort.Ints(out)
+	p.elig = out
 	return out
 }
 
@@ -79,12 +85,13 @@ func (p *Protocol) dcmSlotBegin(m int) {
 	for i := 0; i < n; i++ {
 		p.negPeer[i] = -1
 		p.gotMsg[i] = negotiationState{}
-		var inBucket []int
+		inBucket := p.inBucket[:0]
 		for _, j := range p.eligibleNeighbors(i) {
 			if p.Bucket(i, j) == bucket {
 				inBucket = append(inBucket, j)
 			}
 		}
+		p.inBucket = inBucket
 		switch len(inBucket) {
 		case 0:
 		case 1:
@@ -167,8 +174,7 @@ func (p *Protocol) listenToward(i, j int) {
 		return
 	}
 	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(info.towardSector), Width: p.cfg.Codebook.RxWidth}
-	me := i
-	p.env.Medium.StartListen(me, beam, func(d medium.Delivery) { p.onNegTraffic(me, d) })
+	p.env.Medium.StartListen(i, beam, p.negRx[i])
 }
 
 // onNegTraffic handles negotiation-plane receptions at vehicle me.
@@ -210,8 +216,7 @@ func (p *Protocol) onNegTraffic(me int, d medium.Delivery) {
 // minimum), so their decisions agree whenever both messages were decoded.
 func (p *Protocol) dcmDecide(slot int) {
 	n := p.env.N()
-	type breakup struct{ from, to int }
-	var breakups []breakup
+	breakups := p.breakups[:0]
 	for i := 0; i < n; i++ {
 		j := p.negPeer[i]
 		st := p.gotMsg[i]
@@ -244,18 +249,24 @@ func (p *Protocol) dcmDecide(slot int) {
 			A: i, B: j, Value: pairQ.Decibels(),
 		})
 	}
+	p.breakups = breakups
 	// Second half: break-up senders transmit; everyone else with a
 	// candidate listens toward it (a vehicle's previous candidate still has
 	// its beam schedule pointed here, which is what makes the notification
 	// deliverable).
-	sent := make(map[int]bool, len(breakups))
 	for _, b := range breakups {
 		p.transmitBreak(b.from, b.to)
-		sent[b.from] = true
 		p.BreakupsSent++
 	}
+	// breakups is in ascending sender order, one per sender: walk it
+	// alongside the vehicles to skip the senders.
+	next := 0
 	for i := 0; i < n; i++ {
-		if sent[i] || !p.cand[i].valid {
+		if next < len(breakups) && breakups[next].from == i {
+			next++
+			continue
+		}
+		if !p.cand[i].valid {
 			continue
 		}
 		p.listenToward(i, p.cand[i].peer)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmv2v/internal/des"
+	"mmv2v/internal/medium"
 	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/units"
@@ -47,8 +48,17 @@ type Protocol struct {
 	negPeer []int
 	// gotMsg[i] holds the peer message i decoded in the current slot.
 	gotMsg []negotiationState
-	// pendingBreak[i] is a queued break-up notification target (-1 none).
-	pendingBreak []int
+	// senseSector[i] is the sector vehicle i last aimed its SND receiver at.
+	senseSector []int
+	// sswRx[i] and negRx[i] are vehicle i's SND and DCM receive handlers,
+	// built once so that aiming a receiver allocates nothing.
+	sswRx []medium.Handler
+	negRx []medium.Handler
+	// DCM slot scratch, reused across slots: a vehicle's eligible
+	// neighbors, those in the slot's bucket, and the slot's break-ups.
+	elig     []int
+	inBucket []int
+	breakups []breakup
 
 	frame    int
 	frameEnd des.Time
@@ -90,17 +100,21 @@ func New(env *sim.Env, cfg Params) *Protocol {
 	}
 	n := env.N()
 	p := &Protocol{
-		env:          env,
-		cfg:          cfg,
-		discovered:   make([]map[int]*neighborInfo, n),
-		cand:         make([]candidate, n),
-		roleTx:       make([]bool, n),
-		negPeer:      make([]int, n),
-		gotMsg:       make([]negotiationState, n),
-		pendingBreak: make([]int, n),
+		env:         env,
+		cfg:         cfg,
+		discovered:  make([]map[int]*neighborInfo, n),
+		cand:        make([]candidate, n),
+		roleTx:      make([]bool, n),
+		negPeer:     make([]int, n),
+		gotMsg:      make([]negotiationState, n),
+		senseSector: make([]int, n),
+		sswRx:       make([]medium.Handler, n),
+		negRx:       make([]medium.Handler, n),
 	}
 	for i := range p.discovered {
 		p.discovered[i] = make(map[int]*neighborInfo)
+		p.sswRx[i] = func(d medium.Delivery) { p.onSSW(i, d) }
+		p.negRx[i] = func(d medium.Delivery) { p.onNegTraffic(i, d) }
 	}
 	p.obsSSWTx = env.Obs.Counter("snd.ssw_tx")
 	p.obsDiscoveries = env.Obs.Counter("snd.discoveries")
@@ -162,7 +176,6 @@ func (p *Protocol) RunFrame(frame int) {
 	p.frameEnd = now.Add(p.env.Timing.Frame)
 	for i := range p.cand {
 		p.cand[i] = candidate{}
-		p.pendingBreak[i] = -1
 	}
 	p.scheduleSND(now)
 	dcmStart := now.Add(p.SNDDuration())

@@ -9,13 +9,12 @@ import (
 	"mmv2v/internal/trace"
 )
 
-// sswMsg is the payload of a Sector Sweep frame: the transmitter's ID and
-// the sector it is currently sweeping (Sec. III-B2: "a transmitter sends out
-// its ID (e.g., MAC address) and the sector ID").
-type sswMsg struct {
-	from   int
-	sector int
-}
+// sswMsg is the payload of a Sector Sweep frame: the sector the transmitter
+// is currently sweeping (Sec. III-B2: "a transmitter sends out its ID (e.g.,
+// MAC address) and the sector ID"). The transmitter's ID is the delivery's
+// From. An integer below 256 boxes into a Delivery payload without
+// allocating.
+type sswMsg int
 
 // scheduleSND schedules the Synchronized Neighbor Discovery phase
 // (Sec. III-B): K independent rounds, each with probabilistic role
@@ -83,7 +82,7 @@ func (p *Protocol) sndAimOne(i, half, sector int) {
 	cb := p.cfg.Codebook
 	senseSector := cb.Sectors.Opposite(sector)
 	beam := phy.Beam{Bearing: cb.Sectors.Center(senseSector), Width: cb.RxWidth}
-	p.env.Medium.StartListen(i, beam, func(d medium.Delivery) { p.onSSW(i, senseSector, d) })
+	p.listenSSW(i, beam, senseSector)
 }
 
 // sndSweepOne fires one transmitter's SSW under clock jitter.
@@ -93,7 +92,7 @@ func (p *Protocol) sndSweepOne(i, half, sector int) {
 	}
 	cb := p.cfg.Codebook
 	beam := phy.Beam{Bearing: cb.Sectors.Center(sector), Width: cb.TxWidth}
-	p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswMsg{from: i, sector: sector})
+	p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswMsg(sector))
 	p.obsSSWTx.Inc()
 }
 
@@ -127,9 +126,17 @@ func (p *Protocol) sndAim(half, sector int) {
 		if p.isTransmitter(i, half) {
 			continue
 		}
-		i := i
-		p.env.Medium.StartListen(i, beam, func(d medium.Delivery) { p.onSSW(i, senseSector, d) })
+		p.listenSSW(i, beam, senseSector)
 	}
+}
+
+// listenSSW aims vehicle i's receiver at a sensing sector for SSW frames.
+// The sector is recorded for i's handler: a frame is delivered only to a
+// listener aimed for its whole duration, so the handler always reads the
+// sector of the aim that heard the frame.
+func (p *Protocol) listenSSW(i int, beam phy.Beam, senseSector int) {
+	p.senseSector[i] = senseSector
+	p.env.Medium.StartListen(i, beam, p.sswRx[i])
 }
 
 // sndSweep fires every transmitter's SSW frame on the current sweep sector.
@@ -140,7 +147,7 @@ func (p *Protocol) sndSweep(half, sector int) {
 		if !p.isTransmitter(i, half) {
 			continue
 		}
-		p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswMsg{from: i, sector: sector})
+		p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswMsg(sector))
 		p.obsSSWTx.Inc()
 	}
 }
@@ -148,23 +155,22 @@ func (p *Protocol) sndSweep(half, sector int) {
 // onSSW records a decoded SSW frame: the receiver now knows the transmitter,
 // the link SNR and which of its own sectors points at the transmitter
 // (the sensing sector it was aimed at).
-func (p *Protocol) onSSW(me, senseSector int, d medium.Delivery) {
-	msg, ok := d.Payload.(sswMsg)
-	if !ok {
+func (p *Protocol) onSSW(me int, d medium.Delivery) {
+	if _, ok := d.Payload.(sswMsg); !ok {
 		return // other protocol traffic
 	}
 	if d.SINRdB < p.cfg.MinLinkSNRdB {
 		return // too weak to be a one-hop neighbor (out of the task disk)
 	}
-	info := p.discovered[me][msg.from]
+	info := p.discovered[me][d.From]
 	if info == nil {
 		info = &neighborInfo{}
-		p.discovered[me][msg.from] = info
+		p.discovered[me][d.From] = info
 		p.DiscoveredTotal++
 		p.obsDiscoveries.Inc()
 		p.env.Trace.Emit(trace.Event{
 			At: d.At, Frame: p.frame, Kind: trace.KindDiscovery,
-			A: me, B: msg.from, Value: d.SNRdB.Decibels(),
+			A: me, B: d.From, Value: d.SNRdB.Decibels(),
 		})
 	}
 	// A sweep can be heard on adjacent sensing sectors through the Gaussian
@@ -175,6 +181,6 @@ func (p *Protocol) onSSW(me, senseSector int, d medium.Delivery) {
 		return
 	}
 	info.snrDB = d.SINRdB
-	info.towardSector = senseSector
+	info.towardSector = p.senseSector[me]
 	info.lastFrame = p.frame
 }

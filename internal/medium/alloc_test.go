@@ -29,20 +29,22 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		sim := des.New()
 		m := New(sim, w)
+		ff := &fakeFaults{seed: 1}
 		if faulty {
-			m.SetFaults(&fakeFaults{seed: 1})
+			m.SetFaults(ff)
 		}
-		txBeam := phy.Beam{Bearing: sectors.Center(6), Width: geom.Deg(30)}
-		rxBeam := phy.Beam{Bearing: sectors.Center(sectors.Opposite(6)), Width: geom.Deg(12)}
-		for v := 0; v < w.NumVehicles(); v++ {
-			if v%2 == 0 {
-				m.StartListen(v, rxBeam, func(Delivery) {})
-			} else {
-				m.Transmit(v, txBeam, 15*time.Microsecond, v)
-			}
+		// The batch is the first live transmitter's frame; under faults,
+		// slot jitter spreads the ends. The check is scheduled first, so it
+		// collects the batch before the medium's own resolve event at end
+		// retires it.
+		first := 1
+		for faulty && !ff.RadioUp(first, 0) {
+			first += 2
 		}
-		end := m.active[0].end // under faults, slot jitter spreads the ends
-		m.StartStream(0, txBeam)
+		end := des.At(15 * time.Microsecond)
+		if faulty {
+			end = end.Add(ff.TxDelay(first, 0))
+		}
 		allocs := -1.0
 		sim.ScheduleAt(end, "check", func() {
 			var group []*transmission
@@ -57,6 +59,19 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 			m.deliverGroup(group) // grows the scratch
 			allocs = testing.AllocsPerRun(100, func() { m.deliverGroup(group) })
 		})
+		txBeam := phy.Beam{Bearing: sectors.Center(6), Width: geom.Deg(30)}
+		rxBeam := phy.Beam{Bearing: sectors.Center(sectors.Opposite(6)), Width: geom.Deg(12)}
+		for v := 0; v < w.NumVehicles(); v++ {
+			if v%2 == 0 {
+				m.StartListen(v, rxBeam, func(Delivery) {})
+			} else {
+				m.Transmit(v, txBeam, 15*time.Microsecond, v)
+			}
+		}
+		if m.active[0].end != end {
+			t.Fatalf("faults=%v: first frame ends at %v, predicted %v", faulty, m.active[0].end, end)
+		}
+		m.StartStream(0, txBeam)
 		sim.Run(end + 1)
 		if m.Delivered == 0 {
 			t.Errorf("faults=%v: the batch delivered nothing; the guard exercises no handler", faulty)

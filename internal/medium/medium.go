@@ -84,7 +84,10 @@ type FaultModel interface {
 	// time `at` is lost despite a decodable SINR.
 	DropControl(from, to int, at des.Time) bool
 	// TxDelay returns the slot-timing jitter added to a control
-	// transmission by vehicle `from` at time `at`.
+	// transmission by vehicle `from` at time `at`. It is never negative: a
+	// frame never starts before it is sent, which is what lets resolve
+	// retire a frame once no frame still to resolve started before it
+	// ended.
 	TxDelay(from int, at des.Time) time.Duration
 }
 
@@ -98,8 +101,16 @@ type Medium struct {
 	listeners []listener
 	// nextID starts at 1 so the zero StreamID is never a live stream.
 	nextID int64
-	// resolveAt de-duplicates end-of-frame resolution events.
+	// resolveAt de-duplicates end-of-frame resolution events, and
+	// resolveFn is m.resolve bound once, so scheduling one allocates no
+	// method value.
 	resolveAt map[des.Time]bool
+	resolveFn func()
+	// free holds the records of control frames resolve retired, for
+	// Transmit to reuse. Only resolve's retirement feeds it: StopStream and
+	// Reset may run inside a handler while deliverGroup still reads the
+	// batch, so the records they drop go to the collector.
+	free []*transmission
 
 	// faults, when non-nil, injects radio churn, control-frame loss and
 	// slot jitter into every transmission and delivery.
@@ -160,7 +171,7 @@ func (m *Medium) SetObs(r *obs.Registry) {
 
 // New builds a Medium over a world and simulator.
 func New(sim *des.Simulator, w *world.World) *Medium {
-	return &Medium{
+	m := &Medium{
 		sim:        sim,
 		w:          w,
 		nextID:     1,
@@ -168,6 +179,8 @@ func New(sim *des.Simulator, w *world.World) *Medium {
 		resolveAt:  make(map[des.Time]bool),
 		firstOnAir: make([]int32, w.NumVehicles()),
 	}
+	m.resolveFn = m.resolve
+	return m
 }
 
 // StartListen aims vehicle i's receive beam and registers a handler for
@@ -207,7 +220,15 @@ func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload an
 		}
 		start = now.Add(m.faults.TxDelay(from, now))
 	}
-	tx := &transmission{
+	var tx *transmission
+	if k := len(m.free) - 1; k >= 0 {
+		tx = m.free[k]
+		m.free[k] = nil
+		m.free = m.free[:k]
+	} else {
+		tx = new(transmission)
+	}
+	*tx = transmission{
 		id:      m.nextID,
 		from:    from,
 		beam:    beam,
@@ -220,7 +241,7 @@ func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload an
 	m.obsControlTx.Inc()
 	if !m.resolveAt[tx.end] {
 		m.resolveAt[tx.end] = true
-		m.sim.ScheduleAt(tx.end, "medium.resolve", m.resolve)
+		m.sim.ScheduleAt(tx.end, "medium.resolve", m.resolveFn)
 	}
 }
 
@@ -261,20 +282,26 @@ func overlaps(aStart, aEnd, bStart, bEnd des.Time) bool {
 	return aStart < bEnd && bStart < aEnd
 }
 
-// retireGrace is how long an ended control frame stays in the active list
-// after delivery: frames that started before it ended (possible under clock
-// jitter) must still count its interference at their own resolution.
+// retireGrace bounds how long an ended control frame stays in the active
+// list after delivery: frames that started before it ended (possible under
+// clock jitter) must still count its interference at their own resolution.
 const retireGrace = 100 * time.Microsecond
 
-// resolve delivers every control frame ending now, then retires frames old
-// enough that nothing still on the air overlapped them.
+// resolve delivers every control frame ending now, then retires the frames
+// no later resolution can see (see retire).
 //
 //mmv2v:hotpath the per-slot control-frame resolution; pinned by BenchmarkSectorSlotResolution
 func (m *Medium) resolve() {
 	now := m.sim.Now()
+	m.deliverBatch(now)
+	m.retire(now)
+}
+
+// deliverBatch delivers every control frame ending now.
+func (m *Medium) deliverBatch(now des.Time) {
 	delete(m.resolveAt, now)
-	// Size the reused batch slice exactly: most of m.active is frames
-	// lingering in their grace window, not the batch.
+	// Size the reused batch slice exactly: m.active also holds streams,
+	// frames still on the air and resolved frames not yet retired.
 	size := 0
 	for _, tx := range m.active {
 		if tx.end == now && !tx.stream && !tx.resolved {
@@ -296,16 +323,38 @@ func (m *Medium) resolve() {
 	if len(group) > 0 {
 		m.deliverGroup(group)
 	}
-	clear(group) // let retired frames be collected
+	clear(group)
 	m.group = group[:0]
-	kept := m.active[:0]
-	cutoff := now.Add(-retireGrace)
+}
+
+// retire drops the ended control frames no resolution can observe any more
+// and recycles their records. A resolved frame f stays while some control
+// frame still to resolve started before f ended, since that frame's window
+// overlaps f, but never longer than retireGrace after f ended. Dropping the
+// others is unobservable: a later Transmit starts at or after now
+// (TxDelay ≥ 0), SINRNow skips ended frames, and the fault model is asked
+// only about signals overlapping a resolution window. Streams never end
+// here and do not hold frames back.
+func (m *Medium) retire(now des.Time) {
+	pending := des.Infinity
 	for _, tx := range m.active {
-		if tx.end > now || (tx.resolved && tx.end > cutoff) {
-			//mmv2v:alloc in-place filter: kept shares m.active's backing array and never outgrows it
-			kept = append(kept, tx)
+		if !tx.stream && tx.end > now && tx.start < pending {
+			pending = tx.start
 		}
 	}
+	cutoff := now.Add(-retireGrace)
+	kept := m.active[:0]
+	for _, tx := range m.active {
+		if tx.end > now || (tx.resolved && tx.end > cutoff && tx.end > pending) {
+			//mmv2v:alloc in-place filter: kept shares m.active's backing array and never outgrows it
+			kept = append(kept, tx)
+			continue
+		}
+		tx.payload = nil
+		//mmv2v:alloc amortized: the free list regrows only when a retirement outnumbers every earlier pool
+		m.free = append(m.free, tx)
+	}
+	clear(m.active[len(kept):]) // the tail holds stale copies of kept and retired records
 	m.active = kept
 }
 
@@ -535,7 +584,7 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 			continue
 		}
 		if t.end <= now {
-			continue // retired frame lingering in its grace window
+			continue // resolved frame not yet retired
 		}
 		if m.faults != nil && !m.faults.RadioUp(t.from, now) {
 			continue
@@ -548,6 +597,7 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 // Reset clears all transmissions and listeners (used between frames or
 // trials sharing a medium).
 func (m *Medium) Reset() {
+	clear(m.active)
 	m.active = m.active[:0]
 	m.removals++
 	for i := range m.listeners {

@@ -17,7 +17,9 @@ import (
 	"mmv2v/internal/xrand"
 )
 
-// resolveAllPairs is resolve over the all-pairs reference resolution.
+// resolveAllPairs is resolve over the all-pairs reference resolution. It
+// retires with resolve's own step: this oracle checks deliverGroup, and
+// TestExactRetirementMatchesGrace checks the retirement.
 func (m *Medium) resolveAllPairs() {
 	now := m.sim.Now()
 	delete(m.resolveAt, now)
@@ -31,14 +33,7 @@ func (m *Medium) resolveAllPairs() {
 	if len(group) > 0 {
 		m.deliverGroupAllPairs(group)
 	}
-	kept := m.active[:0]
-	cutoff := now.Add(-retireGrace)
-	for _, tx := range m.active {
-		if tx.end > now || (tx.resolved && tx.end > cutoff) {
-			kept = append(kept, tx)
-		}
-	}
-	m.active = kept
+	m.retire(now)
 }
 
 // deliverGroupAllPairs is the plain resolution deliverGroup replaced, kept
@@ -387,10 +382,11 @@ func TestDeliverGroupMatchesAllPairs(t *testing.T) {
 	}
 }
 
+// compareOracleRuns compares a run with its reference run.
 func compareOracleRuns(t *testing.T, label string, got, want oracleRun) {
 	t.Helper()
 	if len(got.calls) != len(want.calls) {
-		t.Errorf("%s: %d handler calls, all-pairs made %d", label, len(got.calls), len(want.calls))
+		t.Errorf("%s: %d handler calls, reference made %d", label, len(got.calls), len(want.calls))
 	}
 	for i := 0; i < len(got.calls) && i < len(want.calls); i++ {
 		if got.calls[i] != want.calls[i] {
@@ -399,13 +395,13 @@ func compareOracleRuns(t *testing.T, label string, got, want oracleRun) {
 		}
 	}
 	if got.counters != want.counters {
-		t.Errorf("%s: counters %s, all-pairs %s", label, got.counters, want.counters)
+		t.Errorf("%s: counters %s, reference %s", label, got.counters, want.counters)
 	}
 	if !bytes.Equal(got.stats, want.stats) {
 		t.Errorf("%s: statistics differ\n got\n%s want\n%s", label, got.stats, want.stats)
 	}
 	if len(got.asked) != len(want.asked) {
-		t.Errorf("%s: fault model asked about %d radios, all-pairs %d", label, len(got.asked), len(want.asked))
+		t.Errorf("%s: fault model asked about %d radios, reference %d", label, len(got.asked), len(want.asked))
 	}
 	for q := range want.asked {
 		if !got.asked[q] {
@@ -414,9 +410,9 @@ func compareOracleRuns(t *testing.T, label string, got, want oracleRun) {
 		}
 	}
 	if fmt.Sprint(got.active) != fmt.Sprint(want.active) {
-		t.Errorf("%s: active list %v, all-pairs %v", label, got.active, want.active)
+		t.Errorf("%s: active list %v, reference %v", label, got.active, want.active)
 	}
 	if fmt.Sprint(got.listeners) != fmt.Sprint(want.listeners) {
-		t.Errorf("%s: listeners %v, all-pairs %v", label, got.listeners, want.listeners)
+		t.Errorf("%s: listeners %v, reference %v", label, got.listeners, want.listeners)
 	}
 }

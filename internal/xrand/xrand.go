@@ -8,6 +8,13 @@
 // derived by hashing (seed, label, index) with SplitMix64 so that, e.g.,
 // vehicle 7's round-3 coin flip is independent of everything else and stable
 // across runs regardless of event ordering.
+//
+// A stream's draws are math/rand's: each method runs the algorithm of the
+// math/rand method of the same name over a SplitMix64 Source64, so its
+// values equal rand.New over that source bit for bit (pinned by
+// TestDrawsMatchMathRand). The draws are written out here rather than
+// delegated so that a stream is two words with no heap state: the protocols
+// derive a child stream per vehicle per slot.
 package xrand
 
 import "math/rand"
@@ -23,19 +30,31 @@ func splitMix64(state uint64) (uint64, uint64) {
 	return state, z ^ (z >> 31)
 }
 
+// mixInit is Mix's initial state: the fractional bits of sqrt(2).
+const mixInit = 0x6a09e667f3bcc909
+
+// absorb folds one value into a Mix state.
+func absorb(state, v uint64) uint64 {
+	state ^= v
+	state, out := splitMix64(state)
+	return state ^ out
+}
+
+// squeeze finishes a Mix state into its output.
+func squeeze(state uint64) uint64 {
+	_, out := splitMix64(state)
+	return out
+}
+
 // Mix hashes together an arbitrary list of 64-bit values into one
 // well-distributed 64-bit value. It is the derivation function used for all
 // sub-stream seeds.
 func Mix(vs ...uint64) uint64 {
-	state := uint64(0x6a09e667f3bcc909) // fractional bits of sqrt(2)
-	var out uint64
+	state := uint64(mixInit)
 	for _, v := range vs {
-		state ^= v
-		state, out = splitMix64(state)
-		state ^= out
+		state = absorb(state, v)
 	}
-	_, out = splitMix64(state)
-	return out
+	return squeeze(state)
 }
 
 // HashString folds a string into a 64-bit value using FNV-1a, for deriving
@@ -70,19 +89,17 @@ func (s *sm64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *sm64) Seed(seed int64) { s.state = uint64(seed) }
 
-// Source is a deterministic random stream backed by SplitMix64, exposed
-// through math/rand for its distribution helpers, and supporting derivation
-// of independent child streams.
+// Source is a deterministic random stream backed by SplitMix64, drawing with
+// math/rand's algorithms, and supporting derivation of independent child
+// streams.
 type Source struct {
-	seed  uint64
-	state *sm64
-	rng   *rand.Rand
+	seed uint64
+	src  sm64
 }
 
 // New returns a Source rooted at the given seed.
 func New(seed uint64) *Source {
-	st := &sm64{state: Mix(seed)}
-	return &Source{seed: seed, state: st, rng: rand.New(st)}
+	return &Source{seed: seed, src: sm64{state: Mix(seed)}}
 }
 
 // Seed returns the seed this source was created with.
@@ -92,39 +109,111 @@ func (s *Source) Seed() uint64 { return s.seed }
 // list of indices (for example ("role", vehicleID, round)). Calling Child
 // with the same arguments always yields an identically seeded stream, and it
 // does not consume state from the parent, so derivation order is irrelevant.
+// The child is seeded from Mix(parent seed, HashString(label), idx...).
+//
+// Child inlines, so a child that does not outlive its caller lives on the
+// caller's stack: deriving and drawing from a per-slot stream allocates
+// nothing (TestChildAllocFree).
+//
+//mmv2v:hotpath the per-vehicle, per-slot stream derivation of every protocol; pinned by BenchmarkChild
 func (s *Source) Child(label string, idx ...uint64) *Source {
-	vs := make([]uint64, 0, len(idx)+2)
-	vs = append(vs, s.seed, HashString(label))
-	vs = append(vs, idx...)
-	return New(Mix(vs...))
+	seed, state := derive(s.seed, label, idx)
+	//mmv2v:alloc Child inlines into its caller, so a child that does not escape stays on the caller's stack
+	return &Source{seed: seed, src: sm64{state: state}}
 }
 
+// derive returns a child's seed, Mix(parent, HashString(label), idx...),
+// computed without building the argument list, and the initial generator
+// state New gives that seed.
+func derive(parent uint64, label string, idx []uint64) (seed, state uint64) {
+	h := absorb(absorb(mixInit, parent), HashString(label))
+	for _, v := range idx {
+		h = absorb(h, v)
+	}
+	seed = squeeze(h)
+	return seed, squeeze(absorb(mixInit, seed))
+}
+
+// int63 is math/rand's Int63.
+func (s *Source) int63() int64 { return s.src.Int63() }
+
+// int31 is math/rand's Int31.
+func (s *Source) int31() int32 { return int32(s.int63() >> 32) }
+
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.rng.Float64() }
+func (s *Source) Float64() float64 {
+	for {
+		f := float64(s.int63()) / (1 << 63)
+		//mmv2v:exact math/rand's own retry: a draw that rounds up to exactly 1.0 is resampled, which keeps [0, 1) and the math/rand stream
+		if f != 1 {
+			return f
+		}
+	}
+}
 
 // Uint64 returns a uniform 64-bit value.
-func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
+func (s *Source) Uint64() uint64 { return s.src.Uint64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(s.int31n(int32(n)))
+	}
+	return int(s.int63n(int64(n)))
+}
+
+// int31n is math/rand's Int31n: a mask for a power of two, otherwise
+// rejection of the top partial block and a modulo.
+func (s *Source) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return s.int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := s.int31()
+	for v > max {
+		v = s.int31()
+	}
+	return v % n
+}
+
+// int63n is math/rand's Int63n, the 63-bit form of int31n.
+func (s *Source) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.int63()
+	for v > max {
+		v = s.int63()
+	}
+	return v % n
+}
 
 // Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.rng.Float64() < p }
+func (s *Source) Bool(p float64) bool { return s.Float64() < p }
 
 // UniformRange returns a uniform value in [lo, hi).
 func (s *Source) UniformRange(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
-// NormFloat64 returns a standard normal variate.
-func (s *Source) NormFloat64() float64 { return s.rng.NormFloat64() }
+// Perm returns a random permutation of [0, n). It runs math/rand over a
+// copy of the stream's state, then adopts the advanced state.
+func (s *Source) Perm(n int) []int {
+	src := s.src
+	p := rand.New(&src).Perm(n)
+	s.src = src
+	return p
+}
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Source) ExpFloat64() float64 { return s.rng.ExpFloat64() }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
+// Shuffle pseudo-randomizes the order of n elements using swap, like Perm
+// through math/rand.
+func (s *Source) Shuffle(n int, swap func(i, j int)) {
+	src := s.src
+	rand.New(&src).Shuffle(n, swap)
+	s.src = src
+}

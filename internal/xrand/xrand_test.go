@@ -1,7 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -167,4 +169,143 @@ func TestMixUniformity(t *testing.T) {
 			t.Errorf("bucket %d count %d, want ≈%d", b, c, want)
 		}
 	}
+}
+
+// refSplitMix is a textbook SplitMix64 Source64, written independently of
+// the package's generator, as the reference math/rand runs over.
+type refSplitMix struct{ x uint64 }
+
+func (r *refSplitMix) Uint64() uint64 {
+	r.x += 0x9e3779b97f4a7c15
+	z := r.x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (r *refSplitMix) Int63() int64    { return int64(r.Uint64() >> 1) }
+func (r *refSplitMix) Seed(seed int64) { r.x = uint64(seed) }
+
+// intnBounds covers powers of two (the mask path), values just above a
+// power of two (rejection about half the time), small and protocol-sized
+// bounds, and bounds above 2³¹−1 (the 63-bit path).
+var intnBounds = []int{
+	1, 2, 3, 7, 24, 1 << 10, (1 << 10) + 1, 1 << 30, (1 << 30) + 1,
+	1<<31 - 1, 1 << 31, (1 << 31) + 1, 1 << 40, (1 << 40) + 1, (1 << 62) + 1, math.MaxInt64,
+}
+
+// TestDrawsMatchMathRand is the differential test behind the package's
+// contract: for 1000 seeds, several labels and index lists of length 0–9, a
+// child's Seed is Mix(parent, HashString(label), idx...), and every draw
+// equals rand.New over a reference SplitMix64 seeded as New seeds it, with
+// Float64, Intn, Uint64, Bool, UniformRange, Perm and Shuffle interleaved.
+func TestDrawsMatchMathRand(t *testing.T) {
+	labels := []string{"", "x", "rop.slot", "mmv2v.role", "ad.abftslot"}
+	for k := 0; k < 1000; k++ {
+		seed := Mix(uint64(k))
+		if k%2 == 1 {
+			seed = uint64(k) // small seeds too
+		}
+		parent := New(seed)
+		// The root stream itself.
+		compareDraws(t, fmt.Sprintf("New(%#x)", seed), parent, rand.New(&refSplitMix{x: Mix(seed)}), k)
+		label := labels[k%len(labels)]
+		idx := make([]uint64, k%10)
+		for i := range idx {
+			idx[i] = Mix(uint64(k), uint64(i)) >> uint(k%64)
+		}
+		child := parent.Child(label, idx...)
+		want := Mix(append([]uint64{seed, HashString(label)}, idx...)...)
+		if child.Seed() != want {
+			t.Fatalf("seed %#x: Child(%q, %v).Seed() = %#x, want Mix(...) = %#x", seed, label, idx, child.Seed(), want)
+		}
+		compareDraws(t, fmt.Sprintf("New(%#x).Child(%q, %v)", seed, label, idx), child, rand.New(&refSplitMix{x: Mix(want)}), k)
+	}
+}
+
+// compareDraws makes 40 interleaved draws from s and ref, the kind of each
+// chosen by its position and k, and fails on the first difference.
+func compareDraws(t *testing.T, name string, s *Source, ref *rand.Rand, k int) {
+	t.Helper()
+	for d := 0; d < 40; d++ {
+		var got, want string
+		switch op := (k + d*3) % 7; op {
+		case 0:
+			got = fmt.Sprint(math.Float64bits(s.Float64()))
+			want = fmt.Sprint(math.Float64bits(ref.Float64()))
+		case 1:
+			n := intnBounds[(k+d)%len(intnBounds)]
+			got, want = fmt.Sprint(n, s.Intn(n)), fmt.Sprint(n, ref.Intn(n))
+		case 2:
+			got, want = fmt.Sprint(s.Uint64()), fmt.Sprint(ref.Uint64())
+		case 3:
+			p := float64(d%5) / 4
+			got, want = fmt.Sprint(s.Bool(p)), fmt.Sprint(ref.Float64() < p)
+		case 4:
+			lo, hi := -float64(d), float64(k)+0.5
+			got = fmt.Sprint(math.Float64bits(s.UniformRange(lo, hi)))
+			want = fmt.Sprint(math.Float64bits(lo + (hi-lo)*ref.Float64()))
+		case 5:
+			n := d % 13
+			got, want = fmt.Sprint(s.Perm(n)), fmt.Sprint(ref.Perm(n))
+		case 6:
+			a, b := make([]int, d%11), make([]int, d%11)
+			for i := range a {
+				a[i], b[i] = i, i
+			}
+			s.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+			ref.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+			got, want = fmt.Sprint(a), fmt.Sprint(b)
+		}
+		if got != want {
+			t.Fatalf("%s: draw %d: got %s, math/rand %s", name, d, got, want)
+		}
+	}
+}
+
+// TestIntnPanicsOnNonPositive keeps math/rand's contract for a bad bound.
+func TestIntnPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			New(1).Intn(n)
+		}()
+	}
+}
+
+// TestChildAllocFree pins the per-slot derivation the protocols make for
+// every vehicle: a child that does not outlive its caller, and its draws,
+// allocate nothing.
+func TestChildAllocFree(t *testing.T) {
+	src := New(1).Child("protocol")
+	var i, sink uint64
+	intn := testing.AllocsPerRun(1000, func() {
+		sink += uint64(src.Child("x", i, 7, 3).Intn(24))
+		i++
+	})
+	coin := testing.AllocsPerRun(1000, func() {
+		if src.Child("x", i, 7, 3).Bool(0.5) {
+			sink++
+		}
+		i++
+	})
+	if intn != 0 || coin != 0 {
+		t.Errorf("Child(...).Intn(24) allocates %v, Child(...).Bool(0.5) %v; want 0 and 0", intn, coin)
+	}
+	_ = sink
+}
+
+// BenchmarkChild measures one per-slot stream derivation and draw.
+func BenchmarkChild(b *testing.B) {
+	src := New(1).Child("protocol")
+	b.ReportAllocs()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += src.Child("rop.slot", uint64(i), 7, 3).Intn(24)
+	}
+	_ = sink
 }
