@@ -219,9 +219,11 @@ func OmniPattern() Pattern {
 // PatternCache memoizes patterns by beam width; the simulator uses only a
 // handful of widths (α, β, θ_min, quasi-omni) but evaluates gains millions
 // of times. A linear scan over that handful beats hashing a float64 key.
+// Each width's pattern is derived once and shared, so callers may hold the
+// returned pointer for the cache's lifetime.
 type PatternCache struct {
 	sideLobe units.DB
-	patterns []Pattern
+	patterns []*Pattern
 }
 
 // NewPatternCache builds a cache with the given side-lobe level.
@@ -229,16 +231,17 @@ func NewPatternCache(sideLobe units.DB) *PatternCache {
 	return &PatternCache{sideLobe: sideLobe}
 }
 
-// Get returns the pattern for a beam width, deriving it on first use.
-func (c *PatternCache) Get(width units.Radian) Pattern {
-	for i := range c.patterns {
+// Get returns the pattern for a beam width, deriving it on first use. The
+// pattern must not be modified.
+func (c *PatternCache) Get(width units.Radian) *Pattern {
+	for _, p := range c.patterns {
 		//mmv2v:exact memo key: the same equality a map keyed by width would use
-		if c.patterns[i].Width == width {
-			return c.patterns[i]
+		if p.Width == width {
+			return p
 		}
 	}
 	p := NewPattern(width, c.sideLobe)
-	//mmv2v:alloc memoization miss: each distinct beam width is derived and appended once per run
-	c.patterns = append(c.patterns, p)
-	return p
+	//mmv2v:alloc memoization miss: each distinct beam width is derived and stored once per run
+	c.patterns = append(c.patterns, &p)
+	return &p
 }

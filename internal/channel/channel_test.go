@@ -270,7 +270,7 @@ func TestPatternCache(t *testing.T) {
 		t.Error("cached 12° beam should out-gain 30° beam")
 	}
 	for _, w := range []units.Radian{geom.Deg(30), geom.Deg(12), geom.Deg(3), 2 * math.Pi} {
-		if got, want := c.Get(w), NewPattern(w, 20); got != want {
+		if got, want := *c.Get(w), NewPattern(w, 20); got != want {
 			t.Errorf("Get(%v) = %+v, want NewPattern's %+v", w, got, want)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"mmv2v/internal/phy"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/traffic"
+	"mmv2v/internal/units"
 	"mmv2v/internal/world"
 	"mmv2v/internal/xrand"
 )
@@ -80,6 +81,13 @@ func TestParamsValidate(t *testing.T) {
 		{"c zero", func(p *Params) { p.C = 0 }},
 		{"staleness zero", func(p *Params) { p.StalenessFrames = 0 }},
 		{"bad codebook", func(p *Params) { p.Codebook.Sectors.Count = 3 }},
+		// Beam widths outside the antenna pattern's domain (0, 2π].
+		{"tx width 7 rad", func(p *Params) { p.Codebook.TxWidth = 7 }},
+		{"tx width NaN", func(p *Params) { p.Codebook.TxWidth = units.Radian(math.NaN()) }},
+		{"rx width +Inf", func(p *Params) { p.Codebook.RxWidth = units.Radian(math.Inf(1)) }},
+		{"rx width negative", func(p *Params) { p.Codebook.RxWidth = -p.Codebook.RxWidth }},
+		{"narrow width NaN", func(p *Params) { p.Codebook.NarrowWidth = units.Radian(math.NaN()) }},
+		{"narrow width -Inf", func(p *Params) { p.Codebook.NarrowWidth = units.Radian(math.Inf(-1)) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

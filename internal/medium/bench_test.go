@@ -66,7 +66,7 @@ func BenchmarkSINRNow(b *testing.B) {
 	var tx, rx int
 	for i := 1; i < w.NumVehicles(); i += 2 {
 		if ls := w.Links(i); len(ls) > 0 {
-			tx, rx = i, ls[0].J
+			tx, rx = i, int(ls[0].J)
 			break
 		}
 	}

@@ -166,7 +166,7 @@ func (m *Medium) SetObs(r *obs.Registry) {
 	m.obsFaultMuted = r.Counter("medium.fault_muted_tx")
 	m.obsRxAims = r.Counter("medium.rx_beam_aims")
 	m.obsStreamStarts = r.Counter("medium.stream_starts")
-	m.obsControlSINRdB = r.Histogram("medium.control_sinr_db", obs.LinearBuckets(-10, 5, 9))
+	m.obsControlSINRdB = r.Histogram("medium.control_sinr_db", obs.LinearBuckets(phy.NearMissSINR.Decibels(), 5, 9))
 }
 
 // New builds a Medium over a world and simulator.
@@ -361,6 +361,8 @@ func (m *Medium) retire(now des.Time) {
 // airTerm is one transmission on the air during a resolution window.
 type airTerm struct {
 	tx *transmission
+	// aim is tx's beam, resolved once per indexing.
+	aim world.Aim
 	// rxMw is tx's received power at the listener being resolved; valid
 	// where that listener's heard bit is set.
 	rxMw units.MilliWatt
@@ -469,7 +471,7 @@ func (m *Medium) indexOnAir(group []*transmission, groupStart, now des.Time) {
 		}
 		k := int32(len(on))
 		//mmv2v:alloc never grows: the capacity was sized to the window's signals above
-		on = append(on, airTerm{tx: tx, next: m.firstOnAir[tx.from], live: m.faults == nil, group: inGroup})
+		on = append(on, airTerm{tx: tx, aim: m.w.Aim(tx.beam), next: m.firstOnAir[tx.from], live: m.faults == nil, group: inGroup})
 		m.firstOnAir[tx.from] = k
 	}
 	m.onAir = on
@@ -492,16 +494,20 @@ func (m *Medium) askRadios(now des.Time) {
 
 // collect evaluates the power listener j receives from every live term on
 // the air whose sender is in j's link slice, marks each in heard, and
-// returns their sum in onAir (that is, m.active) order.
+// returns their sum in onAir (that is, m.active) order. Each power reads
+// only j's own link entry.
 func (m *Medium) collect(j int, rxBeam phy.Beam) units.MilliWatt {
-	for _, lnk := range m.w.Links(j) {
+	rx := m.w.Aim(rxBeam)
+	links := m.w.Links(j)
+	for i := range links {
+		lnk := &links[i]
 		for k := m.firstOnAir[lnk.J]; k >= 0; k = m.onAir[k].next {
 			a := &m.onAir[k]
 			// A transmitter whose radio died mid-frame radiates nothing.
 			if !a.live {
 				continue
 			}
-			a.rxMw = m.w.RxPowerMwOver(j, lnk, a.tx.beam, rxBeam)
+			a.rxMw = m.w.RxPowerMwOn(lnk, a.aim, rx)
 			m.heard[k/64] |= 1 << (k % 64)
 		}
 	}
@@ -514,8 +520,16 @@ func (m *Medium) collect(j int, rxBeam phy.Beam) units.MilliWatt {
 	return total
 }
 
+// silentBelow is the linear SINR under which a heard frame can neither
+// decode nor count as a near miss: the lower of the two thresholds decode
+// compares, less 0.01 dB. The margin is far above the rounding error of the
+// ratio and of Log10, so a frame below the bound would also fall below both
+// thresholds in dB.
+var silentBelow = (min(phy.NearMissSINR, phy.MCS(0).MinSNRdB()) - 0.01).Linear()
+
 // decode delivers the batch frames listener j heard, in onAir order, given
-// j's total incident power.
+// j's total incident power. With statistics off, a frame below silentBelow
+// is skipped before its logarithm: its SINR observation is its only effect.
 func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now des.Time) {
 	for w, word := range m.heard {
 		for ; word != 0; word &= word - 1 {
@@ -530,7 +544,11 @@ func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now de
 			if desired == 0 {
 				continue
 			}
-			sinr := units.RatioDB(desired, noise+(total-desired))
+			rest := noise + (total - desired)
+			if m.obsControlSINRdB == nil && desired < rest.Times(silentBelow) {
+				continue
+			}
+			sinr := units.RatioDB(desired, rest)
 			m.obsControlSINRdB.Observe(sinr.Decibels())
 			if phy.ControlDecodable(sinr) {
 				if m.faults != nil && m.faults.DropControl(g.from, j, now) {
@@ -552,7 +570,7 @@ func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now de
 				if !l.active {
 					return
 				}
-			} else if sinr > -10 {
+			} else if sinr > phy.NearMissSINR {
 				// Near-miss: an aligned listener lost a decodable-class
 				// frame to interference or blockage.
 				m.Lost++

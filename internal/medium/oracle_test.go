@@ -219,9 +219,11 @@ func newOracleCase(rng *xrand.Source, w *world.World) oracleCase {
 type oracleRun struct {
 	calls    []string
 	counters string
-	// outcomes tallies delivered, SINR-lost and fault-lost frames, and the
-	// handlers' StopStream removals and Resets (each forces a re-index).
-	outcomes  [4]uint64
+	// outcomes tallies delivered, SINR-lost and fault-lost frames, the
+	// handlers' StopStream removals and Resets (each forces a re-index), and
+	// the SINR observations at or below the near-miss floor (the frames
+	// decode skips with statistics off; 0 when statistics are off).
+	outcomes  [5]uint64
 	stats     []byte
 	asked     map[[2]int64]bool
 	active    []string
@@ -229,14 +231,18 @@ type oracleRun struct {
 }
 
 // runOracleCase installs c on a fresh medium over w and resolves it with
-// resolve. Handlers log every call bit for bit, then draw a side effect
-// from a per-run RNG: re-aim or stop their own receiver, start or stop
-// another vehicle's, transmit, start or stop a stream, or reset the medium.
-func runOracleCase(w *world.World, c oracleCase, resolve func(*Medium)) oracleRun {
+// resolve, with a statistics registry installed or not. Handlers log every
+// call bit for bit, then draw a side effect from a per-run RNG: re-aim or
+// stop their own receiver, start or stop another vehicle's, transmit, start
+// or stop a stream, or reset the medium.
+func runOracleCase(w *world.World, c oracleCase, resolve func(*Medium), stats bool) oracleRun {
 	sim := des.New()
 	m := New(sim, w)
-	reg := obs.New()
-	m.SetObs(reg)
+	var reg *obs.Registry
+	if stats {
+		reg = obs.New()
+		m.SetObs(reg)
+	}
 	var ff *fakeFaults
 	if c.faults {
 		ff = &fakeFaults{seed: c.seed, asked: map[[2]int64]bool{}}
@@ -293,12 +299,20 @@ func runOracleCase(w *world.World, c oracleCase, resolve func(*Medium)) oracleRu
 
 	run.counters = fmt.Sprintf("delivered=%d lost=%d faultLost=%d mutedTx=%d",
 		m.Delivered, m.Lost, m.FaultLost, m.FaultMutedTx)
-	run.outcomes = [4]uint64{m.Delivered, m.Lost, m.FaultLost, m.removals}
-	var buf bytes.Buffer
-	if err := obs.WriteCSV(&buf, reg.Rows("")); err != nil {
-		panic(err)
+	run.outcomes = [5]uint64{m.Delivered, m.Lost, m.FaultLost, m.removals}
+	if reg != nil {
+		rows := reg.Rows("")
+		for _, row := range rows {
+			if row.Name == "medium.control_sinr_db" {
+				run.outcomes[4] = row.Buckets[0].N
+			}
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteCSV(&buf, rows); err != nil {
+			panic(err)
+		}
+		run.stats = buf.Bytes()
 	}
-	run.stats = buf.Bytes()
 	if ff != nil {
 		run.asked = ff.asked
 	}
@@ -353,7 +367,10 @@ func oracleWorlds(t *testing.T) []namedWorld {
 // the all-pairs reference over randomized cases and requires the same
 // handler calls (SINR and SNR compared bit for bit), counters, statistics
 // (the SINR histogram's float sum included), fault-model queries, and final
-// medium state.
+// medium state. Each case runs the resolution a second time with statistics
+// off, where decode skips the frames below both thresholds before taking
+// their logarithm: everything but the statistics must still match the
+// reference.
 func TestDeliverGroupMatchesAllPairs(t *testing.T) {
 	cases := 150
 	if testing.Short() {
@@ -361,24 +378,30 @@ func TestDeliverGroupMatchesAllPairs(t *testing.T) {
 	}
 	for _, nw := range oracleWorlds(t) {
 		rng := xrand.New(xrand.HashString(nw.name))
-		var outcomes [4]uint64
+		var outcomes [5]uint64
 		for k := 0; k < cases; k++ {
 			c := newOracleCase(rng, nw.w)
-			got := runOracleCase(nw.w, c, (*Medium).resolve)
-			want := runOracleCase(nw.w, c, (*Medium).resolveAllPairs)
-			compareOracleRuns(t, fmt.Sprintf("%s case %d (faults=%v)", nw.name, k, c.faults), got, want)
+			label := fmt.Sprintf("%s case %d (faults=%v)", nw.name, k, c.faults)
+			got := runOracleCase(nw.w, c, (*Medium).resolve, true)
+			want := runOracleCase(nw.w, c, (*Medium).resolveAllPairs, true)
+			compareOracleRuns(t, label, got, want)
+			quiet := runOracleCase(nw.w, c, (*Medium).resolve, false)
+			wantQuiet := want
+			wantQuiet.stats = nil
+			compareOracleRuns(t, label+" statistics off", quiet, wantQuiet)
 			for i, v := range want.outcomes {
 				outcomes[i] += v
 			}
 		}
 		// The cases must reach every branch: decoded, lost to SINR, lost to
-		// the fault model, and re-indexed after a handler's StopStream.
-		for i, what := range []string{"delivered", "SINR-lost", "fault-lost", "re-index"} {
+		// the fault model, re-indexed after a handler's StopStream, and heard
+		// below the near-miss floor.
+		for i, what := range []string{"delivered", "SINR-lost", "fault-lost", "re-index", "below-floor"} {
 			if outcomes[i] == 0 {
 				t.Errorf("%s: no %s outcome over %d cases", nw.name, what, cases)
 			}
 		}
-		t.Logf("%s: %d cases, delivered/lost/fault-lost/removals %v", nw.name, cases, outcomes)
+		t.Logf("%s: %d cases, delivered/lost/fault-lost/removals/below-floor %v", nw.name, cases, outcomes)
 	}
 }
 

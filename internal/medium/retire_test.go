@@ -152,7 +152,7 @@ func runRetireCase(t *testing.T, w *world.World, c retireCase, retire func(*Medi
 			if len(ls) == 0 {
 				continue
 			}
-			rx := ls[probe.Intn(len(ls))].J
+			rx := int(ls[probe.Intn(len(ls))].J)
 			sinr := m.SINRNow(tx, rx, randomBeam(probe, w, tx), randomBeam(probe, w, rx))
 			run.calls = append(run.calls, fmt.Sprintf("sinr %d->%d at=%d %016x", tx, rx, now, math.Float64bits(sinr.Decibels())))
 		}

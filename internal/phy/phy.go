@@ -100,6 +100,12 @@ func DataRate(sinr units.DB) float64 {
 // at the given SINR.
 func ControlDecodable(sinr units.DB) bool { return sinr >= mcsTable[0].minSNRdB }
 
+// NearMissSINR is the near-miss floor: a control frame an aligned listener
+// hears above it but cannot decode was lost to interference or blockage,
+// while one below it was never within reach. It sits below MCS0's
+// decodable SINR.
+const NearMissSINR units.DB = -10
+
 // EVMFromSINR converts a SINR in dB to EVM via the paper's cited rule
 // (ref [14]): EVM = SINR^{-1/2} with SINR linear.
 func EVMFromSINR(sinr units.DB) float64 {
@@ -180,14 +186,22 @@ func DefaultCodebook() Codebook {
 	}
 }
 
-// Validate reports codebook configuration errors.
+// Validate reports codebook configuration errors. Every beam width must lie
+// in (0, 2π], the domain of the antenna pattern (channel.NewPattern); NaN
+// and ±Inf fail.
 func (c Codebook) Validate() error {
-	switch {
-	case c.Sectors.Count <= 0 || c.Sectors.Count%2 != 0:
+	if c.Sectors.Count <= 0 || c.Sectors.Count%2 != 0 {
 		return fmt.Errorf("phy: sector count %d must be positive and even", c.Sectors.Count)
-	case c.TxWidth <= 0 || c.RxWidth <= 0 || c.NarrowWidth <= 0:
-		return fmt.Errorf("phy: non-positive beam width")
-	case c.NarrowWidth > c.Sectors.Pitch():
+	}
+	for _, bw := range [...]struct {
+		name  string
+		width units.Radian
+	}{{"tx", c.TxWidth}, {"rx", c.RxWidth}, {"narrow", c.NarrowWidth}} {
+		if !(bw.width > 0 && bw.width <= 2*math.Pi) {
+			return fmt.Errorf("phy: %s beam width %v rad outside (0, 2π]", bw.name, bw.width)
+		}
+	}
+	if c.NarrowWidth > c.Sectors.Pitch() {
 		return fmt.Errorf("phy: narrow beam %v wider than sector pitch %v", c.NarrowWidth, c.Sectors.Pitch())
 	}
 	return nil

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -166,13 +167,23 @@ func TestDefaultCodebook(t *testing.T) {
 }
 
 func TestCodebookValidate(t *testing.T) {
-	tests := []struct {
+	type invalid struct {
 		name   string
 		mutate func(*Codebook)
-	}{
+	}
+	tests := []invalid{
 		{"odd sectors", func(c *Codebook) { c.Sectors.Count = 23 }},
 		{"zero tx width", func(c *Codebook) { c.TxWidth = 0 }},
 		{"narrow wider than pitch", func(c *Codebook) { c.NarrowWidth = geom.Deg(20) }},
+	}
+	// Every width outside channel.NewPattern's domain (0, 2π] fails, for
+	// each of the three widths.
+	for _, w := range []units.Radian{0, -geom.Deg(30), units.Radian(math.NaN()), units.Radian(math.Inf(1)),
+		units.Radian(math.Inf(-1)), units.Radian(math.Nextafter(2*math.Pi, 7)), 7} {
+		tests = append(tests,
+			invalid{fmt.Sprintf("tx width %v", w), func(c *Codebook) { c.TxWidth = w }},
+			invalid{fmt.Sprintf("rx width %v", w), func(c *Codebook) { c.RxWidth = w }},
+			invalid{fmt.Sprintf("narrow width %v", w), func(c *Codebook) { c.NarrowWidth = w }})
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -182,6 +193,25 @@ func TestCodebookValidate(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+	// The domain's upper end is a valid, if unusual, sweep beam.
+	cb := DefaultCodebook()
+	cb.TxWidth, cb.RxWidth = 2*math.Pi, 2*math.Pi
+	if err := cb.Validate(); err != nil {
+		t.Errorf("2π tx and rx widths: %v", err)
+	}
+}
+
+// TestNearMissFloorBelowMCS0 pins the order of the two thresholds a heard
+// control frame is compared with: the near-miss floor sits below MCS0's
+// decodable SINR, so a frame below the floor can neither decode nor count
+// as a near miss.
+func TestNearMissFloorBelowMCS0(t *testing.T) {
+	if !(NearMissSINR < MCS(0).MinSNRdB()) {
+		t.Fatalf("near-miss floor %v not below MCS0's decodable SINR %v", NearMissSINR, MCS(0).MinSNRdB())
+	}
+	if ControlDecodable(NearMissSINR) {
+		t.Errorf("a control frame at the near-miss floor %v decodes", NearMissSINR)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestLinkLookupAllocFree(t *testing.T) {
 	found := false
 	for i := 0; i < w.NumVehicles() && !found; i++ {
 		if ls := w.Links(i); len(ls) > 0 {
-			tx, rx = i, ls[len(ls)/2].J
+			tx, rx = i, int(ls[len(ls)/2].J)
 			found = true
 		}
 	}

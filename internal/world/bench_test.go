@@ -55,7 +55,7 @@ func BenchmarkLinkLookup(b *testing.B) {
 	found := false
 	for i := 0; i < w.NumVehicles() && !found; i++ {
 		if ls := w.Links(i); len(ls) > 0 {
-			tx, rx = i, ls[len(ls)/2].J
+			tx, rx = i, int(ls[len(ls)/2].J)
 			found = true
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkRxPower(b *testing.B) {
 	found := false
 	for i := 0; i < w.NumVehicles() && !found; i++ {
 		if ls := w.Links(i); len(ls) > 0 {
-			tx, rx = i, ls[0].J
+			tx, rx = i, int(ls[0].J)
 			found = true
 		}
 	}

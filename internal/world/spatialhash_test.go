@@ -78,51 +78,52 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 		for i := 0; i < n; i++ {
 			prevRank := int32(-1)
 			for _, l := range w.Links(i) {
-				if w.rank[l.J] <= prevRank {
+				j := int(l.J)
+				if w.rank[j] <= prevRank {
 					t.Fatalf("trial %d: links[%d] not strictly rank-sorted", trial, i)
 				}
-				prevRank = w.rank[l.J]
-				if i < l.J {
+				prevRank = w.rank[j]
+				if i < j {
 					got++
-					blockers, ok := want[pairKey{i, l.J}]
+					blockers, ok := want[pairKey{i, j}]
 					if !ok {
-						t.Fatalf("trial %d: hash produced pair (%d,%d) outside interference range", trial, i, l.J)
+						t.Fatalf("trial %d: hash produced pair (%d,%d) outside interference range", trial, i, j)
 					}
-					if l.Blockers != blockers {
+					if int(l.Blockers) != blockers {
 						t.Fatalf("trial %d: pair (%d,%d) blockers %d, exhaustive scan says %d",
-							trial, i, l.J, l.Blockers, blockers)
+							trial, i, j, l.Blockers, blockers)
 					}
 				}
-				if l.Dist != w.pos[i].Dist(w.pos[l.J]) {
-					t.Fatalf("trial %d: link (%d,%d) distance mismatch", trial, i, l.J)
+				if l.Dist != w.pos[i].Dist(w.pos[j]) {
+					t.Fatalf("trial %d: link (%d,%d) distance mismatch", trial, i, j)
 				}
 				// Bearings are computed once from the lower-rank side; the
 				// reverse entry is the forward bearing rotated exactly π.
-				if w.rank[i] < w.rank[l.J] {
-					if l.Bearing != w.pos[i].BearingTo(w.pos[l.J]) {
-						t.Fatalf("trial %d: link (%d,%d) forward bearing mismatch", trial, i, l.J)
+				if w.rank[i] < w.rank[j] {
+					if l.Bearing != w.pos[i].BearingTo(w.pos[j]) {
+						t.Fatalf("trial %d: link (%d,%d) forward bearing mismatch", trial, i, j)
 					}
 				} else {
-					fwd := w.pos[l.J].BearingTo(w.pos[i])
+					fwd := w.pos[j].BearingTo(w.pos[i])
 					if l.Bearing != geom.NormalizeBearing(fwd+geom.Bearing(math.Pi)) {
-						t.Fatalf("trial %d: link (%d,%d) reverse bearing mismatch", trial, i, l.J)
+						t.Fatalf("trial %d: link (%d,%d) reverse bearing mismatch", trial, i, j)
 					}
 				}
 				if !(l.PathGainLin > 0) {
-					t.Fatalf("trial %d: link (%d,%d) non-positive gain %v", trial, i, l.J, l.PathGainLin)
+					t.Fatalf("trial %d: link (%d,%d) non-positive gain %v", trial, i, j, l.PathGainLin)
 				}
 				// Link lookup (slot probe or binary search) must agree with
 				// the slice entry itself.
-				ll, ok := w.Link(i, l.J)
+				ll, ok := w.Link(i, j)
 				if !ok || ll != l {
-					t.Fatalf("trial %d: Link(%d,%d) lookup disagrees with links slice", trial, i, l.J)
+					t.Fatalf("trial %d: Link(%d,%d) lookup disagrees with links slice", trial, i, j)
 				}
 			}
 			// Neighbors are exactly the LOS links within CommRange, in order.
 			var wantN []int
 			for _, l := range w.Links(i) {
 				if l.Blockers == 0 && l.Dist <= cfg.CommRange {
-					wantN = append(wantN, l.J)
+					wantN = append(wantN, int(l.J))
 				}
 			}
 			gotN := w.Neighbors(i)

@@ -84,12 +84,17 @@ func (c Config) CellSizeM() float64 {
 
 // Link is one directed entry of the pair table: the link from a vehicle to
 // peer J. Dist, Blockers and PathGainLin are symmetric; Bearing is the
-// compass bearing from the owning vehicle toward J.
+// compass bearing from the owning vehicle toward J, and BackBearing the
+// bearing from J toward the owner (bit for bit J's own entry's Bearing), so
+// one entry carries everything a received power needs. J and Blockers are
+// int32, like the world's other vehicle indexes, so the entry stays 40
+// bytes.
 type Link struct {
-	J           int
+	J           int32
+	Blockers    int32
 	Dist        units.Meter
 	Bearing     geom.Bearing
-	Blockers    int
+	BackBearing geom.Bearing
 	PathGainLin float64
 }
 
@@ -103,6 +108,8 @@ type World struct {
 	fleet    traffic.Fleet
 	model    *channel.Model
 	patterns *channel.PatternCache
+	// omni is the isotropic pattern quasi-omni beams resolve to.
+	omni channel.Pattern
 
 	n         int
 	pos       []geom.Vec
@@ -195,6 +202,7 @@ func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 		fleet:     fleet,
 		model:     model,
 		patterns:  channel.NewPatternCache(cfg.Channel.SideLobeDB),
+		omni:      channel.OmniPattern(),
 		n:         n,
 		pos:       make([]geom.Vec, n),
 		heading:   make([]geom.Bearing, n),
@@ -403,9 +411,11 @@ func (w *World) Refresh() {
 					bAB := pa.BearingTo(pb)
 					bBA := geom.NormalizeBearing(bAB + geom.Bearing(math.Pi))
 					//mmv2v:alloc amortized: per-vehicle link tables grow to steady-state degree and are reused across refreshes
-					w.links[a] = append(w.links[a], Link{J: b, Dist: d, Bearing: bAB, Blockers: blockers, PathGainLin: gain})
+					w.links[a] = append(w.links[a], Link{J: int32(b), Blockers: int32(blockers), Dist: d,
+						Bearing: bAB, BackBearing: bBA, PathGainLin: gain})
 					//mmv2v:alloc amortized: same reused backing array, mirror entry of the pair
-					w.links[b] = append(w.links[b], Link{J: a, Dist: d, Bearing: bBA, Blockers: blockers, PathGainLin: gain})
+					w.links[b] = append(w.links[b], Link{J: int32(a), Blockers: int32(blockers), Dist: d,
+						Bearing: bBA, BackBearing: bAB, PathGainLin: gain})
 					entries += 2
 					if blockers > 0 {
 						nlos++
@@ -433,7 +443,7 @@ func (w *World) rebuildIndex() {
 		for _, l := range ls {
 			if l.Blockers == 0 && l.Dist <= w.cfg.CommRange {
 				//mmv2v:alloc amortized: neighbor sets grow to steady-state degree and are reused across refreshes
-				w.neighbors[i] = append(w.neighbors[i], l.J)
+				w.neighbors[i] = append(w.neighbors[i], int(l.J))
 			}
 		}
 		if len(ls) == 0 {
@@ -638,7 +648,7 @@ func (w *World) Link(i, j int) (Link, bool) {
 			hi = mid
 		}
 	}
-	if lo < len(ls) && ls[lo].J == j {
+	if lo < len(ls) && int(ls[lo].J) == j {
 		return ls[lo], true
 	}
 	return Link{}, false
@@ -686,34 +696,42 @@ func (w *World) TotalLinks() int {
 	return total
 }
 
-// beamGain evaluates the antenna gain of a beam toward a target bearing.
-func (w *World) beamGain(beam phy.Beam, toward geom.Bearing) float64 {
+// Aim is a beam resolved for gain evaluation: its boresight and the antenna
+// pattern of its width, looked up once (World.Aim) and then evaluated
+// against any number of links.
+type Aim struct {
+	Bearing geom.Bearing
+	pattern *channel.Pattern
+}
+
+// Aim resolves a beam's antenna pattern from the world's pattern cache. A
+// quasi-omni beam gets the isotropic pattern, whose gain is exactly 1 at
+// every angle.
+func (w *World) Aim(beam phy.Beam) Aim {
 	if beam.IsOmni() {
-		return 1
+		return Aim{Bearing: beam.Bearing, pattern: &w.omni}
 	}
-	return w.patterns.Get(beam.Width).Gain(geom.AngleDiff(beam.Bearing, toward))
+	return Aim{Bearing: beam.Bearing, pattern: w.patterns.Get(beam.Width)}
+}
+
+// RxPowerMwOn is the gain kernel, the one formula behind every received
+// power: the power l's owner receives from l.J when l.J transmits with tx
+// and the owner listens with rx. It reads only l: BackBearing is l.J's
+// bearing toward the owner and Bearing the owner's toward l.J.
+func (w *World) RxPowerMwOn(l *Link, tx, rx Aim) units.MilliWatt {
+	gTx := tx.pattern.Gain(geom.AngleDiff(tx.Bearing, l.BackBearing)) // tx's gain toward rx (Eq. 2)
+	gRx := rx.pattern.Gain(geom.AngleDiff(rx.Bearing, l.Bearing))     // rx's gain toward tx
+	return units.MilliWatt(w.model.TxPowerMw().MW() * gTx * l.PathGainLin * gRx)
 }
 
 // RxPowerMw returns the power vehicle rx receives from tx given both beam
 // configurations, or 0 if the pair is out of interference range.
 func (w *World) RxPowerMw(tx, rx int, txBeam, rxBeam phy.Beam) units.MilliWatt {
-	back, ok := w.Link(rx, tx)
+	l, ok := w.Link(rx, tx)
 	if !ok {
 		return 0
 	}
-	return w.RxPowerMwOver(rx, back, txBeam, rxBeam)
-}
-
-// RxPowerMwOver is RxPowerMw for a pair whose link entry the caller already
-// holds: back is rx's own entry toward the transmitter back.J (an element
-// of Links(rx)), so only the transmitter's mirror entry is looked up. Both
-// bearings come from the stored entries: recomputing one from the other
-// (±π) is not bit-identical for the pair's higher-rank side.
-func (w *World) RxPowerMwOver(rx int, back Link, txBeam, rxBeam phy.Beam) units.MilliWatt {
-	lnk, _ := w.Link(back.J, rx)
-	gTx := w.beamGain(txBeam, lnk.Bearing)  // tx's gain toward rx
-	gRx := w.beamGain(rxBeam, back.Bearing) // rx's gain toward tx
-	return units.MilliWatt(w.model.TxPowerMw().MW() * gTx * lnk.PathGainLin * gRx)
+	return w.RxPowerMwOn(&l, w.Aim(txBeam), w.Aim(rxBeam))
 }
 
 // SNRdB returns the interference-free SNR of a directed link with the given

