@@ -11,12 +11,9 @@ func TestADMembershipStickyBetweenReassociations(t *testing.T) {
 	params := DefaultADParams()
 	params.ReassocEvery = 5
 	a := NewAD(env, params)
-	runFrames(env, a, 3) // frames 0..2: one association round at frame 0
+	env.DriveFrames(a, 0, 3) // frames 0..2: one association round at frame 0
 	joinedAt2 := append([]int(nil), a.joined...)
-	runFrames2 := func(from, n int) {
-		env.DriveFrames(a, from, n)
-	}
-	runFrames2(3, 1) // frame 3, still inside the same association period
+	env.DriveFrames(a, 3, 1) // frame 3, still inside the same association period
 	for i, j := range a.joined {
 		if j != joinedAt2[i] {
 			t.Errorf("vehicle %d membership changed mid-period: %d → %d", i, joinedAt2[i], j)
@@ -31,7 +28,7 @@ func TestADSPRotationCoversPairs(t *testing.T) {
 	ring := trace.NewRing(10000)
 	env.Trace = trace.New(ring)
 	a := NewAD(env, DefaultADParams())
-	runFrames(env, a, 10)
+	env.DriveFrames(a, 0, 10)
 	// Collect distinct streaming pairs from the trace.
 	pairs := map[[2]int]bool{}
 	for _, e := range ring.Events() {
@@ -54,7 +51,7 @@ func TestADNoPCPsNoTraffic(t *testing.T) {
 	// never exchange regardless of election.
 	env := buildEnv(t, 1e12, []int{1}, []float64{0})
 	a := NewAD(env, DefaultADParams())
-	runFrames(env, a, 5)
+	env.DriveFrames(a, 0, 5)
 	if env.Ledger.TotalBits() != 0 {
 		t.Error("single vehicle exchanged data")
 	}

@@ -15,9 +15,9 @@ import (
 
 // TestROPDiscoverySlotAllocs pins the steady-state allocation of one ROP
 // discovery slot at 15 vpl: every vehicle's private role and sector draw,
-// the aims and sweeps, and the slot's resolution allocate only the des
-// event that schedules the resolution. The slot repeats with the same
-// draws, so after the first run every decoded neighbor is already known.
+// the aims and sweeps, and scheduling and running the slot's resolution
+// allocate nothing. The slot repeats with the same draws, so after the
+// first run every decoded neighbor is already known.
 func TestROPDiscoverySlotAllocs(t *testing.T) {
 	road, err := traffic.New(traffic.DefaultConfig(15), xrand.New(3))
 	if err != nil {
@@ -48,7 +48,7 @@ func TestROPDiscoverySlotAllocs(t *testing.T) {
 	if env.Medium.Delivered == before {
 		t.Fatal("the slot delivered nothing; the guard exercises no handler")
 	}
-	if allocs > 1 {
-		t.Errorf("a ROP discovery slot allocates %v times, want at most 1 (the resolution's des event)", allocs)
+	if allocs != 0 {
+		t.Errorf("a ROP discovery slot allocates %v times, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"testing"
-	"time"
 
 	"mmv2v/internal/des"
 	"mmv2v/internal/medium"
@@ -40,24 +39,6 @@ func buildEnv(t *testing.T, demandBits float64, lanes []int, positions []float64
 		Timing:     phy.DefaultTiming(),
 		DemandBits: demandBits,
 	}
-}
-
-func runFrames(env *sim.Env, proto sim.Protocol, frames int) {
-	ticksPerFrame := int(env.Timing.Frame / env.Timing.PositionUpdate)
-	dt := env.Timing.PositionUpdate.Seconds()
-	start := env.Sim.Now()
-	end := start.Add(env.Timing.Frame * time.Duration(frames))
-	env.Sim.Every(start, env.Timing.PositionUpdate, end, "test.tick", func(tick int) {
-		if tick > 0 {
-			env.World.Road().Step(dt)
-			env.World.Refresh()
-		}
-		env.FireRefreshHooks()
-		if tick%ticksPerFrame == 0 && tick/ticksPerFrame < frames {
-			proto.RunFrame(tick / ticksPerFrame)
-		}
-	})
-	env.Sim.Run(end)
 }
 
 func TestROPParamsValidate(t *testing.T) {
@@ -124,7 +105,7 @@ func TestROPEventuallyDiscoversAndExchanges(t *testing.T) {
 	// meet (mutual fresh discovery + mutual pick) and move data.
 	env := buildEnv(t, 200e6, []int{1, 1}, []float64{0, 30})
 	r := NewROP(env, DefaultROPParams())
-	runFrames(env, r, 25)
+	env.DriveFrames(r, 0, 25)
 	if got := env.Ledger.Exchanged(0, 1); got <= 0 {
 		t.Errorf("ROP exchanged %v bits over 25 frames", got)
 	}
@@ -135,7 +116,7 @@ func TestROPMutualChoiceOnly(t *testing.T) {
 	// between them.
 	env := buildEnv(t, 200e6, []int{1, 1}, []float64{0, 30})
 	r := NewROP(env, DefaultROPParams())
-	runFrames(env, r, 5)
+	env.DriveFrames(r, 0, 5)
 	if r.MatchedCount()%2 != 0 {
 		t.Errorf("odd matched count %d", r.MatchedCount())
 	}
@@ -145,7 +126,7 @@ func TestROPDeterminism(t *testing.T) {
 	run := func() float64 {
 		env := buildEnv(t, 200e6, []int{0, 1, 2, 1}, []float64{0, 20, 40, 70})
 		r := NewROP(env, DefaultROPParams())
-		runFrames(env, r, 5)
+		env.DriveFrames(r, 0, 5)
 		return env.Ledger.TotalBits()
 	}
 	if a, b := run(), run(); a != b {
@@ -158,7 +139,7 @@ func TestADFormsPBSSAndExchanges(t *testing.T) {
 	// must succeed, members associate, and data flows.
 	env := buildEnv(t, 200e6, []int{0, 1, 2, 1, 0}, []float64{0, 15, 30, 45, 60})
 	a := NewAD(env, DefaultADParams())
-	runFrames(env, a, 10)
+	env.DriveFrames(a, 0, 10)
 	if env.Ledger.TotalBits() <= 0 {
 		t.Error("802.11ad moved no data in 10 frames")
 	}
@@ -167,7 +148,7 @@ func TestADFormsPBSSAndExchanges(t *testing.T) {
 func TestADMembersJoinOnlyHeardPCPs(t *testing.T) {
 	env := buildEnv(t, 200e6, []int{0, 1, 2, 1}, []float64{0, 15, 30, 45})
 	a := NewAD(env, DefaultADParams())
-	runFrames(env, a, 3)
+	env.DriveFrames(a, 0, 3)
 	// All recorded members must reference a PCP of the last frame.
 	for p, ms := range a.members {
 		if !a.isPCP[p] {
@@ -188,7 +169,7 @@ func TestADDeterminism(t *testing.T) {
 	run := func() float64 {
 		env := buildEnv(t, 200e6, []int{0, 1, 2, 1}, []float64{0, 20, 40, 70})
 		a := NewAD(env, DefaultADParams())
-		runFrames(env, a, 5)
+		env.DriveFrames(a, 0, 5)
 		return env.Ledger.TotalBits()
 	}
 	if x, y := run(), run(); x != y {
@@ -199,7 +180,7 @@ func TestADDeterminism(t *testing.T) {
 func TestADIsolatedVehicleIdles(t *testing.T) {
 	env := buildEnv(t, 200e6, []int{1, 1, 1}, []float64{0, 30, 500})
 	a := NewAD(env, DefaultADParams())
-	runFrames(env, a, 5)
+	env.DriveFrames(a, 0, 5)
 	if got := env.Ledger.Exchanged(0, 2) + env.Ledger.Exchanged(1, 2); got != 0 {
 		t.Errorf("isolated vehicle exchanged %v bits", got)
 	}
@@ -208,7 +189,7 @@ func TestADIsolatedVehicleIdles(t *testing.T) {
 func TestROPIsolatedVehicleIdles(t *testing.T) {
 	env := buildEnv(t, 200e6, []int{1, 1, 1}, []float64{0, 30, 500})
 	r := NewROP(env, DefaultROPParams())
-	runFrames(env, r, 5)
+	env.DriveFrames(r, 0, 5)
 	if got := env.Ledger.Exchanged(0, 2) + env.Ledger.Exchanged(1, 2); got != 0 {
 		t.Errorf("isolated vehicle exchanged %v bits", got)
 	}

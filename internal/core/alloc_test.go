@@ -15,9 +15,9 @@ import (
 
 // TestSNDSectorSlotAllocs pins the steady-state allocation of one SND
 // sector slot at the paper's density: aiming every receiver, sweeping every
-// transmitter and resolving the slot allocate only the des event that
-// schedules the resolution. The slot repeats with the same roles and
-// sector, so after the first run every decoded neighbor is already known.
+// transmitter, scheduling the resolution and resolving the slot allocate
+// nothing. The slot repeats with the same roles and sector, so after the
+// first run every decoded neighbor is already known.
 func TestSNDSectorSlotAllocs(t *testing.T) {
 	road, err := traffic.New(traffic.DefaultConfig(15), xrand.New(3))
 	if err != nil {
@@ -51,7 +51,7 @@ func TestSNDSectorSlotAllocs(t *testing.T) {
 	if env.Medium.Delivered == before {
 		t.Fatal("the slot delivered nothing; the guard exercises no handler")
 	}
-	if allocs > 1 {
-		t.Errorf("an SND sector slot allocates %v times, want at most 1 (the resolution's des event)", allocs)
+	if allocs != 0 {
+		t.Errorf("an SND sector slot allocates %v times, want 0", allocs)
 	}
 }

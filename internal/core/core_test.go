@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mmv2v/internal/des"
 	"mmv2v/internal/medium"
@@ -44,29 +43,6 @@ func buildEnv(t *testing.T, demandBits float64, lanes []int, positions []float64
 		Timing:     phy.DefaultTiming(),
 		DemandBits: demandBits,
 	}
-}
-
-// runFrames drives the environment exactly like sim.Run: a 5 ms tick that
-// steps traffic, refreshes the world, fires refresh hooks, and starts a
-// frame every 4 ticks.
-func runFrames(env *sim.Env, proto sim.Protocol, frames int) {
-	ticksPerFrame := int(env.Timing.Frame / env.Timing.PositionUpdate)
-	total := frames * ticksPerFrame
-	dt := env.Timing.PositionUpdate.Seconds()
-	start := env.Sim.Now()
-	end := start.Add(env.Timing.Frame * time.Duration(frames))
-	env.Sim.Every(start, env.Timing.PositionUpdate, end, "test.tick", func(tick int) {
-		if tick > 0 {
-			env.World.Road().Step(dt)
-			env.World.Refresh()
-		}
-		env.FireRefreshHooks()
-		if tick%ticksPerFrame == 0 && tick/ticksPerFrame < frames {
-			proto.RunFrame(tick / ticksPerFrame)
-		}
-	})
-	_ = total
-	env.Sim.Run(end)
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -183,7 +159,7 @@ func TestTheorem2HalfIsOptimal(t *testing.T) {
 func TestTwoVehiclesDiscoverAndExchange(t *testing.T) {
 	env := buildEnv(t, 200e6, []int{1, 1}, []float64{0, 30})
 	p := New(env, DefaultParams())
-	runFrames(env, p, 2)
+	env.DriveFrames(p, 0, 2)
 	// Both must have discovered each other.
 	if d := p.Discovered(0); len(d) != 1 || d[0] != 1 {
 		t.Errorf("vehicle 0 discovered %v", d)
@@ -203,7 +179,7 @@ func TestCompletionStopsTransfer(t *testing.T) {
 	// accumulate much beyond the demand afterwards.
 	env := buildEnv(t, 1e6, []int{1, 1}, []float64{0, 30})
 	p := New(env, DefaultParams())
-	runFrames(env, p, 3)
+	env.DriveFrames(p, 0, 3)
 	if !env.PairDone(0, 1) {
 		t.Fatal("pair not complete")
 	}
@@ -227,7 +203,7 @@ func TestDCMPrefersBetterLink(t *testing.T) {
 	// and compare cumulative flows; a huge demand keeps both links wanting.)
 	env := buildEnv(t, 1e12, []int{0, 1, 2}, []float64{0, 20, 50})
 	p := New(env, DefaultParams())
-	runFrames(env, p, 4)
+	env.DriveFrames(p, 0, 4)
 	d01 := env.Ledger.Exchanged(0, 1)
 	d12 := env.Ledger.Exchanged(1, 2)
 	if d01 == 0 {
@@ -241,7 +217,7 @@ func TestDCMPrefersBetterLink(t *testing.T) {
 func TestIsolatedVehicleIdles(t *testing.T) {
 	env := buildEnv(t, 200e6, []int{1, 1, 1}, []float64{0, 30, 500})
 	p := New(env, DefaultParams())
-	runFrames(env, p, 1)
+	env.DriveFrames(p, 0, 1)
 	if d := p.Discovered(2); len(d) != 0 {
 		t.Errorf("isolated vehicle discovered %v", d)
 	}
@@ -297,12 +273,12 @@ func TestDiscoveryRatioDenseScenario(t *testing.T) {
 		}
 		return float64(found) / float64(trueLinks)
 	}
-	runFrames(env, p, 1)
+	env.DriveFrames(p, 0, 1)
 	after1 := ratioNow()
 	if after1 < 0.4 || after1 > 1.0 {
 		t.Errorf("discovery ratio after 1 frame = %.2f, want in [0.4, 1]", after1)
 	}
-	runFrames(env, p, 3)
+	env.DriveFrames(p, 0, 3)
 	after4 := ratioNow()
 	if after4 < after1 {
 		t.Errorf("discovery ratio shrank: %.2f after 1 frame, %.2f after 4", after1, after4)
@@ -316,7 +292,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() float64 {
 		env := buildEnv(t, 200e6, []int{0, 1, 2, 1}, []float64{0, 20, 40, 70})
 		p := New(env, DefaultParams())
-		runFrames(env, p, 3)
+		env.DriveFrames(p, 0, 3)
 		return env.Ledger.TotalBits()
 	}
 	a, b := run(), run()
@@ -425,7 +401,7 @@ func TestGreedyMatchingRespectsEligible(t *testing.T) {
 func TestOracleBeatsNothing(t *testing.T) {
 	env := buildEnv(t, 200e6, []int{0, 1, 2, 1}, []float64{0, 20, 40, 70})
 	o := NewOracle(env, DefaultParams())
-	runFrames(env, o, 2)
+	env.DriveFrames(o, 0, 2)
 	if env.Ledger.TotalBits() == 0 {
 		t.Error("oracle moved no data")
 	}
@@ -437,7 +413,7 @@ func TestOracleOutperformsDistributedOnControlOverhead(t *testing.T) {
 	runWith := func(factory sim.Factory) float64 {
 		env := buildEnv(t, 1e12, []int{0, 1, 2, 1}, []float64{0, 20, 40, 70})
 		p := factory(env)
-		runFrames(env, p, 3)
+		env.DriveFrames(p, 0, 3)
 		return env.Ledger.TotalBits()
 	}
 	oracle := runWith(OracleFactory(DefaultParams()))
@@ -456,7 +432,7 @@ func TestLedgerBoundedByPhysicalCapacity(t *testing.T) {
 	env := buildEnv(t, 1e15, []int{0, 1, 2, 1, 0, 2}, []float64{0, 20, 40, 60, 80, 100})
 	p := New(env, DefaultParams())
 	const frames = 5
-	runFrames(env, p, frames)
+	env.DriveFrames(p, 0, frames)
 	elapsed := float64(frames) * env.Timing.Frame.Seconds()
 	bound := float64(env.N()/2) * 4.62e9 * elapsed
 	if got := env.Ledger.TotalBits(); got > bound {
@@ -470,7 +446,7 @@ func TestPairLedgerBoundedByLinkCapacity(t *testing.T) {
 	env := buildEnv(t, 1e15, []int{1, 1}, []float64{0, 30})
 	p := New(env, DefaultParams())
 	const frames = 5
-	runFrames(env, p, frames)
+	env.DriveFrames(p, 0, frames)
 	elapsed := float64(frames) * env.Timing.Frame.Seconds()
 	if got := env.Ledger.Exchanged(0, 1); got > 4.62e9*elapsed {
 		t.Errorf("pair exchanged %v bits > link capacity bound", got)

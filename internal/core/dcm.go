@@ -162,7 +162,6 @@ func (p *Protocol) transmitNeg(i, j int) {
 		msg.candSNR = p.cand[i].snrDB
 	}
 	p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble, msg)
-	p.Negotiations++
 	p.obsNegTx.Inc()
 }
 
@@ -242,7 +241,6 @@ func (p *Protocol) dcmDecide(slot int) {
 			breakups = append(breakups, breakup{from: i, to: p.cand[i].peer})
 		}
 		p.cand[i] = candidate{peer: j, snrDB: pairQ, valid: true}
-		p.Matches++
 		p.obsMatches.Inc()
 		p.env.Trace.Emit(trace.Event{
 			At: p.env.Sim.Now(), Frame: p.frame, Kind: trace.KindMatch,
@@ -256,7 +254,6 @@ func (p *Protocol) dcmDecide(slot int) {
 	// deliverable).
 	for _, b := range breakups {
 		p.transmitBreak(b.from, b.to)
-		p.BreakupsSent++
 	}
 	// breakups is in ascending sender order, one per sender: walk it
 	// alongside the vehicles to skip the senders.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"mmv2v/internal/obs"
 )
 
 // Targeted DCM behavior tests on hand-built scenarios.
@@ -14,7 +16,7 @@ func TestDCMBreakupFreesPreviousCandidate(t *testing.T) {
 	// re-pair, so by frame end both strong pairs stream.
 	env := buildEnv(t, 1e12, []int{0, 1, 2, 1}, []float64{0, 15, 30, 45})
 	p := New(env, DefaultParams())
-	runFrames(env, p, 3)
+	env.DriveFrames(p, 0, 3)
 	d01 := env.Ledger.Exchanged(0, 1)
 	d23 := env.Ledger.Exchanged(2, 3)
 	d12 := env.Ledger.Exchanged(1, 2)
@@ -34,7 +36,7 @@ func TestDCMHashCollisionStillMatches(t *testing.T) {
 	params := DefaultParams()
 	params.C = 1
 	p := New(env, params)
-	runFrames(env, p, 2)
+	env.DriveFrames(p, 0, 2)
 	if got := env.Ledger.Exchanged(0, 1); got == 0 {
 		t.Error("C=1 prevented any matching")
 	}
@@ -62,7 +64,7 @@ func TestDiscoveredExpiresWhenStale(t *testing.T) {
 func TestEligibleExcludesDonePairs(t *testing.T) {
 	env := buildEnv(t, 50e6, []int{1, 1, 2}, []float64{0, 30, 15})
 	p := New(env, DefaultParams())
-	runFrames(env, p, 1)
+	env.DriveFrames(p, 0, 1)
 	// Force-complete (0,1).
 	if !env.PairDone(0, 1) {
 		env.Ledger.Add(0, 1, 50e6)
@@ -83,12 +85,13 @@ func contains(xs []int, v int) bool {
 
 func TestNegotiationMessagesCounted(t *testing.T) {
 	env := buildEnv(t, 1e12, []int{1, 1}, []float64{0, 30})
+	env.Obs = obs.New()
 	p := New(env, DefaultParams())
-	runFrames(env, p, 3)
-	if p.Negotiations == 0 {
+	env.DriveFrames(p, 0, 3)
+	if env.Obs.Counter("dcm.neg_tx").Value() == 0 {
 		t.Error("no negotiation messages sent")
 	}
-	if p.Matches == 0 {
+	if env.Obs.Counter("dcm.matches").Value() == 0 {
 		t.Error("no matches recorded")
 	}
 }

@@ -67,13 +67,6 @@ type Protocol struct {
 	// (experiment instrumentation, e.g. Fig. 6's capacity-vs-slots curve).
 	slotObserver func(frame, slot int)
 
-	// Diagnostics.
-	DiscoveredTotal uint64
-	Negotiations    uint64
-	Matches         uint64
-	BreakupsSent    uint64
-	RefineFailures  uint64
-
 	// Statistics handles (nil-safe no-ops when Env.Obs is nil).
 	obsSSWTx        *obs.Counter
 	obsDiscoveries  *obs.Counter

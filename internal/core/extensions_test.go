@@ -91,7 +91,7 @@ func TestSyncJitterDegradesDiscovery(t *testing.T) {
 		params := DefaultParams()
 		params.SyncJitter = time.Duration(jitterUS) * time.Microsecond
 		p := New(env, params)
-		runFrames(env, p, 2)
+		env.DriveFrames(p, 0, 2)
 		total := 0
 		for i := 0; i < env.N(); i++ {
 			total += len(p.Discovered(i))
@@ -116,7 +116,7 @@ func TestSmallJitterHarmless(t *testing.T) {
 		params := DefaultParams()
 		params.SyncJitter = jitter
 		p := New(env, params)
-		runFrames(env, p, 2)
+		env.DriveFrames(p, 0, 2)
 		return env.Ledger.TotalBits()
 	}
 	clean := run(0)
@@ -138,7 +138,7 @@ func TestExplicitRefinementProducesComparableThroughput(t *testing.T) {
 		params := DefaultParams()
 		params.ExplicitRefinement = explicit
 		p := New(env, params)
-		runFrames(env, p, 3)
+		env.DriveFrames(p, 0, 3)
 		return env.Ledger.TotalBits()
 	}
 	closed := run(false)

@@ -206,7 +206,6 @@ func (p *Protocol) collectRefined(states []*refineState, pairs [][2]int) []udt.P
 		// Each side needs its transmit beam confirmed by the peer's
 		// feedback; by reciprocity the same index serves for receive.
 		if sa.fbIdx < 0 || sb.fbIdx < 0 {
-			p.RefineFailures++
 			continue
 		}
 		beamA := phy.Beam{Bearing: cb.NarrowBeamBearing(cb.Sectors.Center(sa.coarse), sa.fbIdx), Width: cb.NarrowWidth}

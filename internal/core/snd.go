@@ -166,7 +166,6 @@ func (p *Protocol) onSSW(me int, d medium.Delivery) {
 	if info == nil {
 		info = &neighborInfo{}
 		p.discovered[me][d.From] = info
-		p.DiscoveredTotal++
 		p.obsDiscoveries.Inc()
 		p.env.Trace.Emit(trace.Event{
 			At: d.At, Frame: p.frame, Kind: trace.KindDiscovery,

@@ -24,10 +24,10 @@ func BenchmarkNestedScheduling(b *testing.B) {
 		next = func() {
 			n++
 			if n < 1000 {
-				s.ScheduleAfter(time.Microsecond, "chain", next)
+				s.ScheduleAt(s.Now().Add(time.Microsecond), "chain", next)
 			}
 		}
-		s.ScheduleAfter(time.Microsecond, "chain", next)
+		s.ScheduleAt(s.Now().Add(time.Microsecond), "chain", next)
 		s.RunAll()
 	}
 }

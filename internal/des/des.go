@@ -10,7 +10,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -42,74 +41,27 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-// event is a scheduled callback. seq breaks ties between events at the same
-// timestamp so execution order is deterministic and FIFO.
+// event is a scheduled callback, held by value in the queue. seq breaks
+// ties between events at the same timestamp so execution order is
+// deterministic and FIFO.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	name string
-	// canceled marks an event removed via its Handle; it is skipped when
-	// popped rather than being deleted from the heap eagerly.
-	canceled bool
-	index    int
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		panic(fmt.Sprintf("des: pushed non-event %T", x))
-	}
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
-// Handle identifies a scheduled event and allows canceling it.
-type Handle struct {
-	ev *event
-}
-
-// Cancel prevents the event from running. Canceling an already-executed or
-// already-canceled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil {
-		h.ev.canceled = true
-	}
+// before reports whether e runs before f. (at, seq) is a total order, so
+// any correct heap pops the same sequence.
+func (e *event) before(f *event) bool {
+	return e.at < f.at || (e.at == f.at && e.seq < f.seq)
 }
 
 // Simulator is the discrete-event engine. The zero value is ready to use.
 // Simulator is not safe for concurrent use; the simulation is single-threaded
 // by design (determinism over parallelism).
 type Simulator struct {
-	queue    eventQueue
+	// queue is a binary min-heap on (at, seq).
+	queue    []event
 	now      Time
 	seq      uint64
 	executed uint64
@@ -125,57 +77,80 @@ func (s *Simulator) Now() Time { return s.now }
 // Executed returns the number of events run so far (for diagnostics).
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events currently scheduled (including
-// canceled events not yet reaped).
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 // ScheduleAt runs fn at the given absolute time. Scheduling in the past
 // (before Now) is a programming error and panics. The name is used only for
 // diagnostics.
-func (s *Simulator) ScheduleAt(at Time, name string, fn func()) Handle {
+func (s *Simulator) ScheduleAt(at Time, name string, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: schedule %q at %v before now %v", name, at, s.now))
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn, name: name}
+	ev := event{at: at, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return Handle{ev: ev}
+	q := append(s.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	s.queue = q
 }
 
-// ScheduleAfter runs fn d after the current time.
-func (s *Simulator) ScheduleAfter(d time.Duration, name string, fn func()) Handle {
-	return s.ScheduleAt(s.now.Add(d), name, fn)
+// pop removes and returns the earliest event. It zeroes the slot it
+// vacates, so the collector can free closures that have already run.
+func (s *Simulator) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(&q[c]) {
+				c++
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	s.queue = q
+	return top
 }
 
 // Every schedules fn to run at start, start+period, start+2·period, …
 // until (and excluding) end, or forever if end is Infinity. fn receives the
-// tick index starting at 0. The returned Handle cancels the *next* pending
-// occurrence and all subsequent ones.
-func (s *Simulator) Every(start Time, period time.Duration, end Time, name string, fn func(tick int)) Handle {
+// tick index starting at 0. One closure serves every tick: it schedules the
+// next tick after fn returns.
+func (s *Simulator) Every(start Time, period time.Duration, end Time, name string, fn func(tick int)) {
 	if period <= 0 {
 		panic(fmt.Sprintf("des: non-positive period %v for %q", period, name))
 	}
-	// controller owns the live handle so cancellation survives rescheduling.
-	ctl := &event{}
-	var schedule func(at Time, tick int)
-	schedule = func(at Time, tick int) {
-		if at >= end {
-			return
-		}
-		h := s.ScheduleAt(at, name, func() {
-			if ctl.canceled {
-				return
-			}
-			fn(tick)
-			schedule(at.Add(period), tick+1)
-		})
-		// Propagate cancellation to the pending occurrence.
-		if ctl.canceled {
-			h.Cancel()
+	at, tick := start, 0
+	var next func()
+	next = func() {
+		fn(tick)
+		at, tick = at.Add(period), tick+1
+		if at < end {
+			s.ScheduleAt(at, name, next)
 		}
 	}
-	schedule(start, 0)
-	return Handle{ev: ctl}
+	if start < end {
+		s.ScheduleAt(start, name, next)
+	}
 }
 
 // Run executes events in timestamp order until the queue is empty or the
@@ -187,20 +162,10 @@ func (s *Simulator) Run(until Time) {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.at >= until {
-			break
-		}
-		popped, ok := heap.Pop(&s.queue).(*event)
-		if !ok {
-			panic("des: heap corrupted")
-		}
-		if popped.canceled {
-			continue
-		}
-		s.now = popped.at
-		popped.fn()
+	for len(s.queue) > 0 && s.queue[0].at < until {
+		ev := s.pop()
+		s.now = ev.at
+		ev.fn()
 		s.executed++
 	}
 	if until != Infinity && until > s.now {
@@ -210,22 +175,3 @@ func (s *Simulator) Run(until Time) {
 
 // RunAll executes every scheduled event.
 func (s *Simulator) RunAll() { s.Run(Infinity) }
-
-// Step executes exactly one event if any is pending and returns whether an
-// event ran.
-func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		popped, ok := heap.Pop(&s.queue).(*event)
-		if !ok {
-			panic("des: heap corrupted")
-		}
-		if popped.canceled {
-			continue
-		}
-		s.now = popped.at
-		popped.fn()
-		s.executed++
-		return true
-	}
-	return false
-}

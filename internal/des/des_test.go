@@ -1,6 +1,8 @@
 package des
 
 import (
+	"container/heap"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,9 +63,9 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestScheduleAfterNesting(t *testing.T) {
 	s := New()
 	var times []Time
-	s.ScheduleAfter(time.Millisecond, "outer", func() {
+	s.ScheduleAt(s.Now().Add(time.Millisecond), "outer", func() {
 		times = append(times, s.Now())
-		s.ScheduleAfter(time.Millisecond, "inner", func() {
+		s.ScheduleAt(s.Now().Add(time.Millisecond), "inner", func() {
 			times = append(times, s.Now())
 		})
 	})
@@ -98,18 +100,6 @@ func TestEventAtBoundaryNotRun(t *testing.T) {
 	s.Run(At(time.Millisecond))
 	if ran {
 		t.Error("event at until-boundary should not run")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	h := s.ScheduleAt(At(time.Millisecond), "x", func() { ran = true })
-	h.Cancel()
-	h.Cancel() // double-cancel is a no-op
-	s.RunAll()
-	if ran {
-		t.Error("canceled event ran")
 	}
 }
 
@@ -148,22 +138,6 @@ func TestEvery(t *testing.T) {
 	}
 }
 
-func TestEveryCancelMidway(t *testing.T) {
-	s := New()
-	count := 0
-	var h Handle
-	h = s.Every(0, time.Millisecond, Infinity, "tick", func(tick int) {
-		count++
-		if tick == 2 {
-			h.Cancel()
-		}
-	})
-	s.Run(At(100 * time.Millisecond))
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
-	}
-}
-
 func TestEveryZeroPeriodPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -171,36 +145,6 @@ func TestEveryZeroPeriodPanics(t *testing.T) {
 		}
 	}()
 	New().Every(0, 0, Infinity, "bad", func(int) {})
-}
-
-func TestStep(t *testing.T) {
-	s := New()
-	n := 0
-	s.ScheduleAt(At(time.Millisecond), "a", func() { n++ })
-	s.ScheduleAt(At(2*time.Millisecond), "b", func() { n++ })
-	if !s.Step() || n != 1 {
-		t.Errorf("first Step: n=%d", n)
-	}
-	if !s.Step() || n != 2 {
-		t.Errorf("second Step: n=%d", n)
-	}
-	if s.Step() {
-		t.Error("Step on empty queue should return false")
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	s := New()
-	for i := 0; i < 5; i++ {
-		s.ScheduleAt(At(time.Millisecond), "e", func() {})
-	}
-	if s.Pending() != 5 {
-		t.Errorf("Pending = %d", s.Pending())
-	}
-	s.RunAll()
-	if s.Pending() != 0 {
-		t.Errorf("Pending after run = %d", s.Pending())
-	}
 }
 
 func TestHeapPropertyRandomized(t *testing.T) {
@@ -236,4 +180,196 @@ func TestReentrantRunPanics(t *testing.T) {
 		s.RunAll()
 	})
 	s.RunAll()
+}
+
+// refEvent, refQueue and refSim are the container/heap queue the simulator
+// used before events were held by value: one *refEvent per event, ordered
+// by (at, seq), with Every built from one closure per tick. They are the
+// reference the value heap is checked against.
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+
+func (q *refQueue) Push(x any) { *q = append(*q, x.(*refEvent)) }
+
+func (q *refQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return ev
+}
+
+type refSim struct {
+	queue refQueue
+	now   Time
+	seq   uint64
+}
+
+func (r *refSim) Now() Time { return r.now }
+
+func (r *refSim) ScheduleAt(at Time, _ string, fn func()) {
+	if at < r.now {
+		panic("ref: schedule in the past")
+	}
+	heap.Push(&r.queue, &refEvent{at: at, seq: r.seq, fn: fn})
+	r.seq++
+}
+
+func (r *refSim) Every(start Time, period time.Duration, end Time, name string, fn func(tick int)) {
+	var schedule func(at Time, tick int)
+	schedule = func(at Time, tick int) {
+		if at >= end {
+			return
+		}
+		r.ScheduleAt(at, name, func() {
+			fn(tick)
+			schedule(at.Add(period), tick+1)
+		})
+	}
+	schedule(start, 0)
+}
+
+func (r *refSim) Run(until Time) {
+	for len(r.queue) > 0 && r.queue[0].at < until {
+		ev := heap.Pop(&r.queue).(*refEvent)
+		r.now = ev.at
+		ev.fn()
+	}
+	if until != Infinity && until > r.now {
+		r.now = until
+	}
+}
+
+// scheduler is the surface the differential test drives on both queues.
+type scheduler interface {
+	Now() Time
+	ScheduleAt(at Time, name string, fn func())
+	Every(start Time, period time.Duration, end Time, name string, fn func(tick int))
+	Run(until Time)
+}
+
+// fired records one executed event: the event's identity and Now when it ran.
+type fired struct {
+	id, tick int
+	at       Time
+}
+
+// randomSchedule drives sc through a schedule drawn from seed and returns
+// the execution log. Timestamps sit on a coarse 1 µs grid so many events
+// tie; running events schedule children at offsets including zero (at
+// Now), Every ticks run alongside and spawn events of their own, and the
+// run is split at a bound that more events are scheduled after.
+func randomSchedule(seed int64, sc scheduler) []fired {
+	rng := rand.New(rand.NewSource(seed))
+	var log []fired
+	ids := 0
+	var spawn func(at Time, depth int)
+	spawn = func(at Time, depth int) {
+		id := ids
+		ids++
+		sc.ScheduleAt(at, "r", func() {
+			log = append(log, fired{id: id, at: sc.Now()})
+			if depth < 4 {
+				for k := rng.Intn(3); k > 0; k-- {
+					spawn(sc.Now().Add(time.Duration(rng.Intn(4))*time.Microsecond), depth+1)
+				}
+			}
+		})
+	}
+	every := func() {
+		id := ids
+		ids++
+		start := sc.Now().Add(time.Duration(rng.Intn(10)) * time.Microsecond)
+		period := time.Duration(1+rng.Intn(4)) * time.Microsecond
+		end := start.Add(time.Duration(rng.Intn(40)) * time.Microsecond)
+		sc.Every(start, period, end, "tick", func(tick int) {
+			log = append(log, fired{id: id, tick: tick, at: sc.Now()})
+			if rng.Intn(3) == 0 {
+				spawn(sc.Now(), 3)
+			}
+		})
+	}
+	for k := 0; k < 40; k++ {
+		spawn(Time(rng.Intn(20))*Time(time.Microsecond), 0)
+	}
+	every()
+	every()
+	sc.Run(At(time.Duration(5+rng.Intn(20)) * time.Microsecond))
+	for k := 0; k < 20; k++ {
+		spawn(sc.Now().Add(time.Duration(rng.Intn(10))*time.Microsecond), 1)
+	}
+	every()
+	sc.Run(Infinity)
+	return log
+}
+
+// TestValueHeapMatchesReference pins the value heap against the
+// container/heap queue it replaced: same execution order, same Now at
+// every event, on random schedules with ties, nested scheduling (at Now
+// too), Every ticks and a split run.
+func TestValueHeapMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		s := New()
+		got := randomSchedule(seed, s)
+		want := randomSchedule(seed, &refSim{})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events ran, reference ran %d", seed, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("seed %d: event %d is %+v, reference %+v", seed, k, got[k], want[k])
+			}
+		}
+		if s.Executed() != uint64(len(got)) {
+			t.Fatalf("seed %d: Executed = %d, log has %d", seed, s.Executed(), len(got))
+		}
+	}
+}
+
+// TestScheduleAndRunAllocFree pins the value queue: once the queue has
+// grown to its working size, scheduling and running a prebuilt func()
+// allocates nothing.
+func TestScheduleAndRunAllocFree(t *testing.T) {
+	s := New()
+	fn := func() {}
+	batch := func() {
+		for k := 0; k < 64; k++ {
+			s.ScheduleAt(s.Now().Add(time.Duration(k%8)*time.Microsecond), "e", fn)
+		}
+		s.RunAll()
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+		t.Errorf("ScheduleAt + Run allocates %v times per batch, want 0", allocs)
+	}
+}
+
+// TestEveryAllocsIndependentOfTicks pins Every's single self-rescheduling
+// closure: 1,000 ticks allocate exactly as often as 10.
+func TestEveryAllocsIndependentOfTicks(t *testing.T) {
+	allocs := func(ticks int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s := New()
+			s.Every(0, time.Millisecond, At(time.Duration(ticks)*time.Millisecond), "tick", func(int) {})
+			s.RunAll()
+		})
+	}
+	if few, many := allocs(10), allocs(1000); few != many {
+		t.Errorf("Every allocates %v times for 10 ticks but %v for 1000", few, many)
+	}
 }

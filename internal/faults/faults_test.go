@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mmv2v/internal/des"
+	"mmv2v/internal/obs"
 )
 
 // fakeClock drives an Injector without a simulator.
@@ -99,12 +100,14 @@ func TestBlockageQueryOrderIndependence(t *testing.T) {
 	const seed, ticks = 99, 400
 
 	eager := NewInjector(cfg, seed, &fakeClock{})
+	reg := obs.New()
+	eager.SetObs(reg)
 	trace := make([]float64, ticks)
 	for k := 0; k < ticks; k++ {
 		eager.clock.(*fakeClock).t = des.At(time.Duration(k) * 5 * time.Millisecond)
 		trace[k] = eager.LinkFactorLin(3, 9)
 	}
-	if eager.BlockedTicks == 0 {
+	if reg.Counter("faults.blocked_ticks").Value() == 0 {
 		t.Fatal("burst process never entered the blocked state; test is vacuous")
 	}
 
@@ -154,6 +157,8 @@ func TestRadioScheduleQueryOrderIndependence(t *testing.T) {
 func TestDropControlDeterministicWithExpectedRate(t *testing.T) {
 	cfg := Config{ControlLossP: 0.2}
 	a := NewInjector(cfg, 11, &fakeClock{})
+	reg := obs.New()
+	a.SetObs(reg)
 	b := NewInjector(cfg, 11, &fakeClock{})
 	other := NewInjector(cfg, 12, &fakeClock{})
 	const frames = 20000
@@ -178,8 +183,8 @@ func TestDropControlDeterministicWithExpectedRate(t *testing.T) {
 	if !diverged {
 		t.Error("different seeds produced identical drop sequences")
 	}
-	if a.DroppedFrames != uint64(drops) {
-		t.Errorf("DroppedFrames = %d, want %d", a.DroppedFrames, drops)
+	if got := reg.Counter("faults.control_drops").Value(); got != uint64(drops) {
+		t.Errorf("faults.control_drops = %d, want %d", got, drops)
 	}
 }
 

@@ -73,13 +73,6 @@ type Injector struct {
 	ge    map[uint64]*geState
 	radio map[int]*radioState
 
-	// Diagnostics (reset never; one Injector serves one trial).
-
-	// DroppedFrames counts control frames killed by the loss process.
-	DroppedFrames uint64
-	// BlockedTicks counts pair-tick evaluations that landed inside a burst.
-	BlockedTicks uint64
-
 	// Statistics handles (nil-safe no-ops until SetObs installs a live
 	// registry).
 	obsDrops       *obs.Counter
@@ -149,7 +142,6 @@ func (f *Injector) LinkFactorLin(a, b int) float64 {
 		}
 	}
 	if st.blocked {
-		f.BlockedTicks++
 		f.obsBlocked.Inc()
 		return f.attenLin
 	}
@@ -197,7 +189,6 @@ func (f *Injector) DropControl(from, to int, at des.Time) bool {
 		return false
 	}
 	if unit(f.seed, opDrop, uint64(from), uint64(to), uint64(at)) < f.cfg.ControlLossP {
-		f.DroppedFrames++
 		f.obsDrops.Inc()
 		return true
 	}

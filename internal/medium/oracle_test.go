@@ -333,9 +333,8 @@ type namedWorld struct {
 	w    *world.World
 }
 
-// oracleWorlds builds the paper's straight road at two densities (dense
-// rank-window link index) and a small city grid (binary-search link index,
-// 2-D geometry).
+// oracleWorlds builds the paper's straight road at two densities (1-D
+// geometry) and a small city grid (2-D geometry).
 func oracleWorlds(t *testing.T) []namedWorld {
 	t.Helper()
 	var worlds []namedWorld

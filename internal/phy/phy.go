@@ -154,6 +154,12 @@ func (t Timing) Validate() error {
 		return fmt.Errorf("phy: negotiation slot %v cannot fit two control messages of %v",
 			t.NegotiationSlot, t.ControlPreamble)
 	}
+	// Frames start on refresh ticks, so the refresh cadence must tile a
+	// frame exactly.
+	if t.Frame%t.PositionUpdate != 0 {
+		return fmt.Errorf("phy: position update %v does not divide frame %v",
+			t.PositionUpdate, t.Frame)
+	}
 	return nil
 }
 

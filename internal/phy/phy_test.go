@@ -137,15 +137,23 @@ func TestDefaultTiming(t *testing.T) {
 }
 
 func TestTimingValidate(t *testing.T) {
-	tm := DefaultTiming()
-	tm.NegotiationSlot = 8 * time.Microsecond // < 2 × 4.3 µs
-	if err := tm.Validate(); err == nil {
-		t.Error("slot too small for two control messages should fail")
+	tests := []struct {
+		name   string
+		mutate func(*Timing)
+	}{
+		{"slot below two control messages", func(tm *Timing) { tm.NegotiationSlot = 8 * time.Microsecond }},
+		{"zero frame", func(tm *Timing) { tm.Frame = 0 }},
+		{"position update longer than frame", func(tm *Timing) { tm.PositionUpdate = 30 * time.Millisecond }},
+		{"position update not dividing frame", func(tm *Timing) { tm.PositionUpdate = 3 * time.Millisecond }},
 	}
-	tm = DefaultTiming()
-	tm.Frame = 0
-	if err := tm.Validate(); err == nil {
-		t.Error("zero frame should fail")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tm := DefaultTiming()
+			tt.mutate(&tm)
+			if err := tm.Validate(); err == nil {
+				t.Error("want error")
+			}
+		})
 	}
 }
 

@@ -192,9 +192,9 @@ func (e *Env) OnRefresh(fn func()) {
 	e.refreshHooks = append(e.refreshHooks, fn)
 }
 
-// FireRefreshHooks invokes all registered refresh hooks; the runner calls it
-// on every tick, and tests that drive frames manually do the same.
-func (e *Env) FireRefreshHooks() {
+// fireRefreshHooks invokes all registered refresh hooks; DriveFrames calls
+// it on every tick.
+func (e *Env) fireRefreshHooks() {
 	for _, h := range e.refreshHooks {
 		h()
 	}
@@ -362,7 +362,7 @@ func (e *Env) DriveFrames(proto Protocol, firstFrame, frames int) {
 			e.World.Fleet().Step(dt)
 			e.World.Refresh()
 		}
-		e.FireRefreshHooks()
+		e.fireRefreshHooks()
 		if tick%ticksPerFrame == 0 && tick/ticksPerFrame < frames {
 			proto.RunFrame(firstFrame + tick/ticksPerFrame)
 		}

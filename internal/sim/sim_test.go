@@ -256,6 +256,21 @@ func TestWindowTooSmallForFrame(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTimingThatDoesNotTileAFrame: a refresh cadence longer than
+// the frame would divide by zero in DriveFrames, and one that does not
+// divide it would start frames before the previous frame's work ends. Run
+// returns the validation error instead of running either.
+func TestRunRejectsTimingThatDoesNotTileAFrame(t *testing.T) {
+	for _, update := range []time.Duration{30 * time.Millisecond, 3 * time.Millisecond} {
+		cfg := sim.DefaultConfig(5, 1)
+		cfg.WarmupSec = 0
+		cfg.Timing.PositionUpdate = update
+		if _, err := sim.Run(cfg, nullFactory(&nullProtocol{})); err == nil {
+			t.Errorf("position update %v: want error", update)
+		}
+	}
+}
+
 func TestNewEnvWithWorldCustom(t *testing.T) {
 	tc := traffic.DefaultConfig(0)
 	road, err := traffic.New(tc, xrand.New(1))

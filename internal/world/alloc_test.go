@@ -9,8 +9,8 @@ import (
 
 // TestLinkLookupAllocFree pins the Link(i, j) zero-alloc contract
 // independently of the alloccheck lint pass and the benchmark gate: the
-// rank-window slot probe (and its binary-search fallback) must never touch
-// the heap, whatever the protocol layers do around it.
+// binary search of the rank-sorted link slice must never touch the heap,
+// whatever the protocol layers do around it.
 func TestLinkLookupAllocFree(t *testing.T) {
 	road, err := traffic.New(traffic.DefaultConfig(30), xrand.New(1))
 	if err != nil {

@@ -40,8 +40,8 @@ func BenchmarkRefresh15vpl(b *testing.B) { benchRefresh(b, 15) }
 func BenchmarkRefresh30vpl(b *testing.B) { benchRefresh(b, 30) }
 func BenchmarkRefresh60vpl(b *testing.B) { benchRefresh(b, 60) }
 
-// BenchmarkLinkLookup measures the Link(i, j) rank-window slot probe that
-// replaced the dense pair index.
+// BenchmarkLinkLookup measures the Link(i, j) binary search of a link
+// slice, which replaced the dense pair index.
 func BenchmarkLinkLookup(b *testing.B) {
 	road, err := traffic.New(traffic.DefaultConfig(30), xrand.New(1))
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 	"mmv2v/internal/xrand"
 )
 
-// TestLinkLookupMatchesDenseIndex pins the rank-window slot Link lookup
+// TestLinkLookupMatchesDenseIndex pins the binary-search Link lookup
 // against a brute-force dense index rebuilt from Links(i), across randomized
 // worlds and several refresh steps — the equivalence the O(n²) matrix it
 // replaced provided by construction.
@@ -53,8 +53,8 @@ func checkLinkLookup(t *testing.T, w *World) {
 	t.Helper()
 	n := w.NumVehicles()
 	for i := 0; i < n; i++ {
-		// Links(i) must be in ascending partner-x order — the invariant the
-		// rank-window slot build relies on.
+		// Links(i) must be in ascending partner-x order — the invariant
+		// Link's binary search relies on.
 		dense := make(map[int]Link, len(w.Links(i)))
 		for k, l := range w.Links(i) {
 			if k > 0 && w.pos[l.J].X < w.pos[w.Links(i)[k-1].J].X {

@@ -112,8 +112,8 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 				if !(l.PathGainLin > 0) {
 					t.Fatalf("trial %d: link (%d,%d) non-positive gain %v", trial, i, j, l.PathGainLin)
 				}
-				// Link lookup (slot probe or binary search) must agree with
-				// the slice entry itself.
+				// Link's binary search must agree with the slice entry
+				// itself.
 				ll, ok := w.Link(i, j)
 				if !ok || ll != l {
 					t.Fatalf("trial %d: Link(%d,%d) lookup disagrees with links slice", trial, i, j)

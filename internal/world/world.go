@@ -16,12 +16,11 @@
 // it replaced.
 //
 // The table is refreshed at the paper's 5 ms cadence ("vehicle position and
-// link quality is updated every 5 ms"); between refreshes all queries are
-// O(1) probes into per-vehicle sorted link slices via compact rank-window
-// indexes (total size O(links), never O(n²)), which is what makes the
-// event-driven control plane (144 sector slots + 40 negotiation slots per
-// frame) affordable and lets vehicle counts scale without a dense pair
-// matrix.
+// link quality is updated every 5 ms"); between refreshes a pair query is
+// one binary search of the querying vehicle's rank-sorted link slice (total
+// size O(links), never O(n²)), which is what makes the event-driven control
+// plane (144 sector slots + 40 negotiation slots per frame) affordable and
+// lets vehicle counts scale without a dense pair matrix.
 package world
 
 import (
@@ -130,19 +129,10 @@ type World struct {
 	// persist across Refresh calls: positions move only micrometers per
 	// 5 ms tick, so re-sorting the previous permutation is nearly free.
 	// Ranks give links their canonical per-vehicle order (ascending
-	// partner rank) — the order the legacy x-sweep produced — and key the
-	// rank-window slot index below.
+	// partner rank) — the order the legacy x-sweep produced — which Link
+	// binary-searches.
 	order []int
 	rank  []int32
-	// slotLo/slots form the O(1) link lookup: when vehicle i's partners
-	// occupy a narrow band of consecutive x-ranks (always true on a 1-D
-	// road), slots[i][rank[j]-slotLo[i]] holds the index of the i→j entry
-	// in links[i] (-1 when absent). When the band is wide relative to the
-	// link count (2-D road graphs), slotLo[i] is -1 and Link falls back to
-	// a binary search of the rank-sorted slice, keeping total index memory
-	// O(links) on every topology.
-	slotLo []int32
-	slots  [][]int32
 
 	// Spatial hash: a dense grid of cells over the fleet's static bounds.
 	// cells[cy*cellsX+cx] lists the vehicles whose center lies in the cell,
@@ -215,8 +205,6 @@ func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 		frames:    make([]geom.BodyFrame, n),
 		order:     make([]int, n),
 		rank:      make([]int32, n),
-		slotLo:    make([]int32, n),
-		slots:     make([][]int32, n),
 	}
 	for i := range w.order {
 		w.order[i] = i
@@ -432,8 +420,8 @@ func (w *World) Refresh() {
 }
 
 // rebuildIndex canonicalizes per-vehicle link order (ascending partner rank
-// — what the x-sweep produced by construction), derives the LOS neighbor
-// sets, and rebuilds the rank-window slot tables from w.links/w.rank.
+// — what the x-sweep produced by construction, and what Link
+// binary-searches) and derives the LOS neighbor sets.
 func (w *World) rebuildIndex() {
 	for i := range w.neighbors {
 		w.neighbors[i] = w.neighbors[i][:0]
@@ -446,35 +434,6 @@ func (w *World) rebuildIndex() {
 				w.neighbors[i] = append(w.neighbors[i], int(l.J))
 			}
 		}
-		if len(ls) == 0 {
-			w.slotLo[i] = 0
-			w.slots[i] = w.slots[i][:0]
-			continue
-		}
-		lo := w.rank[ls[0].J]
-		width := int(w.rank[ls[len(ls)-1].J]-lo) + 1
-		if width > 8*len(ls)+32 {
-			// Sparse rank band (2-D road graph): binary-search fallback
-			// keeps index memory O(links).
-			w.slotLo[i] = -1
-			w.slots[i] = w.slots[i][:0]
-			continue
-		}
-		s := w.slots[i]
-		if cap(s) < width {
-			//mmv2v:alloc amortized: slot tables are regrown only when a vehicle's rank window widens past every previous refresh
-			s = make([]int32, width)
-		} else {
-			s = s[:width]
-		}
-		for k := range s {
-			s[k] = -1
-		}
-		for k, l := range ls {
-			s[w.rank[l.J]-lo] = int32(k)
-		}
-		w.slotLo[i] = lo
-		w.slots[i] = s
 	}
 }
 
@@ -618,25 +577,11 @@ func (w *World) countBlockers(a, b int, dM, maxDiag float64) int {
 }
 
 // Link returns the pair-table entry from i toward j, if within interference
-// range. When vehicle i's partners occupy a contiguous band of x-ranks (1-D
-// roads) the lookup is one O(1) probe of i's rank-window slot table; on
-// sparse rank bands (road graphs) it binary-searches the rank-sorted link
-// slice.
+// range: one binary search of i's link slice, which is sorted by partner
+// x-rank.
 //
 //mmv2v:hotpath the per-slot link probe; pinned by BenchmarkLinkLookup
 func (w *World) Link(i, j int) (Link, bool) {
-	if lo := w.slotLo[i]; lo >= 0 {
-		r := w.rank[j] - lo
-		s := w.slots[i]
-		if uint(r) >= uint(len(s)) {
-			return Link{}, false
-		}
-		k := s[r]
-		if k < 0 {
-			return Link{}, false
-		}
-		return w.links[i][k], true
-	}
 	ls := w.links[i]
 	rj := w.rank[j]
 	lo, hi := 0, len(ls)
