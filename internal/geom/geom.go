@@ -54,7 +54,13 @@ func (v Vec) BearingTo(w Vec) Bearing {
 
 // NormalizeBearing maps b into [0, 2π).
 func NormalizeBearing(b Bearing) Bearing {
-	r := math.Mod(float64(b), 2*math.Pi)
+	r := float64(b)
+	// math.Mod returns its argument unchanged when |r| < 2π — always the
+	// case for atan2 results and for a normalized bearing plus π — so only
+	// call it otherwise (±Inf and NaN included).
+	if !(r > -2*math.Pi && r < 2*math.Pi) {
+		r = math.Mod(r, 2*math.Pi)
+	}
 	if r < 0 {
 		r += 2 * math.Pi
 	}

@@ -139,6 +139,47 @@ func TestAngleDiffMatchesModForm(t *testing.T) {
 	}
 }
 
+// normalizeBearingMod is NormalizeBearing as first written, calling
+// math.Mod unconditionally: the plain reference for the fast path's
+// differential test.
+func normalizeBearingMod(b Bearing) float64 {
+	r := math.Mod(float64(b), 2*math.Pi)
+	if r < 0 {
+		r += 2 * math.Pi
+	}
+	return r
+}
+
+// TestNormalizeBearingMatchesModForm checks bit for bit that skipping
+// math.Mod for |b| < 2π changes nothing: at signed zeros and subnormals,
+// one ulp either side of ±2π, at huge and non-finite inputs, and over
+// random bearings in and out of (−2π, 2π).
+func TestNormalizeBearingMatchesModForm(t *testing.T) {
+	twoPi := 2 * math.Pi
+	tiny := math.SmallestNonzeroFloat64
+	edges := []float64{
+		0, math.Copysign(0, -1), tiny, -tiny, math.Pi, -math.Pi,
+		math.Nextafter(twoPi, 0), twoPi, math.Nextafter(twoPi, 10),
+		math.Nextafter(-twoPi, 0), -twoPi, math.Nextafter(-twoPi, -10),
+		3 * math.Pi, -3 * math.Pi, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	same := func(b float64) bool {
+		got, want := float64(NormalizeBearing(Bearing(b))), normalizeBearingMod(Bearing(b))
+		return math.Float64bits(got) == math.Float64bits(want) ||
+			(math.IsNaN(got) && math.IsNaN(want))
+	}
+	for _, b := range edges {
+		if !same(b) {
+			t.Errorf("NormalizeBearing(%v) = %v, Mod form %v", b,
+				NormalizeBearing(Bearing(b)), normalizeBearingMod(Bearing(b)))
+		}
+	}
+	f := func(b float64) bool { return same(b) && same(math.Mod(b, 20)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAngleDiffProperties(t *testing.T) {
 	// AngleDiff is always in (-π, π] and adding it to a recovers b.
 	f := func(a, b float64) bool {

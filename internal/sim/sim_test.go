@@ -10,6 +10,7 @@ import (
 	"mmv2v/internal/sim"
 	"mmv2v/internal/traffic"
 	"mmv2v/internal/udt"
+	"mmv2v/internal/units"
 	"mmv2v/internal/world"
 	"mmv2v/internal/xrand"
 )
@@ -267,6 +268,38 @@ func TestRunRejectsTimingThatDoesNotTileAFrame(t *testing.T) {
 		cfg.Timing.PositionUpdate = update
 		if _, err := sim.Run(cfg, nullFactory(&nullProtocol{})); err == nil {
 			t.Errorf("position update %v: want error", update)
+		}
+	}
+}
+
+// TestNewEnvRejectsNonFiniteWorldRanges covers the world ranges no ordered
+// comparison rejects: a NaN range made set-up double a NaN cell size
+// forever, and an infinite interference range built a world without links.
+// NewEnv must return the validation error instead; the deadline turns a
+// hang into a failure.
+func TestNewEnvRejectsNonFiniteWorldRanges(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, field := range []string{"comm", "interference"} {
+			cfg := sim.DefaultConfig(15, 1)
+			cfg.WarmupSec = 0
+			if field == "comm" {
+				cfg.World.CommRange = units.Meter(v)
+			} else {
+				cfg.World.InterferenceRange = units.Meter(v)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := sim.NewEnv(cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s range %v: NewEnv returned no error", field, v)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s range %v: NewEnv did not return", field, v)
+			}
 		}
 	}
 }

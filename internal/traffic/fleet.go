@@ -22,7 +22,8 @@ type Fleet interface {
 	// Pose returns vehicle i's world-frame position, compass heading of
 	// travel and speed.
 	Pose(i int) (pos geom.Vec, heading geom.Bearing, speed units.MeterPerSec)
-	// BodyDims returns vehicle i's body length and width in meters.
+	// BodyDims returns vehicle i's body length and width in meters
+	// (constant over a run).
 	BodyDims(i int) (length, width float64)
 	// Bounds returns a static axis-aligned box containing every vehicle
 	// center for the whole run (the world layer sizes its spatial-hash grid

@@ -309,8 +309,13 @@ func (r *Road) NumVehicles() int { return len(r.vehicles) }
 // Elapsed returns total simulated seconds.
 func (r *Road) Elapsed() float64 { return r.elapsed }
 
+// wrap folds arc position s onto the ring [0, length). math.Mod returns its
+// argument unchanged when |s| < length — nearly every step — so it is only
+// called otherwise (±Inf and NaN included).
 func wrap(s, length float64) float64 {
-	s = math.Mod(s, length)
+	if !(s > -length && s < length) {
+		s = math.Mod(s, length)
+	}
 	if s < 0 {
 		s += length
 	}
@@ -526,8 +531,7 @@ func vehicleLess(a, b *Vehicle) bool {
 // sort.Slice would heap-allocate its closure and box the slice into an
 // interface on every call, which the 5 ms mobility tick cannot afford.
 // Short slices insertion-sort; longer ones go through a median-of-three
-// quicksort with recursion on the smaller half, mirroring
-// world.sortLinksByRank.
+// quicksort with recursion on the smaller half.
 func sortVehiclesBySID(vs []*Vehicle) {
 	for len(vs) > 24 {
 		p := partitionVehicles(vs)

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"mmv2v/internal/geom"
 	"mmv2v/internal/xrand"
@@ -295,6 +296,47 @@ func TestWrap(t *testing.T) {
 	for _, tt := range tests {
 		if got := wrap(tt.in, 1000); math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("wrap(%v) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}
+
+// wrapMod is wrap as first written, calling math.Mod unconditionally: the
+// plain reference for the fast path's differential test.
+func wrapMod(s, length float64) float64 {
+	s = math.Mod(s, length)
+	if s < 0 {
+		s += length
+	}
+	return s
+}
+
+// TestWrapMatchesModForm checks bit for bit that skipping math.Mod for
+// |s| < length changes nothing: at signed zeros and subnormals, one ulp
+// either side of ±length, at huge and non-finite arc positions, and over
+// random positions in and out of (−length, length), for the road's length
+// and an irregular segment length.
+func TestWrapMatchesModForm(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	for _, length := range []float64{1000, 487.3} {
+		edges := []float64{
+			0, math.Copysign(0, -1), tiny, -tiny, length / 2, -length / 2,
+			math.Nextafter(length, 0), length, math.Nextafter(length, math.Inf(1)),
+			math.Nextafter(-length, 0), -length, math.Nextafter(-length, math.Inf(-1)),
+			3 * length, -3 * length, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+		}
+		same := func(s float64) bool {
+			got, want := wrap(s, length), wrapMod(s, length)
+			return math.Float64bits(got) == math.Float64bits(want) ||
+				(math.IsNaN(got) && math.IsNaN(want))
+		}
+		for _, s := range edges {
+			if !same(s) {
+				t.Errorf("wrap(%v, %v) = %v, Mod form %v", s, length, wrap(s, length), wrapMod(s, length))
+			}
+		}
+		f := func(s float64) bool { return same(s) && same(math.Mod(s, 4*length)) }
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Error(err)
 		}
 	}
 }

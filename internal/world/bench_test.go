@@ -24,6 +24,13 @@ func benchRefresh(b *testing.B, density float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Let the first refreshes grow the world's buffers before timing, so
+	// B/op and allocs/op read the steady state rather than one-time growth
+	// divided by b.N.
+	for i := 0; i < warmRefreshes; i++ {
+		road.Step(0.005)
+		w.Refresh()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,6 +38,10 @@ func benchRefresh(b *testing.B, density float64) {
 		w.Refresh()
 	}
 }
+
+// warmRefreshes is how many untimed refreshes the Refresh benchmarks run
+// first.
+const warmRefreshes = 20
 
 // BenchmarkRefresh measures the 5 ms snapshot rebuild — the simulator's
 // per-tick fixed cost (pair table + blocker counting). The 60 vpl case is
@@ -114,6 +125,10 @@ func benchGridRefresh(b *testing.B, rows, cols, vehicles int) {
 	w, err := New(DefaultConfig(), nw)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for i := 0; i < warmRefreshes; i++ {
+		nw.Step(0.005)
+		w.Refresh()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,16 +11,28 @@
 // the 2-D cell neighborhood of each vehicle before any channel math, so a
 // Refresh costs O(vehicles × local density) regardless of topology, where
 // the previous global x-sorted sweep degenerated toward O(n²) on 2-D road
-// graphs. Per-vehicle link slices stay sorted by partner x-rank, so the
-// straight-road special case produces byte-identical tables to the sweep
-// it replaced.
+// graphs.
+//
+// Vehicles move centimeters per refresh, so the cell scans are not repeated
+// every refresh. Verlet lists, the neighbor lists of molecular dynamics,
+// record every pair within InterferenceRange plus a 2 m skin and, for each
+// pair, the vehicles whose bodies come within the skin of its line of
+// sight. While a vehicle stays within half the skin of where the lists were
+// built, its pairs and their blockers are read from the lists; a vehicle
+// that moved farther (a lane change, a ring wrap, a turn, or accumulated
+// drift) is loose, and its pairs are enumerated and counted by the cell
+// scans as before. The lists are rebuilt once the loose work outgrows them.
+// Counts are exact either way (DESIGN.md §10).
 //
 // The table is refreshed at the paper's 5 ms cadence ("vehicle position and
-// link quality is updated every 5 ms"); between refreshes a pair query is
-// one binary search of the querying vehicle's rank-sorted link slice (total
-// size O(links), never O(n²)), which is what makes the event-driven control
-// plane (144 sector slots + 40 negotiation slots per frame) affordable and
-// lets vehicle counts scale without a dense pair matrix.
+// link quality is updated every 5 ms") into one flat array: each vehicle's
+// entries sit contiguously, sorted by partner x-rank, so the straight-road
+// special case produces byte-identical tables to the sweep the grid
+// replaced. Between refreshes a pair query is one binary search of the
+// querying vehicle's entries (total size O(links), never O(n²)), which is
+// what makes the event-driven control plane (144 sector slots + 40
+// negotiation slots per frame) affordable and lets vehicle counts scale
+// without a dense pair matrix.
 package world
 
 import (
@@ -61,17 +73,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. NaN fails every ordered
+// comparison, so each range is checked for finiteness first.
 func (c Config) Validate() error {
-	if c.CommRange <= 0 {
+	switch {
+	case !finite(c.CommRange.M()):
+		return fmt.Errorf("world: non-finite comm range %v", c.CommRange)
+	case !finite(c.InterferenceRange.M()):
+		return fmt.Errorf("world: non-finite interference range %v", c.InterferenceRange)
+	case c.CommRange <= 0:
 		return fmt.Errorf("world: non-positive comm range %v", c.CommRange)
-	}
-	if c.InterferenceRange < c.CommRange {
+	case c.InterferenceRange < c.CommRange:
 		return fmt.Errorf("world: interference range %v below comm range %v",
 			c.InterferenceRange, c.CommRange)
 	}
 	return c.Channel.Validate()
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // CellSizeM returns the spatial-hash cell edge the configuration implies:
 // at least CommRange, so every LOS neighbor candidate sits in the 3×3 cell
@@ -100,6 +120,19 @@ type Link struct {
 // LOS reports whether the link has an unobstructed line of sight.
 func (l Link) LOS() bool { return l.Blockers == 0 }
 
+// The Verlet lists' margins (DESIGN.md §10). They set how long the lists
+// stay useful, not whether the counts are right.
+const (
+	// verletSkin is the margin, in meters, the lists are built with: pairs
+	// out to InterferenceRange + verletSkin, and blocker candidates whose
+	// half-diagonal plus verletSkin reaches the line of sight.
+	verletSkin = 2.0
+	// verletLoose is how far, in meters, a vehicle may sit from its anchor
+	// and still be read from the lists: half the skin, less a micrometer
+	// that absorbs the rounding of the culls.
+	verletLoose = verletSkin/2 - 1e-6
+)
+
 // World is the live geometric + radio state. Create with New; refresh with
 // Refresh after advancing traffic. Not safe for concurrent use.
 type World struct {
@@ -110,12 +143,19 @@ type World struct {
 	// omni is the isotropic pattern quasi-omni beams resolve to.
 	omni channel.Pattern
 
-	n         int
-	pos       []geom.Vec
-	heading   []geom.Bearing
-	speed     []units.MeterPerSec
-	links     [][]Link
-	neighbors [][]int
+	n       int
+	pos     []geom.Vec
+	heading []geom.Bearing
+	speed   []units.MeterPerSec
+	// The pair table in CSR form: vehicle i's entries are
+	// links[linkStart[i]:linkStart[i+1]], in ascending partner rank, and its
+	// LOS neighbors nbrs[nbrStart[i]:nbrStart[i+1]]. fill holds each
+	// vehicle's degree, then its write cursor, while Refresh fills links.
+	links     []Link
+	linkStart []int32
+	nbrs      []int
+	nbrStart  []int32
+	fill      []int32
 	// halfLen/halfWid/halfDiag cache per-vehicle body half extents and the
 	// half-diagonal bound used to prune blocker candidates; frames cache
 	// each body's corner geometry for the blockage tests (one sincos per
@@ -135,15 +175,35 @@ type World struct {
 	rank  []int32
 
 	// Spatial hash: a dense grid of cells over the fleet's static bounds.
-	// cells[cy*cellsX+cx] lists the vehicles whose center lies in the cell,
-	// in ascending vehicle index; rebuilt every Refresh into persistent
-	// buckets. reach is the cell radius of the pair scan.
+	// Cell c holds vehicles cellVeh[cellStart[c]:cellStart[c+1]], in
+	// ascending vehicle index, re-binned every Refresh. reach is the cell
+	// radius of the pair scan.
 	cellM          float64
 	invCellM       float64
 	gridMin        geom.Vec
 	cellsX, cellsY int
-	cells          [][]int32
+	cellStart      []int32
+	cellVeh        []int32
 	reach          int
+
+	// Verlet lists, built from the positions recorded in anchor. Owner
+	// listOwner[k] (the k-th vehicle in x-order at the build) holds the
+	// pairs pairB[listStart[k]:listStart[k+1]] with its higher-ranked
+	// partners, in ascending rank; pair p's blocker candidates are
+	// cand[candStart[p]:candStart[p+1]]. loose marks the vehicles now
+	// beyond verletLoose of their anchors (nLoose of them), and looseCells
+	// one bit per cell holding one. recounted counts the pairs recounted
+	// in full since the build.
+	anchor     []geom.Vec
+	listOwner  []int32
+	listStart  []int32
+	pairB      []int32
+	candStart  []int32
+	cand       []int32
+	loose      []bool
+	looseCells []uint64
+	nLoose     int
+	recounted  int
 
 	// linkFault, when non-nil, multiplies every refreshed link's path gain
 	// by an extra factor (transient blockage bursts; see internal/faults).
@@ -197,14 +257,22 @@ func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 		pos:       make([]geom.Vec, n),
 		heading:   make([]geom.Bearing, n),
 		speed:     make([]units.MeterPerSec, n),
-		links:     make([][]Link, n),
-		neighbors: make([][]int, n),
+		linkStart: make([]int32, n+1),
+		nbrStart:  make([]int32, n+1),
+		fill:      make([]int32, n),
 		halfLen:   make([]float64, n),
 		halfWid:   make([]float64, n),
 		halfDiag:  make([]float64, n),
 		frames:    make([]geom.BodyFrame, n),
 		order:     make([]int, n),
 		rank:      make([]int32, n),
+		cellVeh:   make([]int32, n),
+		anchor:    make([]geom.Vec, n),
+		listOwner: make([]int32, n),
+		listStart: make([]int32, n+1),
+		loose:     make([]bool, n),
+		// Past any list length, so the first Refresh builds the lists.
+		recounted: math.MaxInt32,
 	}
 	for i := range w.order {
 		w.order[i] = i
@@ -233,7 +301,9 @@ func (w *World) initGrid() {
 	w.invCellM = 1 / cell
 	w.cellsX = int(spanX/cell) + 1
 	w.cellsY = int(spanY/cell) + 1
-	w.cells = make([][]int32, w.cellsX*w.cellsY)
+	cells := w.cellsX * w.cellsY
+	w.cellStart = make([]int32, cells+1)
+	w.looseCells = make([]uint64, (cells+63)/64)
 	w.reach = int(math.Ceil(w.cfg.InterferenceRange.M() / cell))
 }
 
@@ -261,6 +331,12 @@ func (w *World) cellY(y float64) int {
 	}
 	return c
 }
+
+// cellOf returns the index of the cell holding point p.
+func (w *World) cellOf(p geom.Vec) int { return w.cellY(p.Y)*w.cellsX + w.cellX(p.X) }
+
+// cell returns the vehicles binned in cell c.
+func (w *World) cell(c int) []int32 { return w.cellVeh[w.cellStart[c]:w.cellStart[c+1]] }
 
 // NumVehicles returns the vehicle count.
 func (w *World) NumVehicles() int { return w.n }
@@ -324,16 +400,24 @@ func (w *World) rebuildGeometry() float64 {
 	return maxDiag
 }
 
-// rebuildCells re-bins every vehicle into the spatial hash (ascending
-// vehicle index per bucket).
+// rebuildCells re-bins every vehicle into the spatial hash by counting
+// sort: count each cell's vehicles, turn the counts into end offsets, then
+// place vehicles in descending index so each cell lists them ascending.
 func (w *World) rebuildCells() {
-	for c := range w.cells {
-		w.cells[c] = w.cells[c][:0]
-	}
+	start := w.cellStart
+	clear(start)
 	for i := 0; i < w.n; i++ {
-		c := w.cellY(w.pos[i].Y)*w.cellsX + w.cellX(w.pos[i].X)
-		//mmv2v:alloc amortized: buckets grow to steady-state occupancy and are reused across refreshes
-		w.cells[c] = append(w.cells[c], int32(i))
+		start[w.cellOf(w.pos[i])]++
+	}
+	sum := int32(0)
+	for c := range start {
+		sum += start[c]
+		start[c] = sum
+	}
+	for i := w.n - 1; i >= 0; i-- {
+		c := w.cellOf(w.pos[i])
+		start[c]--
+		w.cellVeh[start[c]] = int32(i)
 	}
 }
 
@@ -352,66 +436,27 @@ func (w *World) Refresh() {
 		w.rank[i] = int32(k)
 	}
 
-	for i := range w.links {
-		w.links[i] = w.links[i][:0]
-		w.neighbors[i] = w.neighbors[i][:0]
-	}
-
 	maxDiag := w.rebuildGeometry()
 	w.rebuildCells()
-
-	// Enumerate pairs: each vehicle scans its cell neighborhood out to the
-	// interference range and processes exactly the partners of higher
-	// x-rank, so every unordered pair is handled once, from its lower-rank
-	// side — the orientation the legacy x-sweep used. Candidates beyond
-	// range are culled on cheap coordinate deltas before any channel math.
-	// Statistics accumulate in locals and are observed once per refresh.
-	entries, nlos := 0, 0
-	rangeM := w.cfg.InterferenceRange.M()
-	for a := 0; a < w.n; a++ {
-		pa := w.pos[a]
-		ra := w.rank[a]
-		cx, cy := w.cellX(pa.X), w.cellY(pa.Y)
-		x0, x1 := maxInt(cx-w.reach, 0), minInt(cx+w.reach, w.cellsX-1)
-		y0, y1 := maxInt(cy-w.reach, 0), minInt(cy+w.reach, w.cellsY-1)
-		for gy := y0; gy <= y1; gy++ {
-			for gx := x0; gx <= x1; gx++ {
-				for _, bi := range w.cells[gy*w.cellsX+gx] {
-					b := int(bi)
-					if w.rank[b] <= ra {
-						continue
-					}
-					pb := w.pos[b]
-					if pb.X-pa.X > rangeM || pa.X-pb.X > rangeM ||
-						pb.Y-pa.Y > rangeM || pa.Y-pb.Y > rangeM {
-						continue
-					}
-					d := pa.Dist(pb)
-					//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
-					if d > w.cfg.InterferenceRange || d == 0 {
-						continue
-					}
-					blockers := w.countBlockers(a, b, d.M(), maxDiag)
-					gain := w.model.PathGainLin(d, blockers) * w.shadowFactor(a, b)
-					if w.linkFault != nil {
-						gain *= w.linkFault.LinkFactorLin(a, b)
-					}
-					bAB := pa.BearingTo(pb)
-					bBA := geom.NormalizeBearing(bAB + geom.Bearing(math.Pi))
-					//mmv2v:alloc amortized: per-vehicle link tables grow to steady-state degree and are reused across refreshes
-					w.links[a] = append(w.links[a], Link{J: int32(b), Blockers: int32(blockers), Dist: d,
-						Bearing: bAB, BackBearing: bBA, PathGainLin: gain})
-					//mmv2v:alloc amortized: same reused backing array, mirror entry of the pair
-					w.links[b] = append(w.links[b], Link{J: int32(a), Blockers: int32(blockers), Dist: d,
-						Bearing: bBA, BackBearing: bAB, PathGainLin: gain})
-					entries += 2
-					if blockers > 0 {
-						nlos++
-					}
-				}
-			}
-		}
+	if w.markLoose() {
+		w.buildLists(maxDiag)
 	}
+
+	// Two passes over the same pairs: the first counts every vehicle's
+	// degree into fill, the second writes each pair's two entries at the
+	// vehicles' cursors. Statistics accumulate in locals and are observed
+	// once per refresh.
+	clear(w.fill)
+	w.listedPairs(false, maxDiag)
+	w.loosePairs(false, maxDiag)
+	entries := int32(0)
+	for i, deg := range w.fill {
+		w.linkStart[i], w.fill[i] = entries, entries
+		entries += deg
+	}
+	w.linkStart[w.n] = entries
+	w.links = grow(w.links, int(entries))
+	nlos := w.listedPairs(true, maxDiag) + w.loosePairs(true, maxDiag)
 	w.obsRefreshes.Inc()
 	w.obsRefreshLinks.Observe(float64(entries))
 	w.obsNLOSLinks.Add(uint64(nlos))
@@ -419,42 +464,230 @@ func (w *World) Refresh() {
 	w.rebuildIndex()
 }
 
-// rebuildIndex canonicalizes per-vehicle link order (ascending partner rank
-// — what the x-sweep produced by construction, and what Link
-// binary-searches) and derives the LOS neighbor sets.
-func (w *World) rebuildIndex() {
-	for i := range w.neighbors {
-		w.neighbors[i] = w.neighbors[i][:0]
+// markLoose flags the vehicles beyond verletLoose of their anchors and the
+// cells holding them. It reports whether the lists should be rebuilt: when
+// the pairs recounted in full since the build, plus this refresh's pending
+// loose work (the loose vehicles' degrees at the previous refresh), exceed
+// the pair list's length.
+func (w *World) markLoose() bool {
+	clear(w.looseCells)
+	w.nLoose = 0
+	pending := 0
+	for i := 0; i < w.n; i++ {
+		dx, dy := w.pos[i].X-w.anchor[i].X, w.pos[i].Y-w.anchor[i].Y
+		loose := dx*dx+dy*dy > verletLoose*verletLoose
+		w.loose[i] = loose
+		if loose {
+			w.nLoose++
+			pending += int(w.linkStart[i+1] - w.linkStart[i])
+			c := uint(w.cellOf(w.pos[i]))
+			w.looseCells[c/64] |= 1 << (c % 64)
+		}
 	}
-	for i, ls := range w.links {
-		w.sortLinksByRank(ls)
-		for _, l := range ls {
-			if l.Blockers == 0 && l.Dist <= w.cfg.CommRange {
-				//mmv2v:alloc amortized: neighbor sets grow to steady-state degree and are reused across refreshes
-				w.neighbors[i] = append(w.neighbors[i], int(l.J))
+	return w.recounted+pending > len(w.pairB)
+}
+
+// buildLists anchors every vehicle at its current position and rebuilds
+// the Verlet lists: every pair within InterferenceRange + verletSkin, once,
+// under its lower-ranked member in ascending partner rank, each with the
+// vehicles that pass the two blocker culls widened by verletSkin.
+func (w *World) buildLists(maxDiag float64) {
+	copy(w.anchor, w.pos)
+	clear(w.loose)
+	clear(w.looseCells)
+	w.nLoose, w.recounted = 0, 0
+	listM := w.cfg.InterferenceRange.M() + verletSkin
+	reach := int(math.Ceil(listM / w.cellM))
+	pairs, candStart, cand := w.pairB[:0], w.candStart[:0], w.cand[:0]
+	var s sight
+	for k, a := range w.order {
+		w.listOwner[k] = int32(a)
+		first := len(pairs)
+		w.listStart[k] = int32(first)
+		pa, ra := w.pos[a], w.rank[a]
+		cx, cy := w.cellX(pa.X), w.cellY(pa.Y)
+		x0, x1 := maxInt(cx-reach, 0), minInt(cx+reach, w.cellsX-1)
+		y0, y1 := maxInt(cy-reach, 0), minInt(cy+reach, w.cellsY-1)
+		// Columns outermost, so partners arrive in nearly ascending rank.
+		for gx := x0; gx <= x1; gx++ {
+			for gy := y0; gy <= y1; gy++ {
+				for _, b := range w.cell(gy*w.cellsX + gx) {
+					if w.rank[b] <= ra {
+						continue
+					}
+					pb := w.pos[b]
+					if pb.X-pa.X > listM || pa.X-pb.X > listM ||
+						pb.Y-pa.Y > listM || pa.Y-pb.Y > listM || pa.Dist(pb).M() > listM {
+						continue
+					}
+					pairs = push(pairs, b)
+				}
+			}
+		}
+		w.sortByRank(pairs[first:])
+		for _, b := range pairs[first:] {
+			candStart = push(candStart, int32(len(cand)))
+			s.set(pa, w.pos[b], pa.Dist(w.pos[b]).M())
+			x0, x1, y0, y1 := w.cellRange(&s, maxDiag+verletSkin)
+			for gy := y0; gy <= y1; gy++ {
+				for gx := x0; gx <= x1; gx++ {
+					for _, c := range w.cell(gy*w.cellsX + gx) {
+						if int(c) != a && c != b && s.near(w.pos[c], w.halfDiag[c]+verletSkin) {
+							cand = push(cand, c)
+						}
+					}
+				}
 			}
 		}
 	}
+	w.listStart[w.n] = int32(len(pairs))
+	candStart = push(candStart, int32(len(cand)))
+	w.pairB = settle(w.pairB, pairs)
+	w.candStart = settle(w.candStart, candStart)
+	w.cand = settle(w.cand, cand)
 }
 
-// sortLinksByRank sorts a link slice by ascending partner x-rank. Ranks are
-// unique, so the order is total and independent of both the cell
-// enumeration order that produced the slice and the sort algorithm. Short
-// slices insertion-sort; the long per-vehicle tables of dense road-graph
-// worlds go through a median-of-three quicksort so the canonicalization
-// pass stays O(k log k).
-func (w *World) sortLinksByRank(ls []Link) {
-	for len(ls) > 24 {
-		p := w.partitionLinks(ls)
-		// Recurse into the smaller half; loop on the larger to bound stack depth.
-		if p < len(ls)-p-1 {
-			w.sortLinksByRank(ls[:p])
-			ls = ls[p+1:]
-		} else {
-			w.sortLinksByRank(ls[p+1:])
-			ls = ls[:p]
+// listedPairs walks the listed pairs of two settled (not loose) vehicles
+// that are in range. With put false it counts each vehicle's degree into
+// fill; with put true it writes the pairs' entries and returns how many are
+// blocked. Each pair is oriented from its current lower-ranked member.
+func (w *World) listedPairs(put bool, maxDiag float64) (nlos int) {
+	rangeM := w.cfg.InterferenceRange
+	var s sight
+	for k, a := range w.listOwner {
+		if w.loose[a] {
+			continue
+		}
+		for p := w.listStart[k]; p < w.listStart[k+1]; p++ {
+			lo, hi := int(a), int(w.pairB[p])
+			if w.loose[hi] {
+				continue
+			}
+			if w.rank[lo] > w.rank[hi] {
+				lo, hi = hi, lo
+			}
+			d := w.pos[lo].Dist(w.pos[hi])
+			//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
+			if d > rangeM || d == 0 {
+				continue
+			}
+			if !put {
+				w.fill[lo]++
+				w.fill[hi]++
+				continue
+			}
+			s.set(w.pos[lo], w.pos[hi], d.M())
+			blockers := w.listedBlockers(&s, w.cand[w.candStart[p]:w.candStart[p+1]], maxDiag)
+			w.putPair(lo, hi, d, blockers)
+			if blockers > 0 {
+				nlos++
+			}
 		}
 	}
+	return nlos
+}
+
+// loosePairs walks the in-range pairs with a loose member, found by each
+// loose vehicle's cell scan out to the interference range (a pair of two
+// loose vehicles from its lower-ranked one). With put false it counts
+// degrees into fill; with put true it counts each pair's blockers in full,
+// writes its entries and returns how many are blocked.
+func (w *World) loosePairs(put bool, maxDiag float64) (nlos int) {
+	if w.nLoose == 0 {
+		return 0
+	}
+	rangeM := w.cfg.InterferenceRange.M()
+	for a := 0; a < w.n; a++ {
+		if !w.loose[a] {
+			continue
+		}
+		pa, ra := w.pos[a], w.rank[a]
+		cx, cy := w.cellX(pa.X), w.cellY(pa.Y)
+		x0, x1 := maxInt(cx-w.reach, 0), minInt(cx+w.reach, w.cellsX-1)
+		y0, y1 := maxInt(cy-w.reach, 0), minInt(cy+w.reach, w.cellsY-1)
+		// Columns outermost, so a's entries arrive in nearly ascending rank.
+		for gx := x0; gx <= x1; gx++ {
+			for gy := y0; gy <= y1; gy++ {
+				for _, bi := range w.cell(gy*w.cellsX + gx) {
+					b := int(bi)
+					if b == a || w.loose[b] && w.rank[b] < ra {
+						continue
+					}
+					pb := w.pos[b]
+					if pb.X-pa.X > rangeM || pa.X-pb.X > rangeM ||
+						pb.Y-pa.Y > rangeM || pa.Y-pb.Y > rangeM {
+						continue
+					}
+					lo, hi := a, b
+					if w.rank[b] < ra {
+						lo, hi = b, a
+					}
+					d := w.pos[lo].Dist(w.pos[hi])
+					//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
+					if d > w.cfg.InterferenceRange || d == 0 {
+						continue
+					}
+					if !put {
+						w.fill[lo]++
+						w.fill[hi]++
+						continue
+					}
+					blockers := w.countBlockers(lo, hi, d.M(), maxDiag)
+					w.putPair(lo, hi, d, blockers)
+					w.recounted++
+					if blockers > 0 {
+						nlos++
+					}
+				}
+			}
+		}
+	}
+	return nlos
+}
+
+// putPair writes pair (a, b)'s two entries at the vehicles' fill cursors.
+// a is the pair's lower-ranked member, the side every quantity is computed
+// from — the orientation the legacy x-sweep used.
+func (w *World) putPair(a, b int, d units.Meter, blockers int) {
+	pa, pb := w.pos[a], w.pos[b]
+	gain := w.model.PathGainLin(d, blockers) * w.shadowFactor(a, b)
+	if w.linkFault != nil {
+		gain *= w.linkFault.LinkFactorLin(a, b)
+	}
+	bAB := pa.BearingTo(pb)
+	bBA := geom.NormalizeBearing(bAB + geom.Bearing(math.Pi))
+	ka, kb := w.fill[a], w.fill[b]
+	w.links[ka] = Link{J: int32(b), Blockers: int32(blockers), Dist: d,
+		Bearing: bAB, BackBearing: bBA, PathGainLin: gain}
+	w.links[kb] = Link{J: int32(a), Blockers: int32(blockers), Dist: d,
+		Bearing: bBA, BackBearing: bAB, PathGainLin: gain}
+	w.fill[a], w.fill[b] = ka+1, kb+1
+}
+
+// rebuildIndex canonicalizes per-vehicle link order (ascending partner rank
+// — what the x-sweep produced by construction, and what Link
+// binary-searches) and derives the LOS neighbor sets. The fill left each
+// vehicle's entries nearly sorted, so an insertion sort suffices.
+func (w *World) rebuildIndex() {
+	nbrs := w.nbrs[:0]
+	for i := 0; i < w.n; i++ {
+		ls := w.links[w.linkStart[i]:w.linkStart[i+1]]
+		w.sortLinksByRank(ls)
+		w.nbrStart[i] = int32(len(nbrs))
+		for k := range ls {
+			if ls[k].Blockers == 0 && ls[k].Dist <= w.cfg.CommRange {
+				nbrs = push(nbrs, int(ls[k].J))
+			}
+		}
+	}
+	w.nbrStart[w.n] = int32(len(nbrs))
+	w.nbrs = settle(w.nbrs, nbrs)
+}
+
+// sortLinksByRank insertion-sorts a link slice by ascending partner x-rank.
+// Ranks are unique, so the order is total and independent of the order the
+// entries were written in.
+func (w *World) sortLinksByRank(ls []Link) {
 	for i := 1; i < len(ls); i++ {
 		l := ls[i]
 		r := w.rank[l.J]
@@ -467,32 +700,18 @@ func (w *World) sortLinksByRank(ls []Link) {
 	}
 }
 
-// partitionLinks Lomuto-partitions ls around a median-of-three pivot rank
-// and returns the pivot's final index.
-func (w *World) partitionLinks(ls []Link) int {
-	hi := len(ls) - 1
-	m := hi / 2
-	r0, rm, rh := w.rank[ls[0].J], w.rank[ls[m].J], w.rank[ls[hi].J]
-	var pi int
-	switch {
-	case (rm <= r0) == (r0 <= rh):
-		pi = 0
-	case (r0 <= rm) == (rm <= rh):
-		pi = m
-	default:
-		pi = hi
-	}
-	ls[pi], ls[hi] = ls[hi], ls[pi]
-	p := w.rank[ls[hi].J]
-	i := 0
-	for j := 0; j < hi; j++ {
-		if w.rank[ls[j].J] < p {
-			ls[i], ls[j] = ls[j], ls[i]
-			i++
+// sortByRank insertion-sorts vehicle indexes by ascending x-rank.
+func (w *World) sortByRank(vs []int32) {
+	for i := 1; i < len(vs); i++ {
+		v := vs[i]
+		r := w.rank[v]
+		j := i - 1
+		for j >= 0 && w.rank[vs[j]] > r {
+			vs[j+1] = vs[j]
+			j--
 		}
+		vs[j+1] = v
 	}
-	ls[i], ls[hi] = ls[hi], ls[i]
-	return i
 }
 
 // sortOrderByX insertion-sorts the cached vehicle permutation by x
@@ -509,6 +728,47 @@ func (w *World) sortOrderByX() {
 		}
 		order[j+1] = v
 	}
+}
+
+// grow returns s extended to length n. Past its capacity it copies s into
+// a new backing array with an eighth of headroom, so the world's buffers
+// regrow only past their largest size so far and stay nearly full (append's
+// doubling can leave half of an array unused).
+func grow[T any](s []T, n int) []T {
+	if n > cap(s) {
+		//mmv2v:alloc amortized: regrown only past the largest size so far, with 1/8 headroom
+		t := make([]T, n, n+n/8)
+		copy(t, s)
+		return t
+	}
+	return s[:n]
+}
+
+// push appends v to a buffer whose final length is not known in advance.
+// It doubles a full backing array, as append does, so building from empty
+// allocates about twice the final size rather than nine times; settle
+// trims the buffer once it is complete.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		//mmv2v:alloc amortized: doubles only past the largest size so far, and settle trims it
+		t := make([]T, len(s), 2*len(s)+16)
+		copy(t, s)
+		s = t
+	}
+	s = s[:len(s)+1]
+	s[len(s)-1] = v
+	return s
+}
+
+// settle returns s, a buffer push filled starting from old, moved to an
+// array with an eighth of headroom if push regrew it.
+func settle[T any](old, s []T) []T {
+	if cap(s) == cap(old) {
+		return s
+	}
+	t := grow([]T(nil), len(s))
+	copy(t, s)
+	return t
 }
 
 // shadowFactor returns the linear per-pair log-normal shadowing factor, or
@@ -531,43 +791,89 @@ func (w *World) shadowFactor(a, b int) float64 {
 	return sigma.Times(z).Linear()
 }
 
+// sight is a line of sight from pa to pb, dM meters long, prepared for the
+// blocker culls.
+type sight struct {
+	pa, pb             geom.Vec
+	lox, hix, loy, hiy float64
+	abx, aby, dM       float64
+}
+
+// set aims s from pa to pb, dM meters apart. It assigns the fields one by
+// one, so reusing one sight across pairs copies no struct.
+func (s *sight) set(pa, pb geom.Vec, dM float64) {
+	s.pa, s.pb = pa, pb
+	s.lox, s.hix = min(pa.X, pb.X), max(pa.X, pb.X)
+	s.loy, s.hiy = min(pa.Y, pb.Y), max(pa.Y, pb.Y)
+	s.abx, s.aby, s.dM = pb.X-pa.X, pb.Y-pa.Y, dM
+}
+
+// near applies the two blocker culls to a body of half-diagonal diag
+// centered at pc: its center lies inside the sight's bounding box padded by
+// diag, and within diag of the line of sight. Both are sound supersets on
+// any body heading.
+func (s *sight) near(pc geom.Vec, diag float64) bool {
+	if pc.X < s.lox-diag || pc.X > s.hix+diag || pc.Y < s.loy-diag || pc.Y > s.hiy+diag {
+		return false
+	}
+	cross := s.abx*(pc.Y-s.pa.Y) - s.aby*(pc.X-s.pa.X)
+	return !(cross > diag*s.dM || -cross > diag*s.dM)
+}
+
+// cellRange returns the cells the sight's bounding box padded by pad
+// overlaps.
+func (w *World) cellRange(s *sight, pad float64) (x0, x1, y0, y1 int) {
+	return w.cellX(s.lox - pad), w.cellX(s.hix + pad), w.cellY(s.loy - pad), w.cellY(s.hiy + pad)
+}
+
 // countBlockers counts vehicle bodies crossing the a–b segment, excluding
 // the endpoints' own bodies. Candidates come from the spatial-hash cells
 // overlapping the segment's bounding box padded by the largest body
-// half-diagonal, then pass two per-candidate culls — center inside the
-// padded bounding box, and center within its own half-diagonal of the LOS
-// line — before the exact oriented-rectangle test. Both culls are sound
-// supersets on any body heading, so counts are identical to an exhaustive
-// scan. dM is the a–b distance in meters.
+// half-diagonal, then pass the two culls before the exact oriented-rectangle
+// test, so counts are identical to an exhaustive scan. dM is the a–b
+// distance in meters.
 func (w *World) countBlockers(a, b int, dM, maxDiag float64) int {
-	pa, pb := w.pos[a], w.pos[b]
-	lox, hix := math.Min(pa.X, pb.X), math.Max(pa.X, pb.X)
-	loy, hiy := math.Min(pa.Y, pb.Y), math.Max(pa.Y, pb.Y)
-	x0, x1 := w.cellX(lox-maxDiag), w.cellX(hix+maxDiag)
-	y0, y1 := w.cellY(loy-maxDiag), w.cellY(hiy+maxDiag)
-	abx, aby := pb.X-pa.X, pb.Y-pa.Y
-	pos, halfDiag, frames := w.pos, w.halfDiag, w.frames
+	var s sight
+	s.set(w.pos[a], w.pos[b], dM)
+	x0, x1, y0, y1 := w.cellRange(&s, maxDiag)
 	blockers := 0
 	for gy := y0; gy <= y1; gy++ {
 		for gx := x0; gx <= x1; gx++ {
-			for _, ci := range w.cells[gy*w.cellsX+gx] {
-				c := int(ci)
-				if c == a || c == b {
-					continue
+			for _, c := range w.cell(gy*w.cellsX + gx) {
+				if int(c) != a && int(c) != b && s.near(w.pos[c], w.halfDiag[c]) &&
+					w.frames[c].SegmentIntersects(s.pa, s.pb) {
+					blockers++
 				}
-				pc := pos[c]
-				diag := halfDiag[c]
-				if pc.X < lox-diag || pc.X > hix+diag || pc.Y < loy-diag || pc.Y > hiy+diag {
-					continue
-				}
-				// Perpendicular distance from the candidate's center to the
-				// LOS line exceeds its half-diagonal → no part of the body
-				// can reach the segment.
-				cross := abx*(pc.Y-pa.Y) - aby*(pc.X-pa.X)
-				if cross > diag*dM || -cross > diag*dM {
-					continue
-				}
-				if frames[c].SegmentIntersects(pa, pb) {
+			}
+		}
+	}
+	return blockers
+}
+
+// listedBlockers counts the bodies crossing the sight of a pair of settled
+// vehicles: its settled candidates from the lists, then the loose vehicles
+// in the cells the sight's padded box overlaps. The two sets are disjoint
+// and together hold every body that can cross, so the count is
+// countBlockers'.
+func (w *World) listedBlockers(s *sight, cand []int32, maxDiag float64) int {
+	blockers := 0
+	for _, c := range cand {
+		if !w.loose[c] && s.near(w.pos[c], w.halfDiag[c]) && w.frames[c].SegmentIntersects(s.pa, s.pb) {
+			blockers++
+		}
+	}
+	if w.nLoose == 0 {
+		return blockers
+	}
+	x0, x1, y0, y1 := w.cellRange(s, maxDiag)
+	for gy := y0; gy <= y1; gy++ {
+		for gx := x0; gx <= x1; gx++ {
+			ci := uint(gy*w.cellsX + gx)
+			if w.looseCells[ci/64]&(1<<(ci%64)) == 0 {
+				continue
+			}
+			for _, c := range w.cell(int(ci)) {
+				if w.loose[c] && s.near(w.pos[c], w.halfDiag[c]) && w.frames[c].SegmentIntersects(s.pa, s.pb) {
 					blockers++
 				}
 			}
@@ -577,43 +883,47 @@ func (w *World) countBlockers(a, b int, dM, maxDiag float64) int {
 }
 
 // Link returns the pair-table entry from i toward j, if within interference
-// range: one binary search of i's link slice, which is sorted by partner
-// x-rank.
+// range: a binary search of i's entries, which are sorted by partner
+// x-rank. Ranks are unique, so the entry ranked as j is j's.
 //
 //mmv2v:hotpath the per-slot link probe; pinned by BenchmarkLinkLookup
 func (w *World) Link(i, j int) (Link, bool) {
-	ls := w.links[i]
+	ls := w.links[w.linkStart[i]:w.linkStart[i+1]]
 	rj := w.rank[j]
-	lo, hi := 0, len(ls)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w.rank[ls[mid].J] < rj {
-			lo = mid + 1
+	for len(ls) > 0 {
+		h := len(ls) / 2
+		if r := w.rank[ls[h].J]; r < rj {
+			ls = ls[h+1:]
+		} else if r > rj {
+			ls = ls[:h]
 		} else {
-			hi = mid
+			return ls[h], true
 		}
-	}
-	if lo < len(ls) && int(ls[lo].J) == j {
-		return ls[lo], true
 	}
 	return Link{}, false
 }
 
 // Links returns all pair-table entries of vehicle i (within interference
 // range). Callers must not retain the slice across Refresh.
-func (w *World) Links(i int) []Link { return w.links[i] }
+func (w *World) Links(i int) []Link {
+	lo, hi := w.linkStart[i], w.linkStart[i+1]
+	return w.links[lo:hi:hi]
+}
 
 // Neighbors returns vehicle i's current one-hop neighbor set: LOS vehicles
 // within CommRange (the OHM task set, Sec. II-B). Callers must not retain
 // the slice across Refresh.
-func (w *World) Neighbors(i int) []int { return w.neighbors[i] }
+func (w *World) Neighbors(i int) []int {
+	lo, hi := w.nbrStart[i], w.nbrStart[i+1]
+	return w.nbrs[lo:hi:hi]
+}
 
 // NeighborSnapshot deep-copies all neighbor sets, for freezing the metric
 // denominator at a window boundary.
 func (w *World) NeighborSnapshot() [][]int {
 	out := make([][]int, w.n)
 	for i := range out {
-		out[i] = append([]int(nil), w.neighbors[i]...)
+		out[i] = append([]int(nil), w.Neighbors(i)...)
 	}
 	return out
 }
@@ -624,22 +934,12 @@ func (w *World) AvgNeighborCount() float64 {
 	if w.n == 0 {
 		return 0
 	}
-	total := 0
-	for i := 0; i < w.n; i++ {
-		total += len(w.neighbors[i])
-	}
-	return float64(total) / float64(w.n)
+	return float64(len(w.nbrs)) / float64(w.n)
 }
 
 // TotalLinks returns the number of directed link-table entries of the
 // current snapshot (diagnostics for scale scenarios).
-func (w *World) TotalLinks() int {
-	total := 0
-	for i := range w.links {
-		total += len(w.links[i])
-	}
-	return total
-}
+func (w *World) TotalLinks() int { return len(w.links) }
 
 // Aim is a beam resolved for gain evaluation: its boresight and the antenna
 // pattern of its width, looked up once (World.Aim) and then evaluated

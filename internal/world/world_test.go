@@ -2,6 +2,7 @@ package world
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mmv2v/internal/geom"
@@ -39,6 +40,20 @@ func TestConfigValidate(t *testing.T) {
 	cfg.Channel.BandwidthHz = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("invalid channel params should fail")
+	}
+	// NaN passes every ordered range check and +Inf passes both, so each
+	// needs its own finiteness check, named in the error.
+	for _, v := range []units.Meter{units.Meter(math.NaN()), units.Meter(math.Inf(1))} {
+		cfg = DefaultConfig()
+		cfg.CommRange = v
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "comm range") {
+			t.Errorf("comm range %v: got %v, want an error naming the comm range", v, err)
+		}
+		cfg = DefaultConfig()
+		cfg.InterferenceRange = v
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "interference range") {
+			t.Errorf("interference range %v: got %v, want an error naming the interference range", v, err)
+		}
 	}
 }
 
