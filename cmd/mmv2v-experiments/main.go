@@ -118,8 +118,8 @@ func run(w io.Writer) error {
 			}
 		}
 	}
-	recordStats := *statsOut != ""
-	recordSeries := *seriesOut != ""
+	// -series samples the registry -stats exports, so either records it.
+	recordStats := *statsOut != "" || *seriesOut != ""
 	var statsRows []mmv2v.StatsRow
 	var seriesRows []mmv2v.SeriesRow
 	if *format != "table" && *format != "csv" {
@@ -194,7 +194,6 @@ func run(w io.Writer) error {
 			opts.Workers = *workers
 			opts.Progress = progress
 			opts.Stats = recordStats
-			opts.Series = recordSeries
 			if *trials > 0 {
 				opts.Trials = *trials
 			}
@@ -268,7 +267,6 @@ func run(w io.Writer) error {
 			opts.Workers = *workers
 			opts.Progress = progress
 			opts.Stats = recordStats
-			opts.Series = recordSeries
 			if *trials > 0 {
 				opts.Trials = *trials
 			}
@@ -344,12 +342,12 @@ func run(w io.Writer) error {
 			fmt.Fprintf(w, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if recordStats {
+	if *statsOut != "" {
 		if err := writeStats(*statsOut, statsRows); err != nil {
 			return err
 		}
 	}
-	if recordSeries {
+	if *seriesOut != "" {
 		if err := writeSeries(*seriesOut, seriesRows); err != nil {
 			return err
 		}

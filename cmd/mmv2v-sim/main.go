@@ -38,9 +38,9 @@
 // window boundary and writes the per-window deltas as JSON Lines (CSV when
 // the path ends in .csv), one scope per protocol. -http <addr> serves live
 // run telemetry — /healthz, /metrics, /series, /progress and
-// /debug/pprof/ — while the run executes; it implies -series sampling
-// (which, like -stats, is part of the scenario fingerprint) but changes
-// nothing on stdout. Under -drive the HTTP surface reports per-refresh
+// /debug/pprof/ — while the run executes; like -series it brings up the
+// -stats registry (part of the scenario fingerprint) but changes nothing
+// on stdout. Under -drive the HTTP surface reports per-refresh
 // link-table gauges instead. See DESIGN.md §9 for the contract.
 package main
 
@@ -139,10 +139,9 @@ func run() (err error) {
 		grid := gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, protocolGridDefaults)
 		cfg = mmv2v.GridScenario(grid, *seed)
 	}
-	cfg.Stats = *statsOut != ""
-	// -http implies the windowed series so /series and /metrics have data;
-	// both knobs are scenario-defining (fingerprint) like -stats.
-	cfg.Series = *seriesOut != "" || *httpAddr != ""
+	// -series and -http need the windowed series, which comes with the
+	// statistics registry; all three are scenario-defining (fingerprint).
+	cfg.Stats = *statsOut != "" || *seriesOut != "" || *httpAddr != ""
 	cfg.WindowSec = *seconds
 	cfg.Windows = *windows
 	cfg.DemandBits = *demand
@@ -195,11 +194,8 @@ func run() (err error) {
 		if len(names) > 1 {
 			return fmt.Errorf("-runlog needs a single -protocol, not all")
 		}
-		if *statsOut != "" {
-			return fmt.Errorf("-runlog records metric tables, not the -stats registry; drop one of the two")
-		}
-		if cfg.Series {
-			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the series registry; drop -series/-http")
+		if cfg.Stats {
+			return fmt.Errorf("-runlog's recorded recipe cannot reproduce the statistics registry; drop -stats/-series/-http")
 		}
 	}
 

@@ -86,14 +86,16 @@ type AD struct {
 
 	// isPCP[i] marks this frame's PCPs.
 	isPCP []bool
-	// heardBeacons[i] maps PCP → (best SNR, member's toward-sector).
-	heardBeacons []map[int]*discovery
+	// heardBeacons[i] holds, per PCP vehicle i heard, the strongest beacon's
+	// SNR and i's sector toward the PCP.
+	heardBeacons []sim.Sightings
 	// joined[i] is the PBSS (PCP id) vehicle i associated with (-1 none).
 	joined []int
-	// members[p] lists vehicles associated to PCP p this frame (incl. p).
-	members map[int][]int
-	// spRotation persists round-robin fairness across frames, per PCP.
-	spRotation map[int]int
+	// members[p] lists the vehicles associated to PCP p this frame; the PCP
+	// itself is not listed (pbssPairs adds it).
+	members [][]int
+	// spRotation[p] persists PCP p's round-robin position across frames.
+	spRotation []int
 	// beaconRx[i] and assocRx[i] are vehicle i's BTI and A-BFT receive
 	// handlers, built once.
 	beaconRx []medium.Handler
@@ -119,14 +121,14 @@ func NewAD(env *sim.Env, cfg ADParams) *AD {
 		env:          env,
 		cfg:          cfg,
 		isPCP:        make([]bool, n),
-		heardBeacons: make([]map[int]*discovery, n),
+		heardBeacons: make([]sim.Sightings, n),
 		joined:       make([]int, n),
-		spRotation:   make(map[int]int),
+		members:      make([][]int, n),
+		spRotation:   make([]int, n),
 		beaconRx:     make([]medium.Handler, n),
 		assocRx:      make([]medium.Handler, n),
 	}
-	for i := range a.heardBeacons {
-		a.heardBeacons[i] = make(map[int]*discovery)
+	for i := range a.beaconRx {
 		a.beaconRx[i] = func(d medium.Delivery) { a.onBeacon(i, d) }
 		a.assocRx[i] = func(d medium.Delivery) { a.onAssoc(i, d) }
 	}
@@ -165,10 +167,10 @@ func (a *AD) RunFrame(frame int) {
 
 	if frame%a.cfg.ReassocEvery == 0 {
 		// Re-form PBSSs: elect PCPs, beacon, associate.
-		a.members = make(map[int][]int)
 		for i := 0; i < n; i++ {
 			a.joined[i] = -1
-			a.heardBeacons[i] = make(map[int]*discovery)
+			a.members[i] = a.members[i][:0]
+			a.heardBeacons[i] = a.heardBeacons[i][:0]
 			a.isPCP[i] = a.env.Rand.Child("ad.pcp", uint64(i), uint64(frame)).Bool(a.cfg.PCPProb)
 		}
 		for sector := 0; sector < s; sector++ {
@@ -219,16 +221,7 @@ func (a *AD) onBeacon(me int, d medium.Delivery) {
 	if !ok {
 		return
 	}
-	info := a.heardBeacons[me][d.From]
-	if info == nil {
-		info = &discovery{snrDB: d.SNRdB, towardSector: a.cfg.Codebook.Sectors.Opposite(int(sector)), lastFrame: a.frame}
-		a.heardBeacons[me][d.From] = info
-		return
-	}
-	if d.SNRdB > info.snrDB {
-		info.snrDB = d.SNRdB
-		info.towardSector = a.cfg.Codebook.Sectors.Opposite(int(sector))
-	}
+	a.heardBeacons[me].Hear(d.From, d.SNRdB, a.cfg.Codebook.Sectors.Opposite(int(sector)), a.frame)
 }
 
 // planABFT: each non-PCP that heard beacons joins a uniformly random heard
@@ -237,17 +230,12 @@ func (a *AD) onBeacon(me int, d medium.Delivery) {
 func (a *AD) planABFT() {
 	n := a.env.N()
 	for i := 0; i < n; i++ {
-		if a.isPCP[i] || len(a.heardBeacons[i]) == 0 {
+		heard := a.heardBeacons[i]
+		if a.isPCP[i] || len(heard) == 0 {
 			continue
 		}
-		pcps := make([]int, 0, len(a.heardBeacons[i]))
-		//mmv2v:sorted pure key collection; sorted below before the random draw
-		for p := range a.heardBeacons[i] {
-			pcps = append(pcps, p)
-		}
-		sort.Ints(pcps)
 		rng := a.env.Rand.Child("ad.join", uint64(i), uint64(a.frame))
-		a.joined[i] = pcps[rng.Intn(len(pcps))]
+		a.joined[i] = int(heard[rng.Intn(len(heard))].ID)
 	}
 }
 
@@ -273,10 +261,10 @@ func (a *AD) abftSlot(k int) {
 		if rng.Intn(a.cfg.ABFTSlots) != k {
 			continue
 		}
-		info := a.heardBeacons[i][p]
-		beam := phy.Beam{Bearing: cb.Sectors.Center(info.towardSector), Width: cb.TxWidth}
+		info, _ := a.heardBeacons[i].Get(p)
+		beam := phy.Beam{Bearing: cb.Sectors.Center(int(info.Sector)), Width: cb.TxWidth}
 		a.env.Medium.Transmit(i, beam, a.env.Timing.SSW,
-			assocReq{from: i, pcp: p, towardSector: info.towardSector})
+			assocReq{from: i, pcp: p, towardSector: int(info.Sector)})
 		a.obsAssocTx.Inc()
 	}
 }
@@ -333,18 +321,12 @@ func (a *AD) servicePeriod(spEnd des.Time) {
 	}
 	a.sessions = nil
 
-	pcps := make([]int, 0, len(a.members))
-	//mmv2v:sorted pure key collection; sorted below before pair scheduling
-	for p := range a.members {
-		pcps = append(pcps, p)
-	}
-	sort.Ints(pcps)
 	var pairs []udt.Pair
-	for _, p := range pcps {
-		cand := a.pbssPairs(p)
-		if len(cand) == 0 {
+	for p, ms := range a.members {
+		if len(ms) == 0 {
 			continue
 		}
+		cand := a.pbssPairs(p)
 		// Round-robin with completed pairs skipped.
 		var chosen *[2]int
 		for k := 0; k < len(cand); k++ {
@@ -380,18 +362,4 @@ func (a *AD) onRefresh() {
 	for _, s := range a.sessions {
 		s.OnRefresh()
 	}
-}
-
-// PBSSCount returns the number of PBSSs with at least one member this frame
-// (for tests).
-func (a *AD) PBSSCount() int { return len(a.members) }
-
-// MemberCount returns the total number of associated members (for tests).
-func (a *AD) MemberCount() int {
-	n := 0
-	//mmv2v:sorted commutative integer count; order cannot affect the total
-	for _, ms := range a.members {
-		n += len(ms)
-	}
-	return n
 }

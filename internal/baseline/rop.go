@@ -8,7 +8,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mmv2v/internal/des"
@@ -19,13 +18,6 @@ import (
 	"mmv2v/internal/udt"
 	"mmv2v/internal/units"
 )
-
-// discovery is what a vehicle learned about a peer from received sweeps.
-type discovery struct {
-	snrDB        units.DB
-	towardSector int
-	lastFrame    int
-}
 
 // ROPParams configures the Random OHM Protocol. The control budget
 // (discovery slots, matching slots) defaults to exactly mmV2V's, so the
@@ -115,7 +107,8 @@ type ROP struct {
 	env *sim.Env
 	cfg ROPParams
 
-	discovered []map[int]*discovery
+	// discovered[i] is what vehicle i learned from received sweeps.
+	discovered []sim.Sightings
 	// pick[i] is i's matching choice this round (-1 idle).
 	pick []int
 	// matched[i] is i's agreed partner (-1 none). Matches persist across
@@ -130,8 +123,10 @@ type ROP struct {
 	// rx[i] its receive handler, built once.
 	senseSector []int
 	rx          []medium.Handler
-	// txs is discoverSlot's scratch list of the slot's transmitters.
-	txs []txPlan
+	// txs is discoverSlot's scratch list of the slot's transmitters, and
+	// elig matchRound's of a vehicle's eligible neighbors.
+	txs  []txPlan
+	elig []int
 
 	frame    int
 	frameEnd des.Time
@@ -153,7 +148,7 @@ func NewROP(env *sim.Env, cfg ROPParams) *ROP {
 	r := &ROP{
 		env:         env,
 		cfg:         cfg,
-		discovered:  make([]map[int]*discovery, n),
+		discovered:  make([]sim.Sightings, n),
 		pick:        make([]int, n),
 		matched:     make([]int, n),
 		pairBits:    make([]float64, n),
@@ -164,9 +159,6 @@ func NewROP(env *sim.Env, cfg ROPParams) *ROP {
 	for i := range r.matched {
 		r.matched[i] = -1
 		r.rx[i] = func(d medium.Delivery) { r.onSweep(i, d) }
-	}
-	for i := range r.discovered {
-		r.discovered[i] = make(map[int]*discovery)
 	}
 	r.obsSweepTx = env.Obs.Counter("rop.sweep_tx")
 	r.obsDiscoveries = env.Obs.Counter("rop.discoveries")
@@ -271,35 +263,9 @@ func (r *ROP) onSweep(me int, d medium.Delivery) {
 	if d.SINRdB < r.cfg.MinLinkSNRdB {
 		return
 	}
-	info := r.discovered[me][d.From]
-	if info == nil {
-		info = &discovery{}
-		r.discovered[me][d.From] = info
+	if r.discovered[me].Hear(d.From, d.SINRdB, r.senseSector[me], r.frame) {
 		r.obsDiscoveries.Inc()
 	}
-	if info.lastFrame == r.frame && info.snrDB >= d.SINRdB {
-		return
-	}
-	info.snrDB = d.SINRdB
-	info.towardSector = r.senseSector[me]
-	info.lastFrame = r.frame
-}
-
-// eligible returns i's fresh, incomplete discovered neighbors, sorted.
-func (r *ROP) eligible(i int) []int {
-	out := make([]int, 0, len(r.discovered[i]))
-	//mmv2v:sorted pure key collection with order-free filter; sorted below before returning
-	for j, info := range r.discovered[i] {
-		if r.frame-info.lastFrame >= r.cfg.StalenessFrames {
-			continue
-		}
-		if r.env.PairDone(i, j) {
-			continue
-		}
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // matchRound applies the paper's matching rule once: every still-unmatched
@@ -313,10 +279,10 @@ func (r *ROP) matchRound(m int) {
 		if r.matched[i] >= 0 {
 			continue
 		}
-		elig := r.eligible(i)
+		r.elig = r.env.Eligible(r.elig[:0], i, r.discovered[i], r.frame, r.cfg.StalenessFrames)
 		// Exclude already-matched peers: they won't reciprocate.
-		filtered := elig[:0]
-		for _, j := range elig {
+		filtered := r.elig[:0]
+		for _, j := range r.elig {
 			if r.matched[j] < 0 {
 				filtered = append(filtered, j)
 			}
@@ -359,14 +325,14 @@ func (r *ROP) startUDT() {
 		}
 		// Without synchronized re-discovery, the pair can only align if
 		// both sides re-found each other recently.
-		infoI, infoJ := r.discovered[i][j], r.discovered[j][i]
-		if infoI == nil || infoJ == nil ||
-			r.frame-infoI.lastFrame >= r.cfg.FreshFrames ||
-			r.frame-infoJ.lastFrame >= r.cfg.FreshFrames {
+		infoI, okI := r.discovered[i].Get(j)
+		infoJ, okJ := r.discovered[j].Get(i)
+		if !okI || !okJ ||
+			r.frame-int(infoI.Frame) >= r.cfg.FreshFrames ||
+			r.frame-int(infoJ.Frame) >= r.cfg.FreshFrames {
 			continue
 		}
-		coarseI, coarseJ := infoI.towardSector, infoJ.towardSector
-		beamI, beamJ := udt.RefineBeams(r.env, i, j, r.cfg.Codebook, coarseI, coarseJ)
+		beamI, beamJ := udt.RefineBeams(r.env, i, j, r.cfg.Codebook, int(infoI.Sector), int(infoJ.Sector))
 		pairs = append(pairs, udt.Pair{A: i, B: j, BeamA: beamI, BeamB: beamJ})
 	}
 	if len(pairs) == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"mmv2v/internal/des"
@@ -56,26 +55,6 @@ func (p *Protocol) scheduleDCM(start des.Time) {
 	}
 }
 
-// eligibleNeighbors returns i's sorted working set: discovered, fresh, and
-// with the task not yet complete. The slice is scratch, valid until the
-// next call.
-func (p *Protocol) eligibleNeighbors(i int) []int {
-	out := p.elig[:0]
-	//mmv2v:sorted pure key collection with order-free filter; sorted below before returning
-	for j, info := range p.discovered[i] {
-		if p.frame-info.lastFrame >= p.cfg.StalenessFrames {
-			continue
-		}
-		if p.env.PairDone(i, j) {
-			continue
-		}
-		out = append(out, j)
-	}
-	sort.Ints(out)
-	p.elig = out
-	return out
-}
-
 // dcmSlotBegin assigns each vehicle its designated peer for slot m via the
 // CNS (Sec. III-C1), then lets the first senders (larger ID of each
 // designated pair) transmit while their peers listen.
@@ -85,8 +64,9 @@ func (p *Protocol) dcmSlotBegin(m int) {
 	for i := 0; i < n; i++ {
 		p.negPeer[i] = -1
 		p.gotMsg[i] = negotiationState{}
+		p.elig = p.env.Eligible(p.elig[:0], i, p.discovered[i], p.frame, p.cfg.StalenessFrames)
 		inBucket := p.inBucket[:0]
-		for _, j := range p.eligibleNeighbors(i) {
+		for _, j := range p.elig {
 			if p.Bucket(i, j) == bucket {
 				inBucket = append(inBucket, j)
 			}
@@ -151,12 +131,12 @@ func (p *Protocol) pairQuality(i, j int, mySNR, theirSNR units.DB) units.DB {
 
 // transmitNeg sends vehicle i's negotiation message to j with a sector beam.
 func (p *Protocol) transmitNeg(i, j int) {
-	info := p.discovered[i][j]
-	if info == nil {
+	info, ok := p.discovered[i].Get(j)
+	if !ok {
 		return
 	}
-	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(info.towardSector), Width: p.cfg.Codebook.TxWidth}
-	msg := negMsg{from: i, to: j, linkSNR: info.snrDB}
+	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(int(info.Sector)), Width: p.cfg.Codebook.TxWidth}
+	msg := negMsg{from: i, to: j, linkSNR: info.SNR}
 	if p.cand[i].valid {
 		msg.hasCand = true
 		msg.candSNR = p.cand[i].snrDB
@@ -168,11 +148,11 @@ func (p *Protocol) transmitNeg(i, j int) {
 // listenToward aims vehicle i's receive beam at neighbor j for negotiation
 // traffic.
 func (p *Protocol) listenToward(i, j int) {
-	info := p.discovered[i][j]
-	if info == nil {
+	info, ok := p.discovered[i].Get(j)
+	if !ok {
 		return
 	}
-	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(info.towardSector), Width: p.cfg.Codebook.RxWidth}
+	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(int(info.Sector)), Width: p.cfg.Codebook.RxWidth}
 	p.env.Medium.StartListen(i, beam, p.negRx[i])
 }
 
@@ -227,11 +207,11 @@ func (p *Protocol) dcmDecide(slot int) {
 		// For the smaller-ID side, decoding the first message plus sending
 		// the reply is its best knowledge (the reply could still be lost at
 		// the peer — a rare inconsistency the protocol tolerates).
-		mine := p.discovered[i][j]
-		if mine == nil {
+		mine, ok := p.discovered[i].Get(j)
+		if !ok {
 			continue
 		}
-		pairQ := p.pairQuality(i, j, mine.snrDB, st.linkSNR)
+		pairQ := p.pairQuality(i, j, mine.SNR, st.linkSNR)
 		myOK := !p.cand[i].valid || pairQ > p.cand[i].snrDB
 		theirOK := !st.hasCand || pairQ > st.candSNR
 		if !(myOK && theirOK) {
@@ -276,11 +256,11 @@ func (p *Protocol) dcmDecide(slot int) {
 // transmitBreak sends a break-up notification from i to its previous
 // candidate.
 func (p *Protocol) transmitBreak(i, to int) {
-	info := p.discovered[i][to]
-	if info == nil {
+	info, ok := p.discovered[i].Get(to)
+	if !ok {
 		return
 	}
-	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(info.towardSector), Width: p.cfg.Codebook.TxWidth}
+	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(int(info.Sector)), Width: p.cfg.Codebook.TxWidth}
 	p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble, breakMsg{from: i, to: to})
 	p.obsBreakTx.Inc()
 }

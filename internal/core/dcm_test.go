@@ -69,7 +69,7 @@ func TestEligibleExcludesDonePairs(t *testing.T) {
 	if !env.PairDone(0, 1) {
 		env.Ledger.Add(0, 1, 50e6)
 	}
-	if elig := p.eligibleNeighbors(0); contains(elig, 1) {
+	if elig := env.Eligible(nil, 0, p.discovered[0], p.frame, p.cfg.StalenessFrames); contains(elig, 1) {
 		t.Errorf("done pair still eligible: %v", elig)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mmv2v/internal/des"
@@ -11,17 +10,6 @@ import (
 	"mmv2v/internal/sim"
 	"mmv2v/internal/units"
 )
-
-// neighborInfo is what a vehicle knows about a discovered neighbor.
-type neighborInfo struct {
-	// snrDB is the most recent SSW measurement of the link.
-	snrDB units.DB
-	// towardSector is the owner's sector index pointing at the neighbor
-	// (the sensing sector it decoded the neighbor on).
-	towardSector int
-	// lastFrame is the frame index of the latest (re-)discovery.
-	lastFrame int
-}
 
 // candidate is a vehicle's current DCM communication candidate.
 type candidate struct {
@@ -37,8 +25,10 @@ type Protocol struct {
 	env *sim.Env
 	cfg Params
 
-	// discovered[i] is vehicle i's working neighbor set ∪_f N_i^f.
-	discovered []map[int]*neighborInfo
+	// discovered[i] is vehicle i's working neighbor set ∪_f N_i^f: per
+	// neighbor, the strongest SSW measurement of the latest frame it was
+	// heard in and the sensing sector that decoded it.
+	discovered []sim.Sightings
 	// cand[i] is vehicle i's current DCM candidate (reset each frame).
 	cand []candidate
 	// roleTx[i] is vehicle i's role in the current discovery round.
@@ -95,7 +85,7 @@ func New(env *sim.Env, cfg Params) *Protocol {
 	p := &Protocol{
 		env:         env,
 		cfg:         cfg,
-		discovered:  make([]map[int]*neighborInfo, n),
+		discovered:  make([]sim.Sightings, n),
 		cand:        make([]candidate, n),
 		roleTx:      make([]bool, n),
 		negPeer:     make([]int, n),
@@ -104,8 +94,7 @@ func New(env *sim.Env, cfg Params) *Protocol {
 		sswRx:       make([]medium.Handler, n),
 		negRx:       make([]medium.Handler, n),
 	}
-	for i := range p.discovered {
-		p.discovered[i] = make(map[int]*neighborInfo)
+	for i := range p.sswRx {
 		p.sswRx[i] = func(d medium.Delivery) { p.onSSW(i, d) }
 		p.negRx[i] = func(d medium.Delivery) { p.onNegTraffic(i, d) }
 	}
@@ -181,13 +170,11 @@ func (p *Protocol) RunFrame(frame int) {
 // IDs (for tests and diagnostics).
 func (p *Protocol) Discovered(i int) []int {
 	out := make([]int, 0, len(p.discovered[i]))
-	//mmv2v:sorted pure key collection; sorted below before returning
-	for j, info := range p.discovered[i] {
-		if p.frame-info.lastFrame < p.cfg.StalenessFrames {
-			out = append(out, j)
+	for _, x := range p.discovered[i] {
+		if p.frame-int(x.Frame) < p.cfg.StalenessFrames {
+			out = append(out, int(x.ID))
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -71,11 +71,11 @@ func (p *Protocol) scheduleExplicitRefinement(pairs [][2]int, start des.Time, do
 	for _, pr := range pairs {
 		a, b := pr[0], pr[1]
 		ca, cb := -1, -1
-		if info := p.discovered[a][b]; info != nil {
-			ca = info.towardSector
+		if info, ok := p.discovered[a].Get(b); ok {
+			ca = int(info.Sector)
 		}
-		if info := p.discovered[b][a]; info != nil {
-			cb = info.towardSector
+		if info, ok := p.discovered[b].Get(a); ok {
+			cb = int(info.Sector)
 		}
 		if ca < 0 || cb < 0 {
 			continue

@@ -162,24 +162,15 @@ func (p *Protocol) onSSW(me int, d medium.Delivery) {
 	if d.SINRdB < p.cfg.MinLinkSNRdB {
 		return // too weak to be a one-hop neighbor (out of the task disk)
 	}
-	info := p.discovered[me][d.From]
-	if info == nil {
-		info = &neighborInfo{}
-		p.discovered[me][d.From] = info
+	// A sweep can be heard on adjacent sensing sectors through the Gaussian
+	// roll-off; the table keeps the strongest reception of the frame — that
+	// sector is the true pointing direction (what a real receiver selects
+	// from an SLS sweep).
+	if p.discovered[me].Hear(d.From, d.SINRdB, p.senseSector[me], p.frame) {
 		p.obsDiscoveries.Inc()
 		p.env.Trace.Emit(trace.Event{
 			At: d.At, Frame: p.frame, Kind: trace.KindDiscovery,
 			A: me, B: d.From, Value: d.SNRdB.Decibels(),
 		})
 	}
-	// A sweep can be heard on adjacent sensing sectors through the Gaussian
-	// roll-off; keep the strongest reception of the frame — that sector is
-	// the true pointing direction (what a real receiver selects from an SLS
-	// sweep).
-	if info.lastFrame == p.frame && info.snrDB >= d.SINRdB {
-		return
-	}
-	info.snrDB = d.SINRdB
-	info.towardSector = p.senseSector[me]
-	info.lastFrame = p.frame
 }

@@ -46,11 +46,11 @@ func (p *Protocol) startUDT() {
 	for _, pr := range mutual {
 		i, j := pr[0], pr[1]
 		coarseI, coarseJ := -1, -1
-		if info := p.discovered[i][j]; info != nil {
-			coarseI = info.towardSector
+		if info, ok := p.discovered[i].Get(j); ok {
+			coarseI = int(info.Sector)
 		}
-		if info := p.discovered[j][i]; info != nil {
-			coarseJ = info.towardSector
+		if info, ok := p.discovered[j].Get(i); ok {
+			coarseJ = int(info.Sector)
 		}
 		beamI, beamJ := udt.RefineBeams(p.env, i, j, p.cfg.Codebook, coarseI, coarseJ)
 		pairs = append(pairs, udt.Pair{A: i, B: j, BeamA: beamI, BeamB: beamJ})

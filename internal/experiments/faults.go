@@ -33,11 +33,9 @@ type FaultsOptions struct {
 	// Workers bounds concurrent trial simulations across all cells
 	// (0 = GOMAXPROCS). The tables are identical for any value.
 	Workers int
-	// Stats enables per-cell layer statistics (see Fig9Options.Stats).
+	// Stats enables per-cell layer statistics and their windowed samples
+	// (see Fig9Options.Stats).
 	Stats bool
-	// Series additionally samples each cell's registry at every window
-	// boundary (see Fig9Options.Series).
-	Series bool
 	// Progress, when non-nil, is invoked once per completed (intensity,
 	// protocol) cell with a short label. Cells complete on concurrent
 	// goroutines, so the callback must be safe for concurrent use.
@@ -67,10 +65,9 @@ type FaultsCell struct {
 	// pooled run.
 	Trials   int
 	Failures int
-	// Obs is the cell's pooled layer statistics (nil unless Options.Stats).
-	Obs *obs.Registry
-	// Series is the cell's pooled windowed samples (nil unless
-	// Options.Series).
+	// Obs and Series are the cell's pooled layer statistics and windowed
+	// samples (nil unless Options.Stats).
+	Obs    *obs.Registry
 	Series *obs.Series
 }
 
@@ -108,7 +105,6 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 			cfg.WindowSec = opts.WindowSec
 		}
 		cfg.Stats = opts.Stats
-		cfg.Series = opts.Series
 		profile := opts.Profile.Scale(opts.Intensities[ii])
 		cfg.Faults = &profile
 		pooled, err := runner.RunTrials(cfg, factories[fi], opts.Trials)
@@ -176,7 +172,7 @@ func (r *FaultsResult) StatsRows() []obs.Row {
 }
 
 // SeriesRows exports every cell's windowed samples (when the run had
-// Options.Series), each row scoped "faults/intensity=<i>/<protocol>",
+// Options.Stats), each row scoped "faults/intensity=<i>/<protocol>",
 // sorted by (scope, window, name, kind). Nil-Series cells contribute
 // nothing.
 func (r *FaultsResult) SeriesRows() []obs.SeriesRow {

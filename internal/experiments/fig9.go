@@ -26,13 +26,10 @@ type Fig9Options struct {
 	// (0 = GOMAXPROCS). The tables are identical for any value.
 	Workers int
 	// Stats enables per-cell layer statistics: each cell's pooled
-	// obs.Registry lands in its Fig9Cell and StatsRows exports the whole
-	// grid. Off (the default), cells carry a nil registry at zero cost.
+	// obs.Registry and its windowed obs.Series land in its Fig9Cell, and
+	// StatsRows and SeriesRows export the whole grid. Off (the default),
+	// cells carry a nil registry and series at zero cost.
 	Stats bool
-	// Series additionally samples each cell's registry at every window
-	// boundary (implies the registry): the pooled series lands in the cell
-	// and SeriesRows exports the whole grid.
-	Series bool
 	// Progress, when non-nil, is invoked once per completed (density,
 	// protocol) cell with a short label. Cells complete on concurrent
 	// goroutines, so the callback must be safe for concurrent use.
@@ -55,10 +52,9 @@ type Fig9Cell struct {
 	Summary  metrics.Summary
 	// OCRCI95 is the half-width of the 95 % CI over per-vehicle OCR.
 	OCRCI95 float64
-	// Obs is the cell's pooled layer statistics (nil unless Options.Stats).
-	Obs *obs.Registry
-	// Series is the cell's pooled windowed samples (nil unless
-	// Options.Series).
+	// Obs and Series are the cell's pooled layer statistics and windowed
+	// samples (nil unless Options.Stats).
+	Obs    *obs.Registry
 	Series *obs.Series
 }
 
@@ -101,7 +97,6 @@ func Fig9(opts Fig9Options) (*Fig9Result, error) {
 		di, fi := k/nf, k%nf
 		cfg := scenario(opts.Densities[di], opts.Seed)
 		cfg.Stats = opts.Stats
-		cfg.Series = opts.Series
 		pooled, err := runner.RunTrials(cfg, factories[fi], opts.Trials)
 		if err != nil {
 			return err
@@ -167,7 +162,7 @@ func (r *Fig9Result) StatsRows() []obs.Row {
 }
 
 // SeriesRows exports every cell's windowed samples (when the run had
-// Options.Series), each row scoped "fig9/density=<d>/<protocol>", sorted by
+// Options.Stats), each row scoped "fig9/density=<d>/<protocol>", sorted by
 // (scope, window, name, kind). Nil-Series cells contribute nothing.
 func (r *Fig9Result) SeriesRows() []obs.SeriesRow {
 	var rows []obs.SeriesRow

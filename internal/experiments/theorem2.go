@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mmv2v/internal/core"
 	"mmv2v/internal/sim"
@@ -135,23 +136,11 @@ func simDiscoveryConvergence(density float64, seed uint64, frames int) ([]float6
 	out := make([]float64, 0, frames)
 	for f := 0; f < frames; f++ {
 		env.DriveFrames(proto, f, 1)
-		trueLinks, found := 0, 0
-		for i := 0; i < env.N(); i++ {
-			disc := make(map[int]bool)
-			for _, j := range proto.Discovered(i) {
-				disc[j] = true
-			}
-			for _, j := range targets[i] {
-				trueLinks++
-				if disc[j] {
-					found++
-				}
-			}
+		ratio, err := discoveredShare(proto, targets, density)
+		if err != nil {
+			return nil, err
 		}
-		if trueLinks == 0 {
-			return nil, fmt.Errorf("experiments: no LOS links at density %v", density)
-		}
-		out = append(out, float64(found)/float64(trueLinks))
+		out = append(out, ratio)
 	}
 	return out, nil
 }
@@ -168,15 +157,18 @@ func simDiscoveryRatio(density float64, seed uint64, k int) (float64, error) {
 	params.K = k
 	proto := core.New(env, params)
 	env.DriveFrames(proto, 0, 1)
+	return discoveredShare(proto, env.World.NeighborSnapshot(), density)
+}
+
+// discoveredShare returns the fraction of the links in targets (vehicle
+// i's far ends in targets[i]) whose far end i has discovered.
+func discoveredShare(proto *core.Protocol, targets [][]int, density float64) (float64, error) {
 	trueLinks, found := 0, 0
-	for i := 0; i < env.N(); i++ {
-		disc := make(map[int]bool)
-		for _, j := range proto.Discovered(i) {
-			disc[j] = true
-		}
-		for _, j := range env.World.Neighbors(i) {
+	for i, ts := range targets {
+		disc := proto.Discovered(i)
+		for _, j := range ts {
 			trueLinks++
-			if disc[j] {
+			if _, ok := slices.BinarySearch(disc, j); ok {
 				found++
 			}
 		}

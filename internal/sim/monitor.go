@@ -15,8 +15,8 @@ import "mmv2v/internal/obs"
 type Monitor interface {
 	// WindowDone fires after window `window` of `windows` completes in
 	// trial `trial`. rows is the trial's cumulative statistics snapshot
-	// (nil when the registry is off); points are the trial's series
-	// windows so far (nil when the series is off).
+	// and points are the trial's series windows so far (both nil when
+	// Config.Stats is off).
 	WindowDone(trial, window, windows int, rows []obs.Row, points []obs.SeriesPoint)
 	// TrialDone fires after trial `trial` finishes all its windows.
 	TrialDone(trial int)

@@ -30,11 +30,6 @@ func Fingerprint(cfg Config) uint64 {
 	if cfg.Faults != nil {
 		fmt.Fprintf(h, "|faults=%#v", *cfg.Faults)
 	}
-	// Appended conditionally so every pre-series fingerprint (committed run
-	// logs) stays valid for runs without a series.
-	if cfg.Series {
-		fmt.Fprintf(h, "|series=true")
-	}
 	return h.Sum64()
 }
 

@@ -70,17 +70,13 @@ type Config struct {
 	Trace *trace.Recorder
 	// Stats, when true, gives every trial an obs.Registry recording
 	// per-layer statistics (control frames, collisions, per-MCS airtime,
-	// beam switches, refresh sizes, fault events, matches/break-ups);
-	// pooled registries merge in trial order into Result.Obs. False (the
-	// default) keeps every instrumented hot path a zero-cost no-op.
+	// beam switches, refresh sizes, fault events, matches/break-ups) and
+	// samples it at every measurement-window boundary into an obs.Series
+	// of per-window deltas. Pooled registries and series merge in trial
+	// order into Result.Obs and Result.Series, so their exports are
+	// byte-identical for any worker count. False (the default) keeps every
+	// instrumented hot path a zero-cost no-op.
 	Stats bool
-	// Series, when true, additionally samples the statistics registry at
-	// every measurement-window boundary into an obs.Series of per-window
-	// deltas (implies the registry itself, so Series works with Stats off).
-	// Per-trial series merge slot-per-trial into Result.Series exactly like
-	// registries, so series exports are byte-identical for any worker
-	// count. False (the default) costs nothing.
-	Series bool
 	// Monitor, when non-nil, receives live notifications at window and
 	// trial boundaries (see the Monitor interface). Like Workers or Trace
 	// it only changes how a run is observed, never what it computes, so it
@@ -249,13 +245,10 @@ type Result struct {
 	// Failures lists the trials RunTrials lost to a panic or error, in
 	// trial order; nil for a single Run.
 	Failures []*TrialError
-	// Obs carries the run's layer statistics when Config.Stats (or
-	// Config.Series, which implies the registry) was set, pooled in trial
-	// order for a RunTrials result; nil otherwise.
-	Obs *obs.Registry
-	// Series carries the run's windowed statistics deltas when
-	// Config.Series was set (pooled in trial order for a RunTrials
-	// result); nil otherwise.
+	// Obs and Series carry the run's layer statistics and their windowed
+	// deltas when Config.Stats was set, pooled in trial order for a
+	// RunTrials result; nil otherwise.
+	Obs    *obs.Registry
 	Series *obs.Series
 }
 
@@ -321,10 +314,8 @@ func NewEnvWithWorld(cfg Config, w *world.World) (*Env, error) {
 		DemandBits: cfg.DemandBits,
 		Trace:      cfg.Trace,
 	}
-	if cfg.Stats || cfg.Series {
+	if cfg.Stats {
 		env.Obs = obs.New()
-	}
-	if cfg.Series {
 		env.Series = obs.NewSeries()
 	}
 	// SetObs calls are nil-safe: with Stats off they hand every layer nil

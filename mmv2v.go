@@ -23,6 +23,7 @@ package mmv2v
 
 import (
 	"fmt"
+	"math"
 
 	"mmv2v/internal/baseline"
 	"mmv2v/internal/core"
@@ -169,18 +170,27 @@ func RunCustom(cfg ScenarioConfig, vehicles []VehicleSpec, f Factory) (*Result, 
 	if len(vehicles) == 0 {
 		return nil, fmt.Errorf("mmv2v: no vehicles in custom scenario")
 	}
-	tc := cfg.Traffic
-	tc.DensityVPL = 0
-	if err := tc.Validate(); err != nil {
+	if cfg.Grid != nil {
+		return nil, fmt.Errorf("mmv2v: custom scenarios place vehicles on the straight road, not on a grid")
+	}
+	cfg.Traffic.DensityVPL = 0
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	road, err := traffic.New(tc, xrand.New(cfg.Seed))
+	road, err := traffic.New(cfg.Traffic, xrand.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
 	for _, v := range vehicles {
-		if v.Lane < 0 || v.Lane >= tc.LanesPerDir {
-			return nil, fmt.Errorf("mmv2v: lane %d outside [0, %d)", v.Lane, tc.LanesPerDir)
+		switch {
+		case v.Dir != Eastbound && v.Dir != Westbound:
+			return nil, fmt.Errorf("mmv2v: direction %d is neither Eastbound nor Westbound", v.Dir)
+		case v.Lane < 0 || v.Lane >= cfg.Traffic.LanesPerDir:
+			return nil, fmt.Errorf("mmv2v: lane %d outside [0, %d)", v.Lane, cfg.Traffic.LanesPerDir)
+		case math.IsNaN(v.PositionM) || math.IsInf(v.PositionM, 0):
+			return nil, fmt.Errorf("mmv2v: position %v is not finite", v.PositionM)
+		case math.IsNaN(v.SpeedMS) || math.IsInf(v.SpeedMS, 0) || v.SpeedMS < 0:
+			return nil, fmt.Errorf("mmv2v: speed %v is not a finite non-negative value", v.SpeedMS)
 		}
 		road.Add(&traffic.Vehicle{
 			Dir:      v.Dir,
@@ -190,17 +200,6 @@ func RunCustom(cfg ScenarioConfig, vehicles []VehicleSpec, f Factory) (*Result, 
 			DesiredV: v.SpeedMS,
 			Quantile: 0.5,
 		})
-	}
-	return runOnRoad(cfg, road, f)
-}
-
-// runOnRoad runs the window loop of sim.Run over a pre-built road.
-func runOnRoad(cfg ScenarioConfig, road *traffic.Road, f Factory) (*Result, error) {
-	if err := cfg.World.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Timing.Validate(); err != nil {
-		return nil, err
 	}
 	dt := cfg.Timing.PositionUpdate.Seconds()
 	for t := 0.0; t < cfg.WarmupSec; t += dt {

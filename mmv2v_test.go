@@ -1,6 +1,7 @@
 package mmv2v_test
 
 import (
+	"math"
 	"testing"
 
 	"mmv2v"
@@ -76,14 +77,63 @@ func TestFacadeRunCustomPlatoon(t *testing.T) {
 	}
 }
 
+// TestFacadeRunCustomValidation pins that RunCustom rejects every invalid
+// scenario setting and vehicle spec with an error before simulating, where
+// the unmodified scenario runs.
 func TestFacadeRunCustomValidation(t *testing.T) {
-	cfg := mmv2v.DefaultScenario(0, 1)
-	if _, err := mmv2v.RunCustom(cfg, nil, mmv2v.MMV2V(mmv2v.DefaultParams())); err == nil {
-		t.Error("empty vehicle list should fail")
+	run := func(config func(*mmv2v.ScenarioConfig), vehicle func(*mmv2v.VehicleSpec), none bool) error {
+		cfg := mmv2v.DefaultScenario(0, 1)
+		cfg.WindowSec = 0.02
+		cfg.WarmupSec = 0
+		if config != nil {
+			config(&cfg)
+		}
+		specs := []mmv2v.VehicleSpec{
+			{Dir: mmv2v.Eastbound, Lane: 1, PositionM: 0, SpeedMS: 15},
+			{Dir: mmv2v.Westbound, Lane: 0, PositionM: 30, SpeedMS: 15},
+		}
+		if vehicle != nil {
+			vehicle(&specs[1])
+		}
+		if none {
+			specs = nil
+		}
+		_, err := mmv2v.RunCustom(cfg, specs, mmv2v.MMV2V(mmv2v.DefaultParams()))
+		return err
 	}
-	bad := []mmv2v.VehicleSpec{{Dir: mmv2v.Eastbound, Lane: 9, PositionM: 0, SpeedMS: 10}}
-	if _, err := mmv2v.RunCustom(cfg, bad, mmv2v.MMV2V(mmv2v.DefaultParams())); err == nil {
-		t.Error("out-of-range lane should fail")
+	if err := run(nil, nil, false); err != nil {
+		t.Fatalf("valid custom scenario: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		config  func(*mmv2v.ScenarioConfig)
+		vehicle func(*mmv2v.VehicleSpec)
+		none    bool
+	}{
+		{name: "no vehicles", none: true},
+		{name: "lane", vehicle: func(v *mmv2v.VehicleSpec) { v.Lane = 9 }},
+		{name: "warmup +Inf", config: func(c *mmv2v.ScenarioConfig) { c.WarmupSec = inf }},
+		{name: "warmup NaN", config: func(c *mmv2v.ScenarioConfig) { c.WarmupSec = nan }},
+		{name: "demand NaN", config: func(c *mmv2v.ScenarioConfig) { c.DemandBits = nan }},
+		{name: "demand -1", config: func(c *mmv2v.ScenarioConfig) { c.DemandBits = -1 }},
+		{name: "grid", config: func(c *mmv2v.ScenarioConfig) {
+			*c = mmv2v.GridScenario(mmv2v.DefaultGridConfig(100), 1)
+		}},
+		{name: "position NaN", vehicle: func(v *mmv2v.VehicleSpec) { v.PositionM = nan }},
+		{name: "position +Inf", vehicle: func(v *mmv2v.VehicleSpec) { v.PositionM = inf }},
+		{name: "position -Inf", vehicle: func(v *mmv2v.VehicleSpec) { v.PositionM = -inf }},
+		{name: "speed NaN", vehicle: func(v *mmv2v.VehicleSpec) { v.SpeedMS = nan }},
+		{name: "speed +Inf", vehicle: func(v *mmv2v.VehicleSpec) { v.SpeedMS = inf }},
+		{name: "speed -Inf", vehicle: func(v *mmv2v.VehicleSpec) { v.SpeedMS = -inf }},
+		{name: "speed -1", vehicle: func(v *mmv2v.VehicleSpec) { v.SpeedMS = -1 }},
+		{name: "direction 7", vehicle: func(v *mmv2v.VehicleSpec) { v.Dir = 7 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := run(tc.config, tc.vehicle, tc.none); err == nil {
+				t.Error("want an error")
+			}
+		})
 	}
 }
 

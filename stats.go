@@ -35,11 +35,10 @@ func WriteStatsCSV(w io.Writer, rows []StatsRow) error { return obs.WriteCSV(w, 
 // WriteStatsSummary prints a human-readable statistics table.
 func WriteStatsSummary(w io.Writer, rows []StatsRow) { obs.WriteSummary(w, rows) }
 
-// Time series: set ScenarioConfig.Series to true (it implies Stats) and the
-// run additionally samples the registry at every window boundary, landing
-// per-window deltas in Result.Series. Per-trial series merge in trial order
-// exactly like registries, so exports are bit-identical for any worker
-// count. See DESIGN.md §9.
+// Time series: ScenarioConfig.Stats also samples the registry at every
+// window boundary, landing per-window deltas in Result.Series. Per-trial
+// series merge in trial order exactly like registries, so exports are
+// bit-identical for any worker count. See DESIGN.md §9.
 
 // Series holds one run's (or one pooled trial set's) windowed samples.
 type Series = obs.Series
