@@ -31,8 +31,7 @@ func BenchmarkTheorem2Validation(b *testing.B) {
 func BenchmarkFig6CapacityVsSlots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := mmv2v.Fig6Options{
-			Seed:      uint64(i + 1),
-			Trials:    1,
+			Run:       mmv2v.ExperimentRun{Seed: uint64(i + 1), Trials: 1},
 			Densities: []float64{12},
 			CValues:   []int{1, 7, 12},
 			MaxSlots:  40,
@@ -49,8 +48,7 @@ func BenchmarkFig6CapacityVsSlots(b *testing.B) {
 func BenchmarkFig7DiscoveryRounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := mmv2v.Fig7Options{
-			Seed:        uint64(i + 1),
-			Trials:      1,
+			Run:         mmv2v.ExperimentRun{Seed: uint64(i + 1), Trials: 1},
 			DensityVPL:  12,
 			KValues:     []int{1, 3},
 			M:           40,
@@ -67,8 +65,7 @@ func BenchmarkFig7DiscoveryRounds(b *testing.B) {
 func BenchmarkFig8NegotiationSlots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := mmv2v.Fig8Options{
-			Seed:        uint64(i + 1),
-			Trials:      1,
+			Run:         mmv2v.ExperimentRun{Seed: uint64(i + 1), Trials: 1},
 			DensityVPL:  12,
 			MValues:     []int{20, 40},
 			K:           3,
@@ -85,8 +82,7 @@ func BenchmarkFig8NegotiationSlots(b *testing.B) {
 func BenchmarkFig9Comparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := mmv2v.Fig9Options{
-			Seed:      uint64(i + 1),
-			Trials:    1,
+			Run:       mmv2v.ExperimentRun{Seed: uint64(i + 1), Trials: 1},
 			Densities: []float64{15},
 		}
 		if _, err := mmv2v.ReproduceFig9(opts); err != nil {
@@ -99,7 +95,7 @@ func BenchmarkFig9Comparison(b *testing.B) {
 // scale.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := mmv2v.AblationOptions{Seed: uint64(i + 1), Trials: 1, DensityVPL: 10}
+		opts := mmv2v.AblationOptions{Run: mmv2v.ExperimentRun{Seed: uint64(i + 1), Trials: 1}, DensityVPL: 10}
 		if _, err := mmv2v.RunAblation(opts); err != nil {
 			b.Fatal(err)
 		}

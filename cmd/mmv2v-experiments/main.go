@@ -130,196 +130,111 @@ func run(w io.Writer) error {
 	}
 	csvMode := *format == "csv"
 
+	// setup applies the shared flags to a figure's run settings; -trials 0
+	// keeps the figure's default.
+	setup := func(r *mmv2v.ExperimentRun) {
+		r.Seed = *seed
+		r.Workers = *workers
+		r.Progress = progress
+		if *trials > 0 {
+			r.Trials = *trials
+		}
+	}
+	// emit prints a figure that ran without error as CSV, or as its table
+	// followed by the footer lines and a blank line.
+	emit := func(res figure, err error, footer ...string) error {
+		if err != nil {
+			return err
+		}
+		if csvMode {
+			return res.WriteCSV(w)
+		}
+		res.WriteTable(w)
+		for _, line := range footer {
+			fmt.Fprintln(w, line)
+		}
+		fmt.Fprintln(w)
+		return nil
+	}
+
 	runners := map[string]func() error{
 		"6": func() error {
 			opts := mmv2v.DefaultFig6Options()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
+			setup(&opts.Run)
 			res, err := mmv2v.ReproduceFig6(opts)
 			if err != nil {
 				return err
 			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintf(w, "best C per scenario: %v (paper: C ≈ |N_i|, C = 7 as a good practice)\n\n", res.BestC())
-			return nil
+			return emit(res, nil, fmt.Sprintf("best C per scenario: %v (paper: C ≈ |N_i|, C = 7 as a good practice)", res.BestC()))
 		},
 		"7": func() error {
 			opts := mmv2v.DefaultFig7Options()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
+			setup(&opts.Run)
 			res, err := mmv2v.ReproduceFig7(opts)
 			if err != nil {
 				return err
 			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintf(w, "best K: %d (paper: K = 3)\n\n", res.BestK())
-			return nil
+			return emit(res, nil, fmt.Sprintf("best K: %d (paper: K = 3)", res.Best()))
 		},
 		"8": func() error {
 			opts := mmv2v.DefaultFig8Options()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
+			setup(&opts.Run)
 			res, err := mmv2v.ReproduceFig8(opts)
 			if err != nil {
 				return err
 			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintf(w, "best M: %d (paper: M = 40)\n\n", res.BestM())
-			return nil
+			return emit(res, nil, fmt.Sprintf("best M: %d (paper: M = 40)", res.Best()))
 		},
 		"9": func() error {
 			opts := mmv2v.DefaultFig9Options()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
+			setup(&opts.Run)
 			opts.Stats = recordStats
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
 			res, err := mmv2v.ReproduceFig9(opts)
 			if err != nil {
 				return err
 			}
 			statsRows = append(statsRows, res.StatsRows()...)
 			seriesRows = append(seriesRows, res.SeriesRows()...)
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w, "paper reference @15 vpl: mmV2V 0.742, ROP 0.319, 802.11ad 0.465")
-			fmt.Fprintln(w, "paper reference @30 vpl: mmV2V 0.576, ROP 0.227, 802.11ad 0.192")
-			fmt.Fprintln(w)
-			return nil
+			return emit(res, nil,
+				"paper reference @15 vpl: mmV2V 0.742, ROP 0.319, 802.11ad 0.465",
+				"paper reference @30 vpl: mmV2V 0.576, ROP 0.227, 802.11ad 0.192")
 		},
 		"t2": func() error {
 			opts := mmv2v.DefaultTheorem2Options()
 			opts.Seed = *seed
-			res, err := mmv2v.ValidateTheorem2(opts)
-			if err != nil {
-				return err
-			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w)
-			return nil
+			return emit(mmv2v.ValidateTheorem2(opts))
 		},
 		"warmup": func() error {
 			opts := mmv2v.DefaultWarmupOptions()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
-			res, err := mmv2v.RunWarmup(opts)
-			if err != nil {
-				return err
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w)
-			return nil
+			setup(&opts.Run)
+			return emit(mmv2v.RunWarmup(opts))
 		},
 		"trucks": func() error {
 			opts := mmv2v.DefaultTrucksOptions()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
-			res, err := mmv2v.RunTrucks(opts)
-			if err != nil {
-				return err
-			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w)
-			return nil
+			setup(&opts.Run)
+			return emit(mmv2v.RunTrucks(opts))
 		},
 		"faults": func() error {
 			opts := mmv2v.DefaultFaultsOptions()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
+			setup(&opts.Run)
 			opts.Stats = recordStats
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
 			res, err := mmv2v.RunFaultSweep(opts)
 			if err != nil {
 				return err
 			}
 			statsRows = append(statsRows, res.StatsRows()...)
 			seriesRows = append(seriesRows, res.SeriesRows()...)
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w)
-			return nil
+			return emit(res, nil)
 		},
 		"city": func() error {
 			opts := mmv2v.DefaultCityOptions()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
-			res, err := mmv2v.ReproduceCity(opts)
-			if err != nil {
-				return err
-			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w)
-			return nil
+			setup(&opts.Run)
+			return emit(mmv2v.ReproduceCity(opts))
 		},
 		"ablation": func() error {
 			opts := mmv2v.DefaultAblationOptions()
-			opts.Seed = *seed
-			opts.Workers = *workers
-			opts.Progress = progress
-			if *trials > 0 {
-				opts.Trials = *trials
-			}
-			res, err := mmv2v.RunAblation(opts)
-			if err != nil {
-				return err
-			}
-			if csvMode {
-				return res.WriteCSV(w)
-			}
-			res.WriteTable(w)
-			fmt.Fprintln(w)
-			return nil
+			setup(&opts.Run)
+			return emit(mmv2v.RunAblation(opts))
 		},
 	}
 
@@ -353,6 +268,12 @@ func run(w io.Writer) error {
 		}
 	}
 	return writeMemProfile(*memOut)
+}
+
+// figure is what every experiment result prints itself as.
+type figure interface {
+	WriteTable(w io.Writer)
+	WriteCSV(w io.Writer) error
 }
 
 // writeStats exports the collected statistics rows to path — CSV when the

@@ -14,7 +14,8 @@
 // the radio protocol entirely and drives 5 ms traffic steps plus link-table
 // refreshes every -refresh-ms simulated milliseconds for N simulated
 // seconds, reporting link-table size and wall-clock per refresh — the scale
-// mode for city-sized fleets (default 10000 vehicles).
+// mode for city-sized fleets (default 10000 vehicles). With no protocol to
+// observe, -drive refuses -stats, -series, -trace and -runlog.
 //
 // -faults scales the standard fault profile (control loss, blockage bursts,
 // radio churn, slot jitter; see internal/faults) by the given intensity;
@@ -113,10 +114,15 @@ func run() (err error) {
 		if *worldKind != "grid" {
 			return fmt.Errorf("-drive requires -world grid")
 		}
-		if *seriesOut != "" {
-			return fmt.Errorf("-drive runs no protocol and samples no registry; drop -series")
+		// The drive runs no protocol: it has no registry to sample or
+		// export, no protocol events to trace and no trials to log.
+		for _, fl := range []struct{ name, path string }{
+			{"series", *seriesOut}, {"stats", *statsOut}, {"trace", *traceOut}, {"runlog", *runlogOut},
+		} {
+			if fl.path != "" {
+				return fmt.Errorf("-drive runs no protocol; drop -%s", fl.name)
+			}
 		}
-		return driveGrid(gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, driveGridDefaults), *seed, *driveSec, *refreshMs, srv)
 	}
 
 	if *cpuOut != "" {
@@ -132,6 +138,12 @@ func run() (err error) {
 			return err
 		}
 		defer pprof.StopCPUProfile()
+	}
+	if *driveSec > 0 {
+		if err := driveGrid(gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, driveGridDefaults), *seed, *driveSec, *refreshMs, srv); err != nil {
+			return err
+		}
+		return writeMemProfile(*memOut)
 	}
 
 	cfg := mmv2v.DefaultScenario(*density, *seed)

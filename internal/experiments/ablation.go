@@ -18,20 +18,13 @@ import (
 // the heterogeneous Tx/Rx beam widths (Sec. III-B), the p = 0.5 role
 // probability optimum (Theorem 2), and the K = 3 / M = 40 operating point.
 type AblationOptions struct {
-	Seed       uint64
-	Trials     int
+	Run
 	DensityVPL float64
-	// Workers bounds concurrent trial simulations across all variants
-	// (0 = GOMAXPROCS). The table is identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed variant; must
-	// be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultAblationOptions returns the standard setting.
 func DefaultAblationOptions() AblationOptions {
-	return AblationOptions{Seed: 1, Trials: 3, DensityVPL: 20}
+	return AblationOptions{Run: Run{Seed: 1, Trials: 3}, DensityVPL: 20}
 }
 
 // AblationRow is one variant's outcome.
@@ -71,23 +64,16 @@ func Ablation(opts AblationOptions) (*AblationResult, error) {
 		{"log-normal shadowing σ=4 dB", core.Factory(core.DefaultParams()),
 			func(c *sim.Config) { c.World.Channel.ShadowSigmaDB = 4 }},
 	}
-	// One cell per variant, all submitting trials to a shared runner; the
-	// slot-per-variant buffer keeps the row order fixed by the variant list.
-	runner := sim.NewRunner(opts.Workers)
 	rows := make([]AblationRow, len(variants))
-	err := sim.Gather(len(variants), func(vi int) error {
-		v := variants[vi]
+	err := opts.cells(len(variants), func(vi int) (sim.Config, sim.Factory) {
 		cfg := scenario(opts.DensityVPL, opts.Seed)
-		if v.mutate != nil {
-			v.mutate(&cfg)
+		if mutate := variants[vi].mutate; mutate != nil {
+			mutate(&cfg)
 		}
-		pooled, err := runner.RunTrials(cfg, v.factory, opts.Trials)
-		if err != nil {
-			return err
-		}
-		rows[vi] = AblationRow{Variant: v.name, Summary: pooled.Summary}
-		reportProgress(opts.Progress, "ablation %s", v.name)
-		return nil
+		return cfg, variants[vi].factory
+	}, func(vi int, pooled *sim.Result) string {
+		rows[vi] = AblationRow{Variant: variants[vi].name, Summary: pooled.Summary}
+		return "ablation " + variants[vi].name
 	})
 	if err != nil {
 		return nil, err

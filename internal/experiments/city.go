@@ -6,9 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"mmv2v/internal/baseline"
-	"mmv2v/internal/core"
-	"mmv2v/internal/metrics"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/traffic"
 )
@@ -19,17 +16,10 @@ import (
 // and turning traffic stress discovery and matching differently than
 // highway platooning does.
 type CityOptions struct {
-	Seed   uint64
-	Trials int
+	Run
 	// Grid is the road-network scenario (intersection counts, block length,
 	// vehicle count).
 	Grid traffic.GridConfig
-	// Workers bounds concurrent trial simulations (0 = GOMAXPROCS). Tables
-	// are byte-identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed protocol cell;
-	// must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultCityOptions returns a 3×3-intersection downtown grid with 180
@@ -41,26 +31,15 @@ func DefaultCityOptions() CityOptions {
 	g.Rows, g.Cols = 3, 3
 	g.BlockM = 200
 	return CityOptions{
-		Seed:   1,
-		Trials: 3,
-		Grid:   g,
+		Run:  Run{Seed: 1, Trials: 3},
+		Grid: g,
 	}
 }
 
-// CityCell is one protocol's pooled measurement on the grid.
-type CityCell struct {
-	Protocol string
-	Summary  metrics.Summary
-	// OCRCI95 is the half-width of the 95 % CI over per-vehicle OCR.
-	OCRCI95 float64
-}
-
-// CityResult is the full city-grid comparison.
+// CityResult is the full city-grid comparison: a protocol grid of one row.
 type CityResult struct {
 	Opts CityOptions
-	// AvgNeighbors is the mean LOS neighbor count on the grid (mmV2V run).
-	AvgNeighbors float64
-	Cells        []CityCell
+	Grid
 }
 
 // City runs the OHM protocol comparison on the grid network.
@@ -71,60 +50,41 @@ func City(opts CityOptions) (*CityResult, error) {
 	if err := opts.Grid.Validate(); err != nil {
 		return nil, err
 	}
-	factories := []sim.Factory{
-		core.Factory(core.DefaultParams()),
-		baseline.ROPFactory(baseline.DefaultROPParams()),
-		baseline.ADFactory(baseline.DefaultADParams()),
-	}
-	runner := sim.NewRunner(opts.Workers)
-	cells := make([]CityCell, len(factories))
-	avgN := make([]float64, len(factories))
-	err := sim.Gather(len(factories), func(k int) error {
+	g, err := opts.grid("city", "", []float64{0}, comparedProtocols(), func(int) sim.Config {
 		grid := opts.Grid
 		cfg := scenario(15, opts.Seed)
 		cfg.Grid = &grid
-		pooled, err := runner.RunTrials(cfg, factories[k], opts.Trials)
-		if err != nil {
-			return err
-		}
-		ocrs := make([]float64, 0, len(pooled.Stats))
-		for _, st := range pooled.Stats {
-			ocrs = append(ocrs, st.OCR)
-		}
-		_, ci := metrics.MeanCI95(ocrs)
-		cells[k] = CityCell{Protocol: pooled.Protocol, Summary: pooled.Summary, OCRCI95: ci}
-		avgN[k] = pooled.AvgNeighbors
-		reportProgress(opts.Progress, "city %s", pooled.Protocol)
-		return nil
+		return cfg
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &CityResult{Opts: opts, AvgNeighbors: avgN[0], Cells: cells}, nil
+	return &CityResult{Opts: opts, Grid: g}, nil
 }
 
 // WriteTable prints the protocol comparison on the grid.
 func (r *CityResult) WriteTable(w io.Writer) {
-	g := r.Opts.Grid
+	g, row := r.Opts.Grid, r.Rows[0]
 	writeHeader(w, "City grid — OHM protocols on a Manhattan road network")
 	fmt.Fprintf(w, "grid: %dx%d intersections, %g m blocks, %d vehicles, avg |N| %.1f\n",
-		g.Rows, g.Cols, g.BlockM, g.Vehicles, r.AvgNeighbors)
+		g.Rows, g.Cols, g.BlockM, g.Vehicles, row.AvgNeighbors)
 	fmt.Fprintf(w, "%-14s %-16s %-10s %-10s\n", "protocol", "OCR", "ATP", "DTP")
-	for _, c := range r.Cells {
+	for _, c := range row.Cells {
 		fmt.Fprintf(w, "%-14s %-6.3f ±%-7.3f %-10.3f %-10.3f\n",
 			c.Protocol, c.Summary.MeanOCR, c.OCRCI95, c.Summary.MeanATP, c.Summary.MeanDTP)
 	}
 }
 
-// WriteCSV emits protocol, ocr, ocr_ci95, atp, dtp rows.
+// WriteCSV emits rows, cols, block_m, vehicles, avg_neighbors, protocol,
+// ocr, ocr_ci95, atp, dtp rows.
 func (r *CityResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	rows := [][]string{{"rows", "cols", "block_m", "vehicles", "avg_neighbors", "protocol", "ocr", "ocr_ci95", "atp", "dtp"}}
-	g := r.Opts.Grid
-	for _, c := range r.Cells {
+	g, row := r.Opts.Grid, r.Rows[0]
+	for _, c := range row.Cells {
 		rows = append(rows, []string{
 			strconv.Itoa(g.Rows), strconv.Itoa(g.Cols), f(g.BlockM), strconv.Itoa(g.Vehicles),
-			f(r.AvgNeighbors), c.Protocol,
+			f(row.AvgNeighbors), c.Protocol,
 			f(c.Summary.MeanOCR), f(c.OCRCI95), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
 		})
 	}

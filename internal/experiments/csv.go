@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // The WriteCSV methods emit each experiment in long format (one observation
@@ -39,60 +40,25 @@ func (r *Fig6Result) WriteCSV(w io.Writer) error {
 	return writeAll(cw, rows)
 }
 
-// WriteCSV emits k, metric, x, cdf rows plus mean rows (x empty).
-func (r *Fig7Result) WriteCSV(w io.Writer) error {
+// WriteCSV emits <param>, metric, x, value rows: per curve, the two means
+// (x empty) and the sampled OCR and ATP CDFs.
+func (s *Sweep) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	rows := [][]string{{"k", "metric", "x", "value"}}
-	pts := r.Opts.CurvePoints
+	rows := [][]string{{strings.ToLower(s.Param), "metric", "x", "value"}}
+	pts := s.CurvePoints
 	if pts < 2 {
 		pts = 11
 	}
-	for _, c := range r.Curves {
+	for _, c := range s.Curves {
+		v := strconv.Itoa(c.Value)
 		rows = append(rows,
-			[]string{strconv.Itoa(c.K), "mean_ocr", "", f(c.MeanOCR)},
-			[]string{strconv.Itoa(c.K), "mean_atp", "", f(c.MeanATP)})
+			[]string{v, "mean_ocr", "", f(c.MeanOCR)},
+			[]string{v, "mean_atp", "", f(c.MeanATP)})
 		for p := 0; p < pts; p++ {
 			x := float64(p) / float64(pts-1)
 			rows = append(rows,
-				[]string{strconv.Itoa(c.K), "ocr_cdf", f(x), f(c.OCRCDF.P(x))},
-				[]string{strconv.Itoa(c.K), "atp_cdf", f(x), f(c.ATPCDF.P(x))})
-		}
-	}
-	return writeAll(cw, rows)
-}
-
-// WriteCSV emits m, metric, x, cdf rows plus mean rows (x empty).
-func (r *Fig8Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{{"m", "metric", "x", "value"}}
-	pts := r.Opts.CurvePoints
-	if pts < 2 {
-		pts = 11
-	}
-	for _, c := range r.Curves {
-		rows = append(rows,
-			[]string{strconv.Itoa(c.M), "mean_ocr", "", f(c.MeanOCR)},
-			[]string{strconv.Itoa(c.M), "mean_atp", "", f(c.MeanATP)})
-		for p := 0; p < pts; p++ {
-			x := float64(p) / float64(pts-1)
-			rows = append(rows,
-				[]string{strconv.Itoa(c.M), "ocr_cdf", f(x), f(c.OCRCDF.P(x))},
-				[]string{strconv.Itoa(c.M), "atp_cdf", f(x), f(c.ATPCDF.P(x))})
-		}
-	}
-	return writeAll(cw, rows)
-}
-
-// WriteCSV emits density, avg_neighbors, protocol, ocr, atp, dtp rows.
-func (r *Fig9Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	rows := [][]string{{"density_vpl", "avg_neighbors", "protocol", "ocr", "atp", "dtp"}}
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			rows = append(rows, []string{
-				f(row.DensityVPL), f(row.AvgNeighbors), c.Protocol,
-				f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
-			})
+				[]string{v, "ocr_cdf", f(x), f(c.OCRCDF.P(x))},
+				[]string{v, "atp_cdf", f(x), f(c.ATPCDF.P(x))})
 		}
 	}
 	return writeAll(cw, rows)
@@ -128,7 +94,7 @@ func (r *FaultsResult) WriteCSV(w io.Writer) error {
 				lat = f(c.MeanLatencySec)
 			}
 			rows = append(rows, []string{
-				f(row.Intensity), c.Protocol,
+				f(row.At), c.Protocol,
 				f(c.Summary.MeanOCR), f(c.Summary.MeanATP), f(c.Summary.MeanDTP),
 				lat, strconv.Itoa(c.Trials), strconv.Itoa(c.Failures),
 			})
@@ -144,6 +110,19 @@ func (r *AblationResult) WriteCSV(w io.Writer) error {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Variant, f(row.Summary.MeanOCR), f(row.Summary.MeanATP), f(row.Summary.MeanDTP),
+		})
+	}
+	return writeAll(cw, rows)
+}
+
+// WriteCSV emits window, ocr, atp, dtp rows, windows numbered from 1 as in
+// the table.
+func (r *WarmupResult) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	rows := [][]string{{"window", "ocr", "atp", "dtp"}}
+	for _, row := range r.Rows {
+		rows = append(rows, []string{
+			strconv.Itoa(row.Window + 1), f(row.Summary.MeanOCR), f(row.Summary.MeanATP), f(row.Summary.MeanDTP),
 		})
 	}
 	return writeAll(cw, rows)

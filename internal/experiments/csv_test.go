@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,10 +45,11 @@ func TestFig6CSV(t *testing.T) {
 }
 
 func TestFig7CSV(t *testing.T) {
-	r := &Fig7Result{
-		Opts: Fig7Options{CurvePoints: 3},
-		Curves: []Fig7Curve{{
-			K: 3, MeanOCR: 0.7, MeanATP: 0.8,
+	r := &Sweep{
+		Param:       "K",
+		CurvePoints: 3,
+		Curves: []Curve{{
+			Value: 3, MeanOCR: 0.7, MeanATP: 0.8,
 			OCRCDF: metrics.NewCDF([]float64{0.5, 1.0}),
 			ATPCDF: metrics.NewCDF([]float64{0.6, 0.9}),
 		}},
@@ -61,16 +63,20 @@ func TestFig7CSV(t *testing.T) {
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d: %v", len(rows), rows)
 	}
+	if rows[0][0] != "k" {
+		t.Errorf("header = %v", rows[0])
+	}
 	if rows[1][1] != "mean_ocr" || rows[1][3] != "0.7" {
 		t.Errorf("mean row = %v", rows[1])
 	}
 }
 
 func TestFig8CSV(t *testing.T) {
-	r := &Fig8Result{
-		Opts: Fig8Options{CurvePoints: 2},
-		Curves: []Fig8Curve{{
-			M: 40, MeanOCR: 0.6, MeanATP: 0.7,
+	r := &Sweep{
+		Param:       "M",
+		CurvePoints: 2,
+		Curves: []Curve{{
+			Value: 40, MeanOCR: 0.6, MeanATP: 0.7,
 			OCRCDF: metrics.NewCDF([]float64{1}),
 			ATPCDF: metrics.NewCDF([]float64{1}),
 		}},
@@ -83,20 +89,23 @@ func TestFig8CSV(t *testing.T) {
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	if rows[0][0] != "m" || rows[1][0] != "40" {
+		t.Errorf("rows = %v", rows)
+	}
 }
 
 func TestFig9CSV(t *testing.T) {
-	r := &Fig9Result{
+	r := &Fig9Result{Grid: Grid{
 		Protocols: []string{"mmV2V"},
-		Rows: []Fig9Row{{
-			DensityVPL:   15,
+		Rows: []GridRow{{
+			At:           15,
 			AvgNeighbors: 6.7,
-			Cells: []Fig9Cell{{
+			Cells: []Cell{{
 				Protocol: "mmV2V",
 				Summary:  metrics.Summary{MeanOCR: 0.72, MeanATP: 0.73, MeanDTP: 0.39},
 			}},
 		}},
-	}
+	}}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -148,5 +157,27 @@ func TestAblationCSV(t *testing.T) {
 	rows := parseCSV(t, buf.String())
 	if len(rows) != 2 || rows[1][0] != "mmV2V (paper config)" {
 		t.Errorf("rows = %v", rows)
+	}
+}
+
+func TestWarmupCSV(t *testing.T) {
+	r := &WarmupResult{
+		Rows: []WarmupRow{
+			{Window: 0, Summary: metrics.Summary{MeanOCR: 0.5, MeanATP: 0.55, MeanDTP: 0.3}},
+			{Window: 1, Summary: metrics.Summary{MeanOCR: 0.6, MeanATP: 0.65, MeanDTP: 0.35}},
+		},
+	}
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows := parseCSV(t, buf.String())
+	want := [][]string{
+		{"window", "ocr", "atp", "dtp"},
+		{"1", "0.5", "0.55", "0.3"},
+		{"2", "0.6", "0.65", "0.35"},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows = %v, want %v", rows, want)
 	}
 }

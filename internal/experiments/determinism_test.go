@@ -15,7 +15,7 @@ func TestFig9TableByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Skip("experiment determinism test")
 	}
 	render := func(workers int) []byte {
-		opts := Fig9Options{Seed: 1, Trials: 2, Densities: []float64{12}, Workers: workers}
+		opts := Fig9Options{Run: Run{Seed: 1, Trials: 2, Workers: workers}, Densities: []float64{12}}
 		res, err := Fig9(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -45,13 +45,11 @@ func TestFaultSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	render := func(workers int) []byte {
 		opts := FaultsOptions{
-			Seed:        1,
-			Trials:      2,
+			Run:         Run{Seed: 1, Trials: 2, Workers: workers},
 			DensityVPL:  12,
 			WindowSec:   0.2,
 			Intensities: []float64{0, 1},
 			Profile:     faults.DefaultConfig(),
-			Workers:     workers,
 		}
 		res, err := FaultSweep(opts)
 		if err != nil {

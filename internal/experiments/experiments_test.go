@@ -13,8 +13,7 @@ import (
 
 func smallFig6() Fig6Options {
 	return Fig6Options{
-		Seed:      1,
-		Trials:    1,
+		Run:       Run{Seed: 1, Trials: 1},
 		Densities: []float64{12},
 		CValues:   []int{1, 7},
 		MaxSlots:  20,
@@ -71,7 +70,7 @@ func TestFig7Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	opts := Fig7Options{Seed: 1, Trials: 1, DensityVPL: 12, KValues: []int{1, 3}, M: 40, CurvePoints: 5}
+	opts := Fig7Options{Run: Run{Seed: 1, Trials: 1}, DensityVPL: 12, KValues: []int{1, 3}, M: 40, CurvePoints: 5}
 	res, err := Fig7(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +80,14 @@ func TestFig7Smoke(t *testing.T) {
 	}
 	for _, c := range res.Curves {
 		if c.MeanOCR < 0 || c.MeanOCR > 1 || c.MeanATP < 0 || c.MeanATP > 1 {
-			t.Errorf("K=%d means out of range: %+v", c.K, c)
+			t.Errorf("K=%d means out of range: %+v", c.Value, c)
 		}
 		if c.OCRCDF.Len() == 0 {
-			t.Errorf("K=%d empty CDF", c.K)
+			t.Errorf("K=%d empty CDF", c.Value)
 		}
 		// CDF at 1.0 must be exactly 1 (all values ≤ 1).
 		if got := c.OCRCDF.P(1.0); got != 1 {
-			t.Errorf("K=%d OCR CDF(1) = %v", c.K, got)
+			t.Errorf("K=%d OCR CDF(1) = %v", c.Value, got)
 		}
 	}
 	// More discovery rounds must not find fewer partners on average: K=3
@@ -96,8 +95,8 @@ func TestFig7Smoke(t *testing.T) {
 	if res.Curves[1].MeanATP < res.Curves[0].MeanATP*0.8 {
 		t.Errorf("K=3 ATP %v far below K=1 %v", res.Curves[1].MeanATP, res.Curves[0].MeanATP)
 	}
-	if best := res.BestK(); best != 1 && best != 3 {
-		t.Errorf("BestK = %d", best)
+	if best := res.Best(); best != 1 && best != 3 {
+		t.Errorf("Best = %d", best)
 	}
 	var buf bytes.Buffer
 	res.WriteTable(&buf)
@@ -110,7 +109,7 @@ func TestFig8Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	opts := Fig8Options{Seed: 1, Trials: 1, DensityVPL: 12, MValues: []int{20, 40}, K: 3, CurvePoints: 5}
+	opts := Fig8Options{Run: Run{Seed: 1, Trials: 1}, DensityVPL: 12, MValues: []int{20, 40}, K: 3, CurvePoints: 5}
 	res, err := Fig8(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +117,8 @@ func TestFig8Smoke(t *testing.T) {
 	if len(res.Curves) != 2 {
 		t.Fatalf("curves = %d", len(res.Curves))
 	}
-	if best := res.BestM(); best != 20 && best != 40 {
-		t.Errorf("BestM = %d", best)
+	if best := res.Best(); best != 20 && best != 40 {
+		t.Errorf("Best = %d", best)
 	}
 	var buf bytes.Buffer
 	res.WriteTable(&buf)
@@ -132,7 +131,7 @@ func TestFig9SmokeAndOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	opts := Fig9Options{Seed: 1, Trials: 1, Densities: []float64{15}}
+	opts := Fig9Options{Run: Run{Seed: 1, Trials: 1}, Densities: []float64{15}}
 	res, err := Fig9(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +147,9 @@ func TestFig9SmokeAndOrdering(t *testing.T) {
 	}
 	// The paper's headline ordering at normal density: mmV2V > 802.11ad >
 	// ROP on OCR.
-	if !(mm.MeanOCR > ad.MeanOCR && ad.MeanOCR > rop.MeanOCR) {
+	if !(mm.Summary.MeanOCR > ad.Summary.MeanOCR && ad.Summary.MeanOCR > rop.Summary.MeanOCR) {
 		t.Errorf("ordering violated: mmV2V=%.3f ad=%.3f ROP=%.3f",
-			mm.MeanOCR, ad.MeanOCR, rop.MeanOCR)
+			mm.Summary.MeanOCR, ad.Summary.MeanOCR, rop.Summary.MeanOCR)
 	}
 	var buf bytes.Buffer
 	res.WriteTable(&buf)
@@ -229,7 +228,7 @@ func TestAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	opts := AblationOptions{Seed: 1, Trials: 1, DensityVPL: 12}
+	opts := AblationOptions{Run: Run{Seed: 1, Trials: 1}, DensityVPL: 12}
 	res, err := Ablation(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +280,7 @@ func TestTrucksSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	opts := TrucksOptions{Seed: 1, Trials: 1, DensityVPL: 15, Fractions: []float64{0, 0.3}}
+	opts := TrucksOptions{Run: Run{Seed: 1, Trials: 1}, DensityVPL: 15, Fractions: []float64{0, 0.3}}
 	res, err := Trucks(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +296,7 @@ func TestTrucksSmoke(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("missing mmV2V summaries")
 	}
-	for _, s := range []float64{clean.MeanOCR, heavy.MeanOCR} {
+	for _, s := range []float64{clean.Summary.MeanOCR, heavy.Summary.MeanOCR} {
 		if s < 0 || s > 1 {
 			t.Errorf("OCR out of range: %v", s)
 		}
@@ -350,7 +349,7 @@ func TestWarmupSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	opts := WarmupOptions{Seed: 1, Trials: 1, DensityVPL: 12, Windows: 2}
+	opts := WarmupOptions{Run: Run{Seed: 1, Trials: 1}, DensityVPL: 12, Windows: 2}
 	res, err := Warmup(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,7 @@ import (
 	"io"
 	"math"
 
-	"mmv2v/internal/baseline"
-	"mmv2v/internal/core"
 	"mmv2v/internal/faults"
-	"mmv2v/internal/metrics"
-	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 )
 
@@ -17,8 +13,7 @@ import (
 // beyond the paper): mmV2V, ROP and IEEE 802.11ad under the deterministic
 // fault-injection layer of internal/faults, swept over fault intensity.
 type FaultsOptions struct {
-	Seed   uint64
-	Trials int
+	Run
 	// DensityVPL is the traffic density of every cell (one density: the
 	// sweep axis is fault intensity, not load).
 	DensityVPL float64
@@ -30,58 +25,27 @@ type FaultsOptions struct {
 	Intensities []float64
 	// Profile is the intensity-1 fault mix.
 	Profile faults.Config
-	// Workers bounds concurrent trial simulations across all cells
-	// (0 = GOMAXPROCS). The tables are identical for any value.
-	Workers int
 	// Stats enables per-cell layer statistics and their windowed samples
 	// (see Fig9Options.Stats).
 	Stats bool
-	// Progress, when non-nil, is invoked once per completed (intensity,
-	// protocol) cell with a short label. Cells complete on concurrent
-	// goroutines, so the callback must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultFaultsOptions returns the default sweep: the paper's 20 vpl
 // scenario under the standard stress profile at 0/¼/½/1 intensity.
 func DefaultFaultsOptions() FaultsOptions {
 	return FaultsOptions{
-		Seed:        1,
-		Trials:      3,
+		Run:         Run{Seed: 1, Trials: 3},
 		DensityVPL:  20,
 		Intensities: []float64{0, 0.25, 0.5, 1},
 		Profile:     faults.DefaultConfig(),
 	}
 }
 
-// FaultsCell is one (intensity, protocol) measurement.
-type FaultsCell struct {
-	Protocol string
-	Summary  metrics.Summary
-	// MeanLatencySec is the mean time from window start to each neighbor
-	// pair's first exchanged bit (NaN when nothing was exchanged).
-	MeanLatencySec float64
-	// Trials/Failures echo the crash-isolation summary of the cell's
-	// pooled run.
-	Trials   int
-	Failures int
-	// Obs and Series are the cell's pooled layer statistics and windowed
-	// samples (nil unless Options.Stats).
-	Obs    *obs.Registry
-	Series *obs.Series
-}
-
-// FaultsRow is one intensity's measurements.
-type FaultsRow struct {
-	Intensity float64
-	Cells     []FaultsCell
-}
-
-// FaultsResult is the full graceful-degradation table.
+// FaultsResult is the full graceful-degradation table: one grid row per
+// fault intensity.
 type FaultsResult struct {
-	Opts      FaultsOptions
-	Protocols []string
-	Rows      []FaultsRow
+	Opts FaultsOptions
+	Grid
 }
 
 // FaultSweep runs the study. Cells share one runner, and results assemble
@@ -90,101 +54,20 @@ func FaultSweep(opts FaultsOptions) (*FaultsResult, error) {
 	if opts.Trials <= 0 || len(opts.Intensities) == 0 || opts.DensityVPL <= 0 {
 		return nil, fmt.Errorf("experiments: invalid fault-sweep options %+v", opts)
 	}
-	factories := []sim.Factory{
-		core.Factory(core.DefaultParams()),
-		baseline.ROPFactory(baseline.DefaultROPParams()),
-		baseline.ADFactory(baseline.DefaultADParams()),
-	}
-	runner := sim.NewRunner(opts.Workers)
-	nf := len(factories)
-	cells := make([]FaultsCell, len(opts.Intensities)*nf)
-	err := sim.Gather(len(cells), func(k int) error {
-		ii, fi := k/nf, k%nf
+	g, err := opts.grid("faults", "intensity", opts.Intensities, comparedProtocols(), func(ri int) sim.Config {
 		cfg := scenario(opts.DensityVPL, opts.Seed)
 		if opts.WindowSec > 0 {
 			cfg.WindowSec = opts.WindowSec
 		}
 		cfg.Stats = opts.Stats
-		profile := opts.Profile.Scale(opts.Intensities[ii])
+		profile := opts.Profile.Scale(opts.Intensities[ri])
 		cfg.Faults = &profile
-		pooled, err := runner.RunTrials(cfg, factories[fi], opts.Trials)
-		if err != nil {
-			return err
-		}
-		cells[k] = FaultsCell{
-			Protocol:       pooled.Protocol,
-			Summary:        pooled.Summary,
-			MeanLatencySec: pooled.MeanLatencySec(),
-			Trials:         pooled.Trials,
-			Failures:       len(pooled.Failures),
-			Obs:            pooled.Obs,
-			Series:         pooled.Series,
-		}
-		reportProgress(opts.Progress, "faults intensity=%g %s", opts.Intensities[ii], pooled.Protocol)
-		return nil
+		return cfg
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &FaultsResult{Opts: opts}
-	for ii, intensity := range opts.Intensities {
-		row := FaultsRow{Intensity: intensity}
-		for fi := 0; fi < nf; fi++ {
-			row.Cells = append(row.Cells, cells[ii*nf+fi])
-			if ii == 0 {
-				res.Protocols = append(res.Protocols, cells[fi].Protocol)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Get returns a protocol's cell at an intensity.
-func (r *FaultsResult) Get(intensity float64, protocol string) (FaultsCell, bool) {
-	for _, row := range r.Rows {
-		//mmv2v:exact grid lookup: intensities are exact sweep literals carried through unmodified
-		if row.Intensity != intensity {
-			continue
-		}
-		for _, c := range row.Cells {
-			if c.Protocol == protocol {
-				return c, true
-			}
-		}
-	}
-	return FaultsCell{}, false
-}
-
-// StatsRows exports every cell's layer statistics (when the run had
-// Options.Stats), each row scoped "faults/intensity=<i>/<protocol>", sorted
-// by (scope, name, kind). Nil-Obs cells contribute nothing.
-func (r *FaultsResult) StatsRows() []obs.Row {
-	var rows []obs.Row
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			scope := fmt.Sprintf("faults/intensity=%g/%s", row.Intensity, c.Protocol)
-			rows = append(rows, c.Obs.Rows(scope)...)
-		}
-	}
-	obs.SortRows(rows)
-	return rows
-}
-
-// SeriesRows exports every cell's windowed samples (when the run had
-// Options.Stats), each row scoped "faults/intensity=<i>/<protocol>",
-// sorted by (scope, window, name, kind). Nil-Series cells contribute
-// nothing.
-func (r *FaultsResult) SeriesRows() []obs.SeriesRow {
-	var rows []obs.SeriesRow
-	for _, row := range r.Rows {
-		for _, c := range row.Cells {
-			scope := fmt.Sprintf("faults/intensity=%g/%s", row.Intensity, c.Protocol)
-			rows = append(rows, obs.SeriesRows(c.Series.Points(), scope)...)
-		}
-	}
-	obs.SortSeriesRows(rows)
-	return rows
+	return &FaultsResult{Opts: opts, Grid: g}, nil
 }
 
 // WriteTable prints the degradation table: (a) OCR, (b) time to first
@@ -195,11 +78,11 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "density %g vpl; profile at intensity 1: %+v\n", r.Opts.DensityVPL, r.Opts.Profile)
 	metricsOf := []struct {
 		name string
-		get  func(FaultsCell) float64
+		get  func(Cell) float64
 	}{
-		{"(a) OCR", func(c FaultsCell) float64 { return c.Summary.MeanOCR }},
-		{"(b) first-exchange latency (ms)", func(c FaultsCell) float64 { return c.MeanLatencySec * 1e3 }},
-		{"(c) ATP", func(c FaultsCell) float64 { return c.Summary.MeanATP }},
+		{"(a) OCR", func(c Cell) float64 { return c.Summary.MeanOCR }},
+		{"(b) first-exchange latency (ms)", func(c Cell) float64 { return c.MeanLatencySec * 1e3 }},
+		{"(c) ATP", func(c Cell) float64 { return c.Summary.MeanATP }},
 	}
 	for _, m := range metricsOf {
 		fmt.Fprintf(w, "%s:\n%-10s", m.name, "intensity")
@@ -208,7 +91,7 @@ func (r *FaultsResult) WriteTable(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 		for _, row := range r.Rows {
-			fmt.Fprintf(w, "%-10.2f", row.Intensity)
+			fmt.Fprintf(w, "%-10.2f", row.At)
 			for _, c := range row.Cells {
 				if math.IsNaN(m.get(c)) {
 					fmt.Fprintf(w, "  %-10s", "-")

@@ -15,9 +15,7 @@ import (
 // negotiation slots, for C = 1..12, under four traffic scenarios whose
 // average neighbor counts are ≈5, 6, 7 and 8.
 type Fig6Options struct {
-	Seed uint64
-	// Trials per (scenario, C) cell.
-	Trials int
+	Run
 	// Densities are calibrated so the average LOS neighbor count matches
 	// the paper's 5, 6, 7, 8 labels (see the world-package calibration).
 	Densities []float64
@@ -29,20 +27,12 @@ type Fig6Options struct {
 	// Frames averaged per trial (matching evolves identically each frame in
 	// a near-static topology, so a few suffice).
 	Frames int
-	// Workers bounds concurrent trial simulations across all
-	// (scenario, C) cells (0 = GOMAXPROCS). The curves are identical for
-	// any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed (density, C)
-	// cell; must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultFig6Options returns the paper's configuration.
 func DefaultFig6Options() Fig6Options {
 	return Fig6Options{
-		Seed:      1,
-		Trials:    3,
+		Run:       Run{Seed: 1, Trials: 3},
 		Densities: []float64{12, 15, 17, 19},
 		CValues:   []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		MaxSlots:  80,
@@ -126,7 +116,7 @@ func Fig6(opts Fig6Options) (*Fig6Result, error) {
 			}
 			cell.avgN += trialAvgN[trial] / float64(opts.Trials)
 		}
-		reportProgress(opts.Progress, "fig6 density=%g C=%d", opts.Densities[di], c)
+		opts.report(fmt.Sprintf("fig6 density=%g C=%d", opts.Densities[di], c))
 		return nil
 	})
 	if err != nil {

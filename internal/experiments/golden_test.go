@@ -5,6 +5,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"mmv2v/internal/faults"
@@ -18,8 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 // straight-road figure (the -fig all composition) into one byte stream:
 // table plus CSV for each. The options are scaled down so the whole suite
 // runs in test time, but every rendering code path of the full suite is
-// exercised.
-func renderLegacyTables(t *testing.T) []byte {
+// exercised. Every experiment reports its cells to progress.
+func renderLegacyTables(t *testing.T, progress func(string)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 
@@ -36,8 +39,8 @@ func renderLegacyTables(t *testing.T) []byte {
 	}
 
 	f6, err := Fig6(Fig6Options{
-		Seed: 1, Trials: 1, Densities: []float64{12},
-		CValues: []int{1, 7}, MaxSlots: 40, Frames: 1,
+		Run:       Run{Seed: 1, Trials: 1, Progress: progress},
+		Densities: []float64{12}, CValues: []int{1, 7}, MaxSlots: 40, Frames: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +51,8 @@ func renderLegacyTables(t *testing.T) []byte {
 	}
 
 	f7, err := Fig7(Fig7Options{
-		Seed: 1, Trials: 1, DensityVPL: 12, KValues: []int{1, 3}, M: 40, CurvePoints: 11,
+		Run:        Run{Seed: 1, Trials: 1, Progress: progress},
+		DensityVPL: 12, KValues: []int{1, 3}, M: 40, CurvePoints: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +63,8 @@ func renderLegacyTables(t *testing.T) []byte {
 	}
 
 	f8, err := Fig8(Fig8Options{
-		Seed: 1, Trials: 1, DensityVPL: 12, MValues: []int{20, 40}, K: 3, CurvePoints: 11,
+		Run:        Run{Seed: 1, Trials: 1, Progress: progress},
+		DensityVPL: 12, MValues: []int{20, 40}, K: 3, CurvePoints: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +74,7 @@ func renderLegacyTables(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 
-	f9, err := Fig9(Fig9Options{Seed: 1, Trials: 1, Densities: []float64{12, 15}})
+	f9, err := Fig9(Fig9Options{Run: Run{Seed: 1, Trials: 1, Progress: progress}, Densities: []float64{12, 15}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func renderLegacyTables(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 
-	abl, err := Ablation(AblationOptions{Seed: 1, Trials: 1, DensityVPL: 10})
+	abl, err := Ablation(AblationOptions{Run: Run{Seed: 1, Trials: 1, Progress: progress}, DensityVPL: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,8 @@ func renderLegacyTables(t *testing.T) []byte {
 	}
 
 	tr, err := Trucks(TrucksOptions{
-		Seed: 1, Trials: 1, DensityVPL: 12, Fractions: []float64{0, 0.2},
+		Run:        Run{Seed: 1, Trials: 1, Progress: progress},
+		DensityVPL: 12, Fractions: []float64{0, 0.2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +104,7 @@ func renderLegacyTables(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 
-	wu, err := Warmup(WarmupOptions{Seed: 1, Trials: 1, DensityVPL: 12, Windows: 2})
+	wu, err := Warmup(WarmupOptions{Run: Run{Seed: 1, Trials: 1, Progress: progress}, DensityVPL: 12, Windows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +124,48 @@ func TestLegacyTablesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the reduced full-figure suite")
 	}
-	checkGolden(t, "legacy_tables.golden", renderLegacyTables(t))
+	var cells progressLog
+	checkGolden(t, "legacy_tables.golden", renderLegacyTables(t, cells.record))
+	checkLabels(t, &cells, []string{
+		"ablation GPS sync error ±5 µs",
+		"ablation beam tracking in UDT",
+		"ablation explicit on-air refinement",
+		"ablation fairness-biased matching (+10 dB)",
+		"ablation homogeneous narrow beams (α=12°)",
+		"ablation homogeneous wide beams (β=30°)",
+		"ablation log-normal shadowing σ=4 dB",
+		"ablation mmV2V (paper config)",
+		"ablation oracle (centralized greedy)",
+		"ablation role probability p=0.3",
+		"ablation role probability p=0.7",
+		"ablation single discovery round (K=1)",
+		"ablation sparse negotiation (M=10)",
+		"fig6 density=12 C=1",
+		"fig6 density=12 C=7",
+		"fig7 K=1",
+		"fig7 K=3",
+		"fig8 M=20",
+		"fig8 M=40",
+		"fig9 density=12 802.11ad",
+		"fig9 density=12 ROP",
+		"fig9 density=12 mmV2V",
+		"fig9 density=15 802.11ad",
+		"fig9 density=15 ROP",
+		"fig9 density=15 mmV2V",
+		"trucks fraction=0 mmV2V",
+		"trucks fraction=0.2 mmV2V",
+		"warmup trial=0",
+	})
 }
 
 // renderFaultTables renders the reduced fault sweep (the same options as
 // TestFaultSweepByteIdenticalAcrossWorkers) with statistics on: the table,
 // its CSV, and every cell's stats rows, including the faults.* and medium.*
 // counters.
-func renderFaultTables(t *testing.T) []byte {
+func renderFaultTables(t *testing.T, progress func(string)) []byte {
 	t.Helper()
 	res, err := FaultSweep(FaultsOptions{
-		Seed:        1,
-		Trials:      2,
+		Run:         Run{Seed: 1, Trials: 2, Progress: progress},
 		DensityVPL:  12,
 		WindowSec:   0.2,
 		Intensities: []float64{0, 1},
@@ -159,7 +195,75 @@ func TestFaultTablesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the reduced fault sweep")
 	}
-	checkGolden(t, "faults_tables.golden", renderFaultTables(t))
+	var cells progressLog
+	checkGolden(t, "faults_tables.golden", renderFaultTables(t, cells.record))
+	checkLabels(t, &cells, []string{
+		"faults intensity=0 802.11ad",
+		"faults intensity=0 ROP",
+		"faults intensity=0 mmV2V",
+		"faults intensity=1 802.11ad",
+		"faults intensity=1 ROP",
+		"faults intensity=1 mmV2V",
+	})
+}
+
+// renderCityTables renders a reduced city-grid comparison (one trial on
+// the default 3×3 grid with 120 vehicles): the table and its CSV.
+func renderCityTables(t *testing.T, progress func(string)) []byte {
+	t.Helper()
+	opts := DefaultCityOptions()
+	opts.Trials = 1
+	opts.Grid.Vehicles = 120
+	opts.Progress = progress
+	res, err := City(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	res.WriteTable(&buf)
+	if err := res.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCityTablesByteIdentical pins the bytes of the road-graph protocol
+// comparison, the one experiment the other goldens do not render.
+// Regenerate only for an intentional, reviewed output change (same -update
+// flag as TestLegacyTablesByteIdentical).
+func TestCityTablesByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the reduced city-grid comparison")
+	}
+	var cells progressLog
+	checkGolden(t, "city_tables.golden", renderCityTables(t, cells.record))
+	checkLabels(t, &cells, []string{"city 802.11ad", "city ROP", "city mmV2V"})
+}
+
+// progressLog collects the labels an experiment reports from its
+// concurrent cells.
+type progressLog struct {
+	mu     sync.Mutex
+	labels []string
+}
+
+func (p *progressLog) record(cell string) {
+	p.mu.Lock()
+	p.labels = append(p.labels, cell)
+	p.mu.Unlock()
+}
+
+// checkLabels compares the reported labels, sorted because cells complete
+// in any order, against want: one label per cell, none twice.
+func checkLabels(t *testing.T, p *progressLog, want []string) {
+	t.Helper()
+	p.mu.Lock()
+	got := append([]string(nil), p.labels...)
+	p.mu.Unlock()
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("progress labels = %q\nwant %q", got, want)
+	}
 }
 
 // checkGolden compares got against testdata/<name>, or rewrites the file

@@ -18,7 +18,7 @@ func TestFig9StatsByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Skip("experiment determinism test")
 	}
 	render := func(workers int) (table, jsonl, summary []byte) {
-		opts := Fig9Options{Seed: 1, Trials: 2, Densities: []float64{12}, Workers: workers, Stats: true}
+		opts := Fig9Options{Run: Run{Seed: 1, Trials: 2, Workers: workers}, Densities: []float64{12}, Stats: true}
 		res, err := Fig9(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestFig9StatsByteIdenticalAcrossWorkers(t *testing.T) {
 // rendered table relative to a run that never heard of statistics, and
 // cells carry no registries.
 func TestFig9StatsOffLeavesTableUnchanged(t *testing.T) {
-	opts := Fig9Options{Seed: 7, Trials: 1, Densities: []float64{12}}
+	opts := Fig9Options{Run: Run{Seed: 7, Trials: 1}, Densities: []float64{12}}
 	res, err := Fig9(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -77,12 +77,12 @@ func TestFig9ProgressReportsEveryCell(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
 	opts := Fig9Options{
-		Seed: 1, Trials: 1, Densities: []float64{12},
-		Progress: func(cell string) {
+		Run: Run{Seed: 1, Trials: 1, Progress: func(cell string) {
 			mu.Lock()
 			seen = append(seen, cell)
 			mu.Unlock()
-		},
+		}},
+		Densities: []float64{12},
 	}
 	if _, err := Fig9(opts); err != nil {
 		t.Fatal(err)

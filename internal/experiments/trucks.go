@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"mmv2v/internal/baseline"
-	"mmv2v/internal/core"
-	"mmv2v/internal/metrics"
 	"mmv2v/internal/sim"
 )
 
@@ -15,43 +12,27 @@ import (
 // vehicles become trucks — 16 m × 2.5 m bodies that block far more mmWave
 // line-of-sight paths than cars?
 type TrucksOptions struct {
-	Seed       uint64
-	Trials     int
+	Run
 	DensityVPL float64
 	// Fractions is the sweep of truck shares.
 	Fractions []float64
 	// IncludeBaselines also measures ROP and 802.11ad under each mix.
 	IncludeBaselines bool
-	// Workers bounds concurrent trial simulations across all cells
-	// (0 = GOMAXPROCS). The table is identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed (fraction,
-	// protocol) cell; must be safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultTrucksOptions returns the standard sweep.
 func DefaultTrucksOptions() TrucksOptions {
 	return TrucksOptions{
-		Seed:       1,
-		Trials:     3,
+		Run:        Run{Seed: 1, Trials: 3},
 		DensityVPL: 20,
 		Fractions:  []float64{0, 0.1, 0.2, 0.3},
 	}
 }
 
-// TrucksRow is one truck-share measurement.
-type TrucksRow struct {
-	Fraction     float64
-	AvgNeighbors float64
-	Cells        []Fig9Cell
-}
-
-// TrucksResult is the full study.
+// TrucksResult is the full study: one grid row per truck share.
 type TrucksResult struct {
-	Opts      TrucksOptions
-	Protocols []string
-	Rows      []TrucksRow
+	Opts TrucksOptions
+	Grid
 }
 
 // Trucks runs the study.
@@ -59,65 +40,19 @@ func Trucks(opts TrucksOptions) (*TrucksResult, error) {
 	if opts.Trials <= 0 || len(opts.Fractions) == 0 {
 		return nil, fmt.Errorf("experiments: invalid trucks options %+v", opts)
 	}
-	factories := []sim.Factory{core.Factory(core.DefaultParams())}
-	if opts.IncludeBaselines {
-		factories = append(factories,
-			baseline.ROPFactory(baseline.DefaultROPParams()),
-			baseline.ADFactory(baseline.DefaultADParams()))
+	factories := comparedProtocols()
+	if !opts.IncludeBaselines {
+		factories = factories[:1]
 	}
-	// Every (fraction, protocol) cell submits its trials to a shared runner
-	// and writes into a slot-per-cell buffer; the table assembly order below
-	// is fixed by the option lists, never by completion order.
-	runner := sim.NewRunner(opts.Workers)
-	nf := len(factories)
-	cells := make([]Fig9Cell, len(opts.Fractions)*nf)
-	avgN := make([]float64, len(cells))
-	err := sim.Gather(len(cells), func(k int) error {
-		fr, fi := k/nf, k%nf
+	g, err := opts.grid("trucks", "fraction", opts.Fractions, factories, func(ri int) sim.Config {
 		cfg := scenario(opts.DensityVPL, opts.Seed)
-		cfg.Traffic.TruckFraction = opts.Fractions[fr]
-		pooled, err := runner.RunTrials(cfg, factories[fi], opts.Trials)
-		if err != nil {
-			return err
-		}
-		cells[k] = Fig9Cell{Protocol: pooled.Protocol, Summary: pooled.Summary}
-		avgN[k] = pooled.AvgNeighbors
-		reportProgress(opts.Progress, "trucks fraction=%g %s", opts.Fractions[fr], pooled.Protocol)
-		return nil
+		cfg.Traffic.TruckFraction = opts.Fractions[ri]
+		return cfg
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &TrucksResult{Opts: opts}
-	for fr, frac := range opts.Fractions {
-		row := TrucksRow{Fraction: frac}
-		for fi := 0; fi < nf; fi++ {
-			k := fr*nf + fi
-			row.AvgNeighbors = avgN[k]
-			row.Cells = append(row.Cells, cells[k])
-			if fr == 0 {
-				res.Protocols = append(res.Protocols, cells[k].Protocol)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Get returns the summary of a protocol at a truck fraction.
-func (r *TrucksResult) Get(fraction float64, protocol string) (metrics.Summary, bool) {
-	for _, row := range r.Rows {
-		//mmv2v:exact grid lookup: fractions are exact sweep literals carried through unmodified
-		if row.Fraction != fraction {
-			continue
-		}
-		for _, c := range row.Cells {
-			if c.Protocol == protocol {
-				return c.Summary, true
-			}
-		}
-	}
-	return metrics.Summary{}, false
+	return &TrucksResult{Opts: opts, Grid: g}, nil
 }
 
 // WriteTable prints the study.
@@ -129,7 +64,7 @@ func (r *TrucksResult) WriteTable(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10.0f%% %-8.1f", row.Fraction*100, row.AvgNeighbors)
+		fmt.Fprintf(w, "%-10.0f%% %-8.1f", row.At*100, row.AvgNeighbors)
 		for _, c := range row.Cells {
 			fmt.Fprintf(w, "  %-9.3f", c.Summary.MeanOCR)
 		}
@@ -137,15 +72,6 @@ func (r *TrucksResult) WriteTable(w io.Writer) {
 	}
 }
 
-// WriteCSV emits fraction, avg_neighbors, protocol, ocr, atp, dtp rows.
-func (r *TrucksResult) WriteCSV(w io.Writer) error {
-	res := &Fig9Result{Protocols: r.Protocols}
-	for _, row := range r.Rows {
-		res.Rows = append(res.Rows, Fig9Row{
-			DensityVPL:   row.Fraction, // fraction in the density column
-			AvgNeighbors: row.AvgNeighbors,
-			Cells:        row.Cells,
-		})
-	}
-	return res.WriteCSV(w)
-}
+// WriteCSV emits density_vpl, avg_neighbors, protocol, ocr, atp, dtp rows,
+// the truck share in the density_vpl column.
+func (r *TrucksResult) WriteCSV(w io.Writer) error { return r.writeCSV(w) }

@@ -15,21 +15,15 @@ import (
 // working neighbor set ∪_f N_i^f. This experiment quantifies the warm-start
 // benefit across consecutive windows.
 type WarmupOptions struct {
-	Seed       uint64
-	Trials     int
+	// Run.Progress reports each completed trial.
+	Run
 	DensityVPL float64
 	Windows    int
-	// Workers bounds concurrent trial simulations (0 = GOMAXPROCS). The
-	// table is identical for any value.
-	Workers int
-	// Progress, when non-nil, is invoked once per completed trial; must be
-	// safe for concurrent use.
-	Progress func(cell string)
 }
 
 // DefaultWarmupOptions returns the standard setting.
 func DefaultWarmupOptions() WarmupOptions {
-	return WarmupOptions{Seed: 1, Trials: 3, DensityVPL: 20, Windows: 3}
+	return WarmupOptions{Run: Run{Seed: 1, Trials: 3}, DensityVPL: 20, Windows: 3}
 }
 
 // WarmupRow is one window's pooled metrics.
@@ -59,7 +53,7 @@ func Warmup(opts WarmupOptions) (*WarmupResult, error) {
 		res, err := sim.Run(cfg, core.Factory(core.DefaultParams()))
 		results[trial] = res
 		if err == nil {
-			reportProgress(opts.Progress, "warmup trial=%d", trial)
+			opts.report(fmt.Sprintf("warmup trial=%d", trial))
 		}
 		return err
 	})

@@ -22,7 +22,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +47,13 @@ type Server struct {
 	snap  atomic.Pointer[Snapshot]
 
 	// mu guards the publisher side: per-trial accumulators and progress.
-	// Handlers never take it — they load the atomic snapshot.
+	// Handlers never take it — they load the atomic snapshot. The
+	// accumulators are indexed by trial: trial indices are dense from 0
+	// within a run.
 	mu          sync.Mutex
 	prog        obs.ProgressState
-	trialRows   map[int][]obs.Row
-	trialPoints map[int][]obs.SeriesPoint
+	trialRows   [][]obs.Row
+	trialPoints [][]obs.SeriesPoint
 
 	ln  net.Listener
 	srv *http.Server
@@ -61,11 +62,7 @@ type Server struct {
 // NewServer returns a server with an empty published snapshot. Start brings
 // up the listener; until then the server is a plain Monitor sink.
 func NewServer() *Server {
-	s := &Server{
-		start:       time.Now(),
-		trialRows:   map[int][]obs.Row{},
-		trialPoints: map[int][]obs.SeriesPoint{},
-	}
+	s := &Server{start: time.Now()}
 	s.snap.Store(&Snapshot{})
 	return s
 }
@@ -121,8 +118,7 @@ func (s *Server) StartRun(label string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.prog.Label = label
-	s.trialRows = map[int][]obs.Row{}
-	s.trialPoints = map[int][]obs.SeriesPoint{}
+	s.trialRows, s.trialPoints = nil, nil
 	s.publishLocked()
 }
 
@@ -131,6 +127,10 @@ func (s *Server) StartRun(label string) {
 func (s *Server) WindowDone(trial, window, windows int, rows []obs.Row, points []obs.SeriesPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for len(s.trialRows) <= trial {
+		s.trialRows = append(s.trialRows, nil)
+		s.trialPoints = append(s.trialPoints, nil)
+	}
 	s.trialRows[trial] = rows
 	s.trialPoints[trial] = points
 	s.prog.WindowsDone++
@@ -166,30 +166,13 @@ func (s *Server) Publish(rows []obs.Row, points []obs.SeriesPoint, prog obs.Prog
 }
 
 // publishLocked merges the per-trial accumulators slot-per-trial — ascending
-// trial order, exactly like the end-of-run merge — and swaps in a fresh
-// snapshot. Callers hold mu.
+// trial order, exactly like the end-of-run merge; trials with no window yet
+// are nil and merge as nothing — and swaps in a fresh snapshot. Callers
+// hold mu.
 func (s *Server) publishLocked() {
-	trials := make([]int, 0, len(s.trialPoints))
-	//mmv2v:sorted pure key collection; sorted below before merging
-	for tr := range s.trialPoints {
-		trials = append(trials, tr)
-	}
-	//mmv2v:sorted pure key collection; sorted below before merging
-	for tr := range s.trialRows {
-		if _, ok := s.trialPoints[tr]; !ok {
-			trials = append(trials, tr)
-		}
-	}
-	sort.Ints(trials)
-	rowParts := make([][]obs.Row, 0, len(trials))
-	pointParts := make([][]obs.SeriesPoint, 0, len(trials))
-	for _, tr := range trials {
-		rowParts = append(rowParts, s.trialRows[tr])
-		pointParts = append(pointParts, s.trialPoints[tr])
-	}
 	s.snap.Store(&Snapshot{
-		Rows:     obs.MergeRows(rowParts),
-		Series:   obs.MergePoints(pointParts),
+		Rows:     obs.MergeRows(s.trialRows),
+		Series:   obs.MergePoints(s.trialPoints),
 		Progress: s.prog,
 	})
 }

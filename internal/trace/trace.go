@@ -81,31 +81,21 @@ type Sink interface {
 }
 
 // Recorder fans events out to sinks. The zero value and the nil pointer
-// are both valid no-op recorders.
+// are both valid no-op recorders. The sink list is fixed at New, so Emit
+// needs no lock of its own; each sink guards its own state.
 type Recorder struct {
-	mu    sync.Mutex
 	sinks []Sink
 }
 
 // New builds a recorder over the given sinks.
 func New(sinks ...Sink) *Recorder { return &Recorder{sinks: sinks} }
 
-// Attach adds a sink.
-func (r *Recorder) Attach(s Sink) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sinks = append(r.sinks, s)
-}
-
 // Emit records an event; nil recorders drop it.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	sinks := r.sinks
-	r.mu.Unlock()
-	for _, s := range sinks {
+	for _, s := range r.sinks {
 		s.Record(e)
 	}
 }
@@ -227,17 +217,4 @@ func (j *JSONL) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Filter wraps a sink, keeping only events whose kind is in the set.
-type Filter struct {
-	Next  Sink
-	Kinds map[Kind]bool
-}
-
-// Record implements Sink.
-func (f Filter) Record(e Event) {
-	if f.Kinds[e.Kind] {
-		f.Next.Record(e)
-	}
 }

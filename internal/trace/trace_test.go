@@ -20,8 +20,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 func TestRecorderFansOut(t *testing.T) {
 	a := NewRing(10)
 	b := NewRing(10)
-	r := New(a)
-	r.Attach(b)
+	r := New(a, b)
 	r.Emit(ev(0, KindDiscovery, 1, 2))
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Errorf("fan-out failed: %d, %d", a.Len(), b.Len())
@@ -107,16 +106,6 @@ func TestJSONLStickyError(t *testing.T) {
 	j.Record(ev(1, KindMatch, 1, 2)) // must not panic, stays failed
 	if j.Err() == nil {
 		t.Error("error not sticky")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := NewRing(10)
-	f := Filter{Next: r, Kinds: map[Kind]bool{KindMatch: true}}
-	f.Record(ev(0, KindMatch, 1, 2))
-	f.Record(ev(0, KindRate, 1, 2))
-	if r.Len() != 1 || r.Events()[0].Kind != KindMatch {
-		t.Errorf("filter passed wrong events: %v", r.Events())
 	}
 }
 

@@ -20,29 +20,31 @@ func DefaultFig6Options() Fig6Options { return experiments.DefaultFig6Options() 
 // slots for C = 1..12 under four traffic scenarios.
 func ReproduceFig6(opts Fig6Options) (*Fig6Result, error) { return experiments.Fig6(opts) }
 
+// ExperimentRun is the execution setup that every experiment's options but
+// Theorem2Options embed: seed, trials, worker bound and per-cell progress
+// callback.
+type ExperimentRun = experiments.Run
+
+// Sweep holds the OCR/ATP CDFs of Fig. 7 (over K) or Fig. 8 (over M).
+type Sweep = experiments.Sweep
+
 // Fig7Options parameterize the Fig. 7 study (discovery rounds K).
 type Fig7Options = experiments.Fig7Options
-
-// Fig7Result holds the Fig. 7 OCR/ATP CDFs.
-type Fig7Result = experiments.Fig7Result
 
 // DefaultFig7Options returns the paper's Fig. 7 configuration.
 func DefaultFig7Options() Fig7Options { return experiments.DefaultFig7Options() }
 
 // ReproduceFig7 regenerates Fig. 7: CDFs of OCR and ATP for K = 1..4.
-func ReproduceFig7(opts Fig7Options) (*Fig7Result, error) { return experiments.Fig7(opts) }
+func ReproduceFig7(opts Fig7Options) (*Sweep, error) { return experiments.Fig7(opts) }
 
 // Fig8Options parameterize the Fig. 8 study (negotiation slots M).
 type Fig8Options = experiments.Fig8Options
-
-// Fig8Result holds the Fig. 8 OCR/ATP CDFs.
-type Fig8Result = experiments.Fig8Result
 
 // DefaultFig8Options returns the paper's Fig. 8 configuration.
 func DefaultFig8Options() Fig8Options { return experiments.DefaultFig8Options() }
 
 // ReproduceFig8 regenerates Fig. 8: CDFs of OCR and ATP for M = 20..80.
-func ReproduceFig8(opts Fig8Options) (*Fig8Result, error) { return experiments.Fig8(opts) }
+func ReproduceFig8(opts Fig8Options) (*Sweep, error) { return experiments.Fig8(opts) }
 
 // Fig9Options parameterize the Fig. 9 comparison (protocols vs density).
 type Fig9Options = experiments.Fig9Options
