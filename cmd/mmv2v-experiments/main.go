@@ -4,6 +4,7 @@
 //
 //	mmv2v-experiments -fig 9 -trials 3          # Fig. 9 comparison
 //	mmv2v-experiments -fig all -trials 2        # everything
+//	mmv2v-experiments -fig 7 -format csv        # one figure as CSV
 //	mmv2v-experiments -fig t2                   # Theorem 2 validation
 //	mmv2v-experiments -fig ablation             # design-choice ablation
 //	mmv2v-experiments -fig city                 # protocols on a city grid
@@ -129,6 +130,11 @@ func run(w io.Writer) error {
 		return fmt.Errorf("negative worker count %d", *workers)
 	}
 	csvMode := *format == "csv"
+	// Each figure's CSV has its own header and columns, so several figures
+	// in one stream would not parse as one CSV.
+	if csvMode && *fig == "all" {
+		return fmt.Errorf("-format csv writes one figure per run: use -fig <name> -format csv")
+	}
 
 	// setup applies the shared flags to a figure's run settings; -trials 0
 	// keeps the figure's default.

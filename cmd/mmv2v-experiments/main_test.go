@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -12,12 +13,12 @@ import (
 	"testing"
 )
 
-// runExperiments builds the mmv2v-experiments binary and runs it with args,
-// failing the test unless it exits 0. It returns stdout and stderr.
-func runExperiments(t *testing.T, args ...string) (string, string) {
+// execExperiments builds the mmv2v-experiments binary and runs it with
+// args. It returns stdout, stderr and the exit code.
+func execExperiments(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("builds the CLI and runs a reduced figure")
+		t.Skip("builds the CLI and runs it")
 	}
 	bin := filepath.Join(t.TempDir(), "mmv2v-experiments")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -27,10 +28,34 @@ func runExperiments(t *testing.T, args ...string) (string, string) {
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("mmv2v-experiments %v: %v\nstderr:\n%s", args, err, stderr.String())
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("mmv2v-experiments %v: %v", args, err)
 	}
-	return stdout.String(), stderr.String()
+	return stdout.String(), stderr.String(), cmd.ProcessState.ExitCode()
+}
+
+// runExperiments runs mmv2v-experiments with args, failing the test unless
+// it exits 0. It returns stdout and stderr.
+func runExperiments(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	stdout, stderr, code := execExperiments(t, args...)
+	if code != 0 {
+		t.Fatalf("mmv2v-experiments %v: exit %d\nstderr:\n%s", args, code, stderr)
+	}
+	return stdout, stderr
+}
+
+// TestAllCSVRejected checks that -fig all -format csv, whose figures would
+// share one stream under different headers, exits 1 before any figure
+// runs, pointing to -fig.
+func TestAllCSVRejected(t *testing.T) {
+	stdout, stderr, code := execExperiments(t, "-fig", "all", "-format", "csv")
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "-fig") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1, no output, -fig named on stderr",
+			code, stdout, stderr)
+	}
 }
 
 // TestWarmupCSV checks that -format csv covers the warmup study: the whole

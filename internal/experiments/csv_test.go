@@ -119,6 +119,34 @@ func TestFig9CSV(t *testing.T) {
 	}
 }
 
+// TestTrucksCSV checks that the truck study labels its first column with
+// what it sweeps, the truck share, not Fig. 9's density.
+func TestTrucksCSV(t *testing.T) {
+	r := &TrucksResult{Grid: Grid{
+		Protocols: []string{"mmV2V"},
+		Rows: []GridRow{{
+			At:           0.2,
+			AvgNeighbors: 8.5,
+			Cells: []Cell{{
+				Protocol: "mmV2V",
+				Summary:  metrics.Summary{MeanOCR: 0.7, MeanATP: 0.72, MeanDTP: 0.38},
+			}},
+		}},
+	}}
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows := parseCSV(t, buf.String())
+	want := [][]string{
+		{"truck_share", "avg_neighbors", "protocol", "ocr", "atp", "dtp"},
+		{"0.2", "8.5", "mmV2V", "0.7", "0.72", "0.38"},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows = %v, want %v", rows, want)
+	}
+}
+
 func TestTheorem2CSV(t *testing.T) {
 	r := &Theorem2Result{
 		Cells: []Theorem2Cell{

@@ -62,7 +62,7 @@ func Fig9(opts Fig9Options) (*Fig9Result, error) {
 }
 
 // WriteCSV emits density_vpl, avg_neighbors, protocol, ocr, atp, dtp rows.
-func (r *Fig9Result) WriteCSV(w io.Writer) error { return r.writeCSV(w) }
+func (r *Fig9Result) WriteCSV(w io.Writer) error { return r.writeCSV(w, "density_vpl") }
 
 // WriteTable prints the three sub-figures (a) OCR, (b) ATP, (c) DTP as
 // density-by-protocol tables.

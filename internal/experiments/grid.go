@@ -165,11 +165,11 @@ func (g *Grid) SeriesRows() []obs.SeriesRow {
 	return rows
 }
 
-// writeCSV emits density_vpl, avg_neighbors, protocol, ocr, atp, dtp rows,
-// the sweep value in the first column.
-func (g *Grid) writeCSV(w io.Writer) error {
+// writeCSV emits <first>, avg_neighbors, protocol, ocr, atp, dtp rows, the
+// sweep value in the first column, which the study names.
+func (g *Grid) writeCSV(w io.Writer, first string) error {
 	cw := csv.NewWriter(w)
-	rows := [][]string{{"density_vpl", "avg_neighbors", "protocol", "ocr", "atp", "dtp"}}
+	rows := [][]string{{first, "avg_neighbors", "protocol", "ocr", "atp", "dtp"}}
 	for _, row := range g.Rows {
 		for _, c := range row.Cells {
 			rows = append(rows, []string{

@@ -72,6 +72,5 @@ func (r *TrucksResult) WriteTable(w io.Writer) {
 	}
 }
 
-// WriteCSV emits density_vpl, avg_neighbors, protocol, ocr, atp, dtp rows,
-// the truck share in the density_vpl column.
-func (r *TrucksResult) WriteCSV(w io.Writer) error { return r.writeCSV(w) }
+// WriteCSV emits truck_share, avg_neighbors, protocol, ocr, atp, dtp rows.
+func (r *TrucksResult) WriteCSV(w io.Writer) error { return r.writeCSV(w, "truck_share") }

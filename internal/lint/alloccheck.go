@@ -18,7 +18,7 @@ import (
 //     or directly above, the func line — the last doc-comment line works)
 //     is a root; every function in its static call closure is hot, and the
 //     module index records the call-path witness chain from the root
-//     (Refresh → rebuildIndex);
+//     (Refresh → buildLists);
 //   - every allocation site lexically inside a hot function is flagged
 //     with that chain: make/new, slice and map composite literals,
 //     &composite escapes, append, string concatenation, string↔[]byte/rune

@@ -75,7 +75,7 @@ type Module struct {
 
 	// hotChains maps every function statically reachable from a
 	// //mmv2v:hotpath root to its call-path witness chain from that root
-	// ("Refresh → rebuildIndex"), consumed by alloccheck. Roots map to
+	// ("Refresh → buildLists"), consumed by alloccheck. Roots map to
 	// their own name; when several roots reach a function, the first root
 	// in position order wins, so chains are identical run to run.
 	hotChains map[*types.Func]string

@@ -495,13 +495,20 @@ func (m *Medium) askRadios(now des.Time) {
 // collect evaluates the power listener j receives from every live term on
 // the air whose sender is in j's link slice, marks each in heard, and
 // returns their sum in onAir (that is, m.active) order. Each power reads
-// only j's own link entry.
+// only j's own link entry, completed only if its sender is on the air.
 func (m *Medium) collect(j int, rxBeam phy.Beam) units.MilliWatt {
 	rx := m.w.Aim(rxBeam)
-	links := m.w.Links(j)
+	links := m.w.Entries(j)
 	for i := range links {
 		lnk := &links[i]
-		for k := m.firstOnAir[lnk.J]; k >= 0; k = m.onAir[k].next {
+		first := m.firstOnAir[lnk.J]
+		if first < 0 {
+			continue
+		}
+		if lnk.Pending() {
+			m.w.Complete(j, i)
+		}
+		for k := first; k >= 0; k = m.onAir[k].next {
 			a := &m.onAir[k]
 			// A transmitter whose radio died mid-frame radiates nothing.
 			if !a.live {

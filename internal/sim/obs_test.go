@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mmv2v/internal/baseline"
+	"mmv2v/internal/core"
 	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/trace"
@@ -90,6 +92,40 @@ func TestStatsOffKeepsObsNil(t *testing.T) {
 	}
 	if res.Obs != nil {
 		t.Fatal("Obs should be nil when Stats is off")
+	}
+}
+
+// TestStatsOnOffSameWindows pins the world's two completion schedules
+// against each other end to end. With statistics on, every refresh
+// completes the whole link table; with them off, entries are completed as
+// the protocols read them. mmV2V, ROP and 802.11ad must measure identical
+// windows either way.
+func TestStatsOnOffSameWindows(t *testing.T) {
+	factories := []sim.Factory{
+		core.Factory(core.DefaultParams()),
+		baseline.ROPFactory(baseline.DefaultROPParams()),
+		baseline.ADFactory(baseline.DefaultADParams()),
+	}
+	for _, factory := range factories {
+		cfg := sim.DefaultConfig(15, 31)
+		cfg.WindowSec = 0.1
+		cfg.Windows = 2
+		off, err := sim.Run(cfg, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Stats = true
+		on, err := sim.Run(cfg, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if on.Obs == nil {
+			t.Fatalf("%s: statistics on recorded no registry", on.Protocol)
+		}
+		if !reflect.DeepEqual(off.Windows, on.Windows) {
+			t.Errorf("%s: windows differ with statistics on:\noff %+v\non  %+v",
+				off.Protocol, off.Windows, on.Windows)
+		}
 	}
 }
 

@@ -14,28 +14,42 @@ func beamOf(bearing geom.Bearing) phy.Beam {
 	return phy.Beam{Bearing: bearing, Width: geom.Deg(3)}
 }
 
-func benchRefresh(b *testing.B, density float64) {
+func benchRefresh(b *testing.B, density float64, readAll bool) {
 	b.Helper()
 	road, err := traffic.New(traffic.DefaultConfig(density), xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := New(DefaultConfig(), road)
+	benchTicks(b, road, readAll)
+}
+
+// benchTicks times Step+Refresh over a fleet; with readAll each refresh is
+// followed by Links(i) for every vehicle, which completes the whole table.
+func benchTicks(b *testing.B, fleet traffic.Fleet, readAll bool) {
+	b.Helper()
+	w, err := New(DefaultConfig(), fleet)
 	if err != nil {
 		b.Fatal(err)
+	}
+	tick := func() {
+		fleet.Step(0.005)
+		w.Refresh()
+		if readAll {
+			for i := 0; i < w.n; i++ {
+				w.Links(i)
+			}
+		}
 	}
 	// Let the first refreshes grow the world's buffers before timing, so
 	// B/op and allocs/op read the steady state rather than one-time growth
 	// divided by b.N.
 	for i := 0; i < warmRefreshes; i++ {
-		road.Step(0.005)
-		w.Refresh()
+		tick()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		road.Step(0.005)
-		w.Refresh()
+		tick()
 	}
 }
 
@@ -44,12 +58,17 @@ func benchRefresh(b *testing.B, density float64) {
 const warmRefreshes = 20
 
 // BenchmarkRefresh measures the 5 ms snapshot rebuild — the simulator's
-// per-tick fixed cost (pair table + blocker counting). The 60 vpl case is
-// beyond the paper's densities and exercises the scalability of the sweep
-// (no dense O(n²) index, reused scratch buffers).
-func BenchmarkRefresh15vpl(b *testing.B) { benchRefresh(b, 15) }
-func BenchmarkRefresh30vpl(b *testing.B) { benchRefresh(b, 30) }
-func BenchmarkRefresh60vpl(b *testing.B) { benchRefresh(b, 60) }
+// per-tick fixed cost (pair table, entries left pending). The 60 vpl case
+// is beyond the paper's densities and exercises the scalability of the
+// sweep (no dense O(n²) index, reused scratch buffers).
+func BenchmarkRefresh15vpl(b *testing.B) { benchRefresh(b, 15, false) }
+func BenchmarkRefresh30vpl(b *testing.B) { benchRefresh(b, 30, false) }
+func BenchmarkRefresh60vpl(b *testing.B) { benchRefresh(b, 60, false) }
+
+// BenchmarkRefreshReadAll30vpl is the worst case of the pending table: a
+// refresh whose every entry is then read, so every pair's blockers, path
+// gain and bearings are completed, as an eager refresh computed them.
+func BenchmarkRefreshReadAll30vpl(b *testing.B) { benchRefresh(b, 30, true) }
 
 // BenchmarkLinkLookup measures the Link(i, j) binary search of a link
 // slice, which replaced the dense pair index.
@@ -114,7 +133,7 @@ func BenchmarkRxPower(b *testing.B) {
 	}
 }
 
-func benchGridRefresh(b *testing.B, rows, cols, vehicles int) {
+func benchGridRefresh(b *testing.B, rows, cols, vehicles int, readAll bool) {
 	b.Helper()
 	grid := traffic.DefaultGridConfig(vehicles)
 	grid.Rows, grid.Cols = rows, cols
@@ -122,20 +141,7 @@ func benchGridRefresh(b *testing.B, rows, cols, vehicles int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := New(DefaultConfig(), nw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < warmRefreshes; i++ {
-		nw.Step(0.005)
-		w.Refresh()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw.Step(0.005)
-		w.Refresh()
-	}
+	benchTicks(b, nw, readAll)
 }
 
 // BenchmarkRefresh1k / BenchmarkRefresh10k measure the snapshot rebuild on
@@ -144,5 +150,7 @@ func benchGridRefresh(b *testing.B, rows, cols, vehicles int) {
 // default 12×12. The spatial-hash pair index makes Refresh O(vehicles ×
 // local density), so growing the fleet and the map together must scale far
 // sub-quadratically — the 10k run must come in well under 100× the 1k run.
-func BenchmarkRefresh1k(b *testing.B)  { benchGridRefresh(b, 4, 4, 1000) }
-func BenchmarkRefresh10k(b *testing.B) { benchGridRefresh(b, 12, 12, 10000) }
+// BenchmarkRefreshReadAll10k reads the whole table after each refresh.
+func BenchmarkRefresh1k(b *testing.B)         { benchGridRefresh(b, 4, 4, 1000, false) }
+func BenchmarkRefresh10k(b *testing.B)        { benchGridRefresh(b, 12, 12, 10000, false) }
+func BenchmarkRefreshReadAll10k(b *testing.B) { benchGridRefresh(b, 12, 12, 10000, true) }

@@ -169,8 +169,8 @@ func diffCases() []diffCase {
 	}
 }
 
-// TestRefreshMatchesFullRecount steps two identical fleets, one under the
-// Verlet-list Refresh and one under the full recount, and after every
+// TestRefreshMatchesFullRecount steps three identical fleets, two under
+// the Verlet-list Refresh and one under the full recount, and after every
 // refresh compares every Link field bit for bit and every neighbor set. The
 // worlds cover the road at three densities, trucks, shadowing with a link
 // fault, grids stepped several times per refresh and a coarse-tick grid
@@ -178,6 +178,11 @@ func diffCases() []diffCase {
 // 3–50 m: onto the line of sight of a listed pair, off the line of sight it
 // blocks, or out of a partner's range, so loose vehicles are seen through
 // the cell bitmap, skipped in the lists and recounted in full.
+//
+// The first world is read only by the comparison, in vehicle order. The
+// second is read first in a shuffled sample through Link, RxPowerMw and the
+// medium's raw walk, so pairs are completed from either side and in any
+// order, and on about one refresh in five it is not read at all.
 func TestRefreshMatchesFullRecount(t *testing.T) {
 	for _, dc := range diffCases() {
 		dc := dc
@@ -195,41 +200,97 @@ func TestRefreshMatchesFullRecount(t *testing.T) {
 }
 
 func runDiff(t *testing.T, dc diffCase, refreshes int) {
-	fa, fb := dc.fleet(), dc.fleet()
+	fa, fs, fb := dc.fleet(), dc.fleet(), dc.fleet()
 	shift := make([]geom.Vec, fa.NumVehicles())
-	ja, jb := &jumpFleet{fa, shift}, &jumpFleet{fb, shift}
 	refresh := 0
-	w, err := New(dc.cfg, ja)
-	if err != nil {
-		t.Fatal(err)
+	worlds := make([]*World, 3)
+	for k, f := range []traffic.Fleet{fa, fs, fb} {
+		var err error
+		if worlds[k], err = New(dc.cfg, &jumpFleet{f, shift}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ref, err := New(dc.cfg, jb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, sampled, ref := worlds[0], worlds[1], worlds[2]
+	// The reference of New's refresh is recounted before any fault is
+	// installed: a fault takes effect at the next refresh.
+	var tab refTable
+	refRefresh(ref, &tab)
 	if dc.fault {
-		w.SetLinkFault(pairFault{&refresh})
-		ref.SetLinkFault(pairFault{&refresh})
+		for _, x := range worlds {
+			x.SetLinkFault(pairFault{&refresh})
+		}
 	}
 	rng := xrand.New(xrand.HashString(dc.name))
-	var tab refTable
 	jumps := [3]int{}
-	for refresh = 1; refresh <= refreshes; refresh++ {
-		if refresh%7 == 0 {
-			if kind := jump(w, shift, refresh/7%3, rng); kind >= 0 {
-				jumps[kind]++
+	for refresh = 0; refresh <= refreshes; refresh++ {
+		if refresh > 0 {
+			if refresh%7 == 0 {
+				if kind := jump(w, shift, refresh/7%3, rng); kind >= 0 {
+					jumps[kind]++
+				}
 			}
+			for s := 0; s < dc.steps; s++ {
+				fa.Step(dc.dt)
+				fs.Step(dc.dt)
+				fb.Step(dc.dt)
+			}
+			w.Refresh()
+			sampled.Refresh()
+			refRefresh(ref, &tab)
 		}
-		for s := 0; s < dc.steps; s++ {
-			fa.Step(dc.dt)
-			fb.Step(dc.dt)
-		}
-		w.Refresh()
-		refRefresh(ref, &tab)
 		compareTables(t, refresh, w, &tab)
+		if rng.Intn(5) > 0 {
+			readSample(sampled, rng)
+			checkMirrors(t, refresh, sampled)
+			compareTables(t, refresh, sampled, &tab)
+		}
 	}
 	if refreshes >= 100 && (jumps[0] == 0 || jumps[1] == 0 || jumps[2] == 0) {
 		t.Errorf("jumps onto/off a line of sight/out of range: %v, want each at least once", jumps)
+	}
+}
+
+// readSample reads the world's vehicles in a shuffled order, each through
+// one of three paths: Link or RxPowerMw on a quarter of its entries, or the
+// medium's raw walk, which completes the entries whose partner is one of an
+// eighth of the vehicles, the senders on the air.
+func readSample(w *World, rng *xrand.Source) {
+	onAir := make([]bool, w.n)
+	for v := range onAir {
+		onAir[v] = rng.Intn(8) == 0
+	}
+	for _, i := range rng.Perm(w.n) {
+		path := rng.Intn(3)
+		for k, l := range w.Entries(i) {
+			j := int(l.J)
+			switch {
+			case path == 2:
+				if onAir[j] && l.Pending() {
+					w.Complete(i, k)
+				}
+			case rng.Intn(4) > 0:
+				// Not in this vehicle's quarter.
+			case path == 0:
+				w.Link(i, j)
+			default:
+				w.RxPowerMw(j, i, beamOf(0), beamOf(1))
+			}
+		}
+	}
+}
+
+// checkMirrors requires every pair to be completed on both sides or on
+// neither: a completion writes both entries, so each pair's blockers and
+// gain are computed once.
+func checkMirrors(t *testing.T, refresh int, w *World) {
+	t.Helper()
+	for i := 0; i < w.n; i++ {
+		for _, l := range w.Entries(i) {
+			if m := w.links[w.find(int(l.J), i)]; m.Pending() != l.Pending() {
+				t.Fatalf("refresh %d: entry %d→%d pending %v, its mirror %v",
+					refresh, i, l.J, l.Pending(), m.Pending())
+			}
+		}
 	}
 }
 

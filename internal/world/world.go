@@ -33,6 +33,13 @@
 // what makes the event-driven control plane (144 sector slots + 40
 // negotiation slots per frame) affordable and lets vehicle counts scale
 // without a dense pair matrix.
+//
+// Protocols read only a fraction of the table between two refreshes, so a
+// refresh writes each in-range pair's partner and distance and leaves the
+// pair pending. Its blocker count, path gain and bearings are completed the
+// first time either entry is read, from the same refresh's positions,
+// bodies and lists, and the LOS neighbor sets are derived on first use: the
+// bits are those an eager refresh writes (DESIGN.md §10).
 package world
 
 import (
@@ -108,6 +115,11 @@ func (c Config) CellSizeM() float64 {
 // one entry carries everything a received power needs. J and Blockers are
 // int32, like the world's other vehicle indexes, so the entry stays 40
 // bytes.
+//
+// An entry Refresh has not completed yet is pending: only J and Dist are
+// set, and Blockers holds a negative marker for complete (-1 for a pair
+// with a loose member, -2-p for listed pair p). Links, Link, RxPowerMw and
+// Complete hand out completed entries only.
 type Link struct {
 	J           int32
 	Blockers    int32
@@ -119,6 +131,9 @@ type Link struct {
 
 // LOS reports whether the link has an unobstructed line of sight.
 func (l Link) LOS() bool { return l.Blockers == 0 }
+
+// Pending reports whether the entry still awaits completion.
+func (l Link) Pending() bool { return l.Blockers < 0 }
 
 // The Verlet lists' margins (DESIGN.md §10). They set how long the lists
 // stay useful, not whether the counts are right.
@@ -149,12 +164,14 @@ type World struct {
 	speed   []units.MeterPerSec
 	// The pair table in CSR form: vehicle i's entries are
 	// links[linkStart[i]:linkStart[i+1]], in ascending partner rank, and its
-	// LOS neighbors nbrs[nbrStart[i]:nbrStart[i+1]]. fill holds each
-	// vehicle's degree, then its write cursor, while Refresh fills links.
+	// LOS neighbors nbrs[nbrStart[i]:nbrStart[i+1]], derived from the table
+	// when nbrsStale. fill holds each vehicle's degree, then its write
+	// cursor, while Refresh fills links.
 	links     []Link
 	linkStart []int32
 	nbrs      []int
 	nbrStart  []int32
+	nbrsStale bool
 	fill      []int32
 	// halfLen/halfWid/halfDiag cache per-vehicle body half extents and the
 	// half-diagonal bound used to prune blocker candidates; frames cache
@@ -164,6 +181,9 @@ type World struct {
 	halfWid  []float64
 	halfDiag []float64
 	frames   []geom.BodyFrame
+	// maxDiag is the largest body half-diagonal of the last refresh, the
+	// padding of the blocker scans complete runs.
+	maxDiag float64
 
 	// order is the x-sorted vehicle permutation; rank its inverse. They
 	// persist across Refresh calls: positions move only micrometers per
@@ -225,8 +245,12 @@ type LinkFault interface {
 }
 
 // SetLinkFault installs a link-fault hook; nil restores the clean channel.
-// Takes effect at the next Refresh.
-func (w *World) SetLinkFault(f LinkFault) { w.linkFault = f }
+// Takes effect at the next Refresh: the last refresh's pending entries are
+// completed first, under the hook they were refreshed with.
+func (w *World) SetLinkFault(f LinkFault) {
+	w.completeAll()
+	w.linkFault = f
+}
 
 // SetObs installs the statistics registry. A nil registry (the default)
 // hands out nil handles, so the Refresh hot path stays a no-op.
@@ -237,7 +261,8 @@ func (w *World) SetObs(r *obs.Registry) {
 }
 
 // New builds a World over a mobility substrate (the ring road or a road
-// graph). Refresh is called once so the world is immediately queryable.
+// graph). Refresh is called once and the neighbor sets derived, so the
+// world is immediately queryable.
 func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -279,6 +304,7 @@ func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 	}
 	w.initGrid()
 	w.Refresh()
+	w.deriveNeighbors()
 	return w, nil
 }
 
@@ -422,7 +448,9 @@ func (w *World) rebuildCells() {
 }
 
 // Refresh recomputes positions and the pair table from the fleet state.
-// Call after every traffic step (the paper's 5 ms update).
+// Call after every traffic step (the paper's 5 ms update). It writes every
+// in-range pair's two entries pending; with statistics on or a link fault
+// installed it completes them all before returning.
 //
 //mmv2v:hotpath the 5 ms link-table rebuild; pinned by BenchmarkRefresh*
 func (w *World) Refresh() {
@@ -436,19 +464,18 @@ func (w *World) Refresh() {
 		w.rank[i] = int32(k)
 	}
 
-	maxDiag := w.rebuildGeometry()
+	w.maxDiag = w.rebuildGeometry()
 	w.rebuildCells()
 	if w.markLoose() {
-		w.buildLists(maxDiag)
+		w.buildLists()
 	}
 
 	// Two passes over the same pairs: the first counts every vehicle's
 	// degree into fill, the second writes each pair's two entries at the
-	// vehicles' cursors. Statistics accumulate in locals and are observed
-	// once per refresh.
+	// vehicles' cursors.
 	clear(w.fill)
-	w.listedPairs(false, maxDiag)
-	w.loosePairs(false, maxDiag)
+	w.listedPairs(false)
+	w.loosePairs(false)
 	entries := int32(0)
 	for i, deg := range w.fill {
 		w.linkStart[i], w.fill[i] = entries, entries
@@ -456,12 +483,21 @@ func (w *World) Refresh() {
 	}
 	w.linkStart[w.n] = entries
 	w.links = grow(w.links, int(entries))
-	nlos := w.listedPairs(true, maxDiag) + w.loosePairs(true, maxDiag)
+	w.listedPairs(true)
+	w.loosePairs(true)
+	// The fill left each vehicle's entries nearly sorted by partner rank,
+	// the order Link binary-searches, so an insertion sort suffices.
+	for i := 0; i < w.n; i++ {
+		w.sortLinksByRank(w.links[w.linkStart[i]:w.linkStart[i+1]])
+	}
+	w.nbrsStale = true
 	w.obsRefreshes.Inc()
 	w.obsRefreshLinks.Observe(float64(entries))
-	w.obsNLOSLinks.Add(uint64(nlos))
-
-	w.rebuildIndex()
+	// world.nlos_links counts every pair's blockers, and a link fault is
+	// read at the refresh instant: either completes the table now.
+	if w.obsNLOSLinks != nil || w.linkFault != nil {
+		w.obsNLOSLinks.Add(uint64(w.completeAll()))
+	}
 }
 
 // markLoose flags the vehicles beyond verletLoose of their anchors and the
@@ -491,7 +527,7 @@ func (w *World) markLoose() bool {
 // the Verlet lists: every pair within InterferenceRange + verletSkin, once,
 // under its lower-ranked member in ascending partner rank, each with the
 // vehicles that pass the two blocker culls widened by verletSkin.
-func (w *World) buildLists(maxDiag float64) {
+func (w *World) buildLists() {
 	copy(w.anchor, w.pos)
 	clear(w.loose)
 	clear(w.looseCells)
@@ -528,7 +564,7 @@ func (w *World) buildLists(maxDiag float64) {
 		for _, b := range pairs[first:] {
 			candStart = push(candStart, int32(len(cand)))
 			s.set(pa, w.pos[b], pa.Dist(w.pos[b]).M())
-			x0, x1, y0, y1 := w.cellRange(&s, maxDiag+verletSkin)
+			x0, x1, y0, y1 := w.cellRange(&s, w.maxDiag+verletSkin)
 			for gy := y0; gy <= y1; gy++ {
 				for gx := x0; gx <= x1; gx++ {
 					for _, c := range w.cell(gy*w.cellsX + gx) {
@@ -549,11 +585,10 @@ func (w *World) buildLists(maxDiag float64) {
 
 // listedPairs walks the listed pairs of two settled (not loose) vehicles
 // that are in range. With put false it counts each vehicle's degree into
-// fill; with put true it writes the pairs' entries and returns how many are
-// blocked. Each pair is oriented from its current lower-ranked member.
-func (w *World) listedPairs(put bool, maxDiag float64) (nlos int) {
+// fill; with put true it writes the pairs' pending entries. Each pair is
+// oriented from its current lower-ranked member.
+func (w *World) listedPairs(put bool) {
 	rangeM := w.cfg.InterferenceRange
-	var s sight
 	for k, a := range w.listOwner {
 		if w.loose[a] {
 			continue
@@ -576,25 +611,19 @@ func (w *World) listedPairs(put bool, maxDiag float64) (nlos int) {
 				w.fill[hi]++
 				continue
 			}
-			s.set(w.pos[lo], w.pos[hi], d.M())
-			blockers := w.listedBlockers(&s, w.cand[w.candStart[p]:w.candStart[p+1]], maxDiag)
-			w.putPair(lo, hi, d, blockers)
-			if blockers > 0 {
-				nlos++
-			}
+			w.put(lo, hi, d, -2-p)
 		}
 	}
-	return nlos
 }
 
 // loosePairs walks the in-range pairs with a loose member, found by each
 // loose vehicle's cell scan out to the interference range (a pair of two
 // loose vehicles from its lower-ranked one). With put false it counts
-// degrees into fill; with put true it counts each pair's blockers in full,
-// writes its entries and returns how many are blocked.
-func (w *World) loosePairs(put bool, maxDiag float64) (nlos int) {
+// degrees into fill; with put true it writes the pairs' pending entries and
+// counts them as recounted in full.
+func (w *World) loosePairs(put bool) {
 	if w.nLoose == 0 {
-		return 0
+		return
 	}
 	rangeM := w.cfg.InterferenceRange.M()
 	for a := 0; a < w.n; a++ {
@@ -632,56 +661,132 @@ func (w *World) loosePairs(put bool, maxDiag float64) (nlos int) {
 						w.fill[hi]++
 						continue
 					}
-					blockers := w.countBlockers(lo, hi, d.M(), maxDiag)
-					w.putPair(lo, hi, d, blockers)
+					w.put(lo, hi, d, -1)
 					w.recounted++
-					if blockers > 0 {
-						nlos++
-					}
 				}
 			}
 		}
 	}
-	return nlos
 }
 
-// putPair writes pair (a, b)'s two entries at the vehicles' fill cursors.
-// a is the pair's lower-ranked member, the side every quantity is computed
-// from — the orientation the legacy x-sweep used.
-func (w *World) putPair(a, b int, d units.Meter, blockers int) {
+// put writes pair (a, b)'s two pending entries at the vehicles' fill
+// cursors: partner and distance, with pending, complete's marker, in
+// Blockers. The other fields are left as they are until complete.
+func (w *World) put(a, b int, d units.Meter, pending int32) {
+	ka, kb := w.fill[a], w.fill[b]
+	la, lb := &w.links[ka], &w.links[kb]
+	la.J, la.Blockers, la.Dist = int32(b), pending, d
+	lb.J, lb.Blockers, lb.Dist = int32(a), pending, d
+	w.fill[a], w.fill[b] = ka+1, kb+1
+}
+
+// complete fills pending entry e, which vehicle i owns, and its mirror in
+// the partner's slice: the blocker count (in full for a pair with a loose
+// member, from the pair's candidate list otherwise), the path gain and both
+// bearings. Every quantity is computed from the pair's lower-ranked member,
+// the orientation the legacy x-sweep used, and from the last refresh's
+// positions, bodies, cells and lists, so the bits are an eager refresh's.
+func (w *World) complete(i int, e int32) {
+	l := &w.links[e]
+	j := int(l.J)
+	a, b := i, j
+	if w.rank[j] < w.rank[i] {
+		a, b = j, i
+	}
 	pa, pb := w.pos[a], w.pos[b]
+	d := l.Dist
+	var blockers int
+	if l.Blockers == -1 {
+		blockers = w.countBlockers(a, b, d.M(), w.maxDiag)
+	} else {
+		p := -2 - l.Blockers
+		var s sight
+		s.set(pa, pb, d.M())
+		blockers = w.listedBlockers(&s, w.cand[w.candStart[p]:w.candStart[p+1]])
+	}
 	gain := w.model.PathGainLin(d, blockers) * w.shadowFactor(a, b)
 	if w.linkFault != nil {
 		gain *= w.linkFault.LinkFactorLin(a, b)
 	}
 	bAB := pa.BearingTo(pb)
 	bBA := geom.NormalizeBearing(bAB + geom.Bearing(math.Pi))
-	ka, kb := w.fill[a], w.fill[b]
-	w.links[ka] = Link{J: int32(b), Blockers: int32(blockers), Dist: d,
+	ea, eb := e, w.mirror(j, i, a == i)
+	if a != i {
+		ea, eb = eb, ea
+	}
+	w.links[ea] = Link{J: int32(b), Blockers: int32(blockers), Dist: d,
 		Bearing: bAB, BackBearing: bBA, PathGainLin: gain}
-	w.links[kb] = Link{J: int32(a), Blockers: int32(blockers), Dist: d,
+	w.links[eb] = Link{J: int32(a), Blockers: int32(blockers), Dist: d,
 		Bearing: bBA, BackBearing: bAB, PathGainLin: gain}
-	w.fill[a], w.fill[b] = ka+1, kb+1
 }
 
-// rebuildIndex canonicalizes per-vehicle link order (ascending partner rank
-// — what the x-sweep produced by construction, and what Link
-// binary-searches) and derives the LOS neighbor sets. The fill left each
-// vehicle's entries nearly sorted, so an insertion sort suffices.
-func (w *World) rebuildIndex() {
+// mirror returns the index of j's entry toward i; below reports whether i
+// ranks below j, so that the entry is among the front ones of j's
+// rank-sorted slice. On the road j's partners on either side of it are
+// nearly all vehicles ranked between the end entry's and j, so the rank
+// offset from that end usually lands on the entry; otherwise a scan from
+// that end finds it, reading a quarter of the slice on average where a
+// binary search by rank would read a cache line per probe.
+func (w *World) mirror(j, i int, below bool) int32 {
+	lo, hi := w.linkStart[j], w.linkStart[j+1]-1
+	if below {
+		if m := lo + w.rank[i] - w.rank[w.links[lo].J]; m <= hi && w.links[m].J == int32(i) {
+			return m
+		}
+		m := lo
+		for w.links[m].J != int32(i) {
+			m++
+		}
+		return m
+	}
+	if m := hi - (w.rank[w.links[hi].J] - w.rank[i]); m >= lo && w.links[m].J == int32(i) {
+		return m
+	}
+	m := hi
+	for w.links[m].J != int32(i) {
+		m--
+	}
+	return m
+}
+
+// completeAll completes every pending entry and returns how many pairs are
+// blocked.
+func (w *World) completeAll() (nlos int) {
+	for i := 0; i < w.n; i++ {
+		for e := w.linkStart[i]; e < w.linkStart[i+1]; e++ {
+			if w.links[e].Blockers < 0 {
+				w.complete(i, e)
+			}
+			if w.links[e].Blockers > 0 && int(w.links[e].J) > i {
+				nlos++
+			}
+		}
+	}
+	return nlos
+}
+
+// deriveNeighbors derives the LOS neighbor sets from the table, completing
+// the entries within CommRange.
+func (w *World) deriveNeighbors() {
 	nbrs := w.nbrs[:0]
 	for i := 0; i < w.n; i++ {
-		ls := w.links[w.linkStart[i]:w.linkStart[i+1]]
-		w.sortLinksByRank(ls)
 		w.nbrStart[i] = int32(len(nbrs))
-		for k := range ls {
-			if ls[k].Blockers == 0 && ls[k].Dist <= w.cfg.CommRange {
-				nbrs = push(nbrs, int(ls[k].J))
+		for e := w.linkStart[i]; e < w.linkStart[i+1]; e++ {
+			l := &w.links[e]
+			if l.Dist > w.cfg.CommRange {
+				continue
+			}
+			if l.Blockers < 0 {
+				w.complete(i, e)
+			}
+			if l.Blockers == 0 {
+				nbrs = push(nbrs, int(l.J))
 			}
 		}
 	}
 	w.nbrStart[w.n] = int32(len(nbrs))
 	w.nbrs = settle(w.nbrs, nbrs)
+	w.nbrsStale = false
 }
 
 // sortLinksByRank insertion-sorts a link slice by ascending partner x-rank.
@@ -855,7 +960,7 @@ func (w *World) countBlockers(a, b int, dM, maxDiag float64) int {
 // in the cells the sight's padded box overlaps. The two sets are disjoint
 // and together hold every body that can cross, so the count is
 // countBlockers'.
-func (w *World) listedBlockers(s *sight, cand []int32, maxDiag float64) int {
+func (w *World) listedBlockers(s *sight, cand []int32) int {
 	blockers := 0
 	for _, c := range cand {
 		if !w.loose[c] && s.near(w.pos[c], w.halfDiag[c]) && w.frames[c].SegmentIntersects(s.pa, s.pb) {
@@ -865,7 +970,7 @@ func (w *World) listedBlockers(s *sight, cand []int32, maxDiag float64) int {
 	if w.nLoose == 0 {
 		return blockers
 	}
-	x0, x1, y0, y1 := w.cellRange(s, maxDiag)
+	x0, x1, y0, y1 := w.cellRange(s, w.maxDiag)
 	for gy := y0; gy <= y1; gy++ {
 		for gx := x0; gx <= x1; gx++ {
 			ci := uint(gy*w.cellsX + gx)
@@ -882,38 +987,77 @@ func (w *World) listedBlockers(s *sight, cand []int32, maxDiag float64) int {
 	return blockers
 }
 
+// find returns the index in links of i's entry toward j, or -1 if the
+// pair is out of interference range: a binary search of i's entries, which
+// are sorted by partner x-rank. Ranks are unique, so the entry ranked as j
+// is j's.
+func (w *World) find(i, j int) int32 {
+	lo, hi := w.linkStart[i], w.linkStart[i+1]
+	rj := w.rank[j]
+	for lo < hi {
+		h := int32(uint32(lo+hi) >> 1)
+		if r := w.rank[w.links[h].J]; r < rj {
+			lo = h + 1
+		} else if r > rj {
+			hi = h
+		} else {
+			return h
+		}
+	}
+	return -1
+}
+
 // Link returns the pair-table entry from i toward j, if within interference
-// range: a binary search of i's entries, which are sorted by partner
-// x-rank. Ranks are unique, so the entry ranked as j is j's.
+// range, completing it on first read.
 //
 //mmv2v:hotpath the per-slot link probe; pinned by BenchmarkLinkLookup
 func (w *World) Link(i, j int) (Link, bool) {
-	ls := w.links[w.linkStart[i]:w.linkStart[i+1]]
-	rj := w.rank[j]
-	for len(ls) > 0 {
-		h := len(ls) / 2
-		if r := w.rank[ls[h].J]; r < rj {
-			ls = ls[h+1:]
-		} else if r > rj {
-			ls = ls[:h]
-		} else {
-			return ls[h], true
-		}
+	e := w.find(i, j)
+	if e < 0 {
+		return Link{}, false
 	}
-	return Link{}, false
+	if w.links[e].Blockers < 0 {
+		w.complete(i, e)
+	}
+	return w.links[e], true
 }
 
 // Links returns all pair-table entries of vehicle i (within interference
-// range). Callers must not retain the slice across Refresh.
+// range), completing them. Callers must not retain the slice across
+// Refresh.
 func (w *World) Links(i int) []Link {
 	lo, hi := w.linkStart[i], w.linkStart[i+1]
+	for e := lo; e < hi; e++ {
+		if w.links[e].Blockers < 0 {
+			w.complete(i, e)
+		}
+	}
 	return w.links[lo:hi:hi]
+}
+
+// Entries returns vehicle i's entries as Refresh left them: J and Dist are
+// set, and a Pending entry's other fields are filled only by Complete. It
+// serves callers that read a few entries of a slice; Links completes them
+// all. Callers must not retain the slice across Refresh.
+func (w *World) Entries(i int) []Link {
+	lo, hi := w.linkStart[i], w.linkStart[i+1]
+	return w.links[lo:hi:hi]
+}
+
+// Complete completes entry k of Entries(i) if it is pending.
+func (w *World) Complete(i, k int) {
+	if e := w.linkStart[i] + int32(k); w.links[e].Blockers < 0 {
+		w.complete(i, e)
+	}
 }
 
 // Neighbors returns vehicle i's current one-hop neighbor set: LOS vehicles
 // within CommRange (the OHM task set, Sec. II-B). Callers must not retain
 // the slice across Refresh.
 func (w *World) Neighbors(i int) []int {
+	if w.nbrsStale {
+		w.deriveNeighbors()
+	}
 	lo, hi := w.nbrStart[i], w.nbrStart[i+1]
 	return w.nbrs[lo:hi:hi]
 }
@@ -933,6 +1077,9 @@ func (w *World) NeighborSnapshot() [][]int {
 func (w *World) AvgNeighborCount() float64 {
 	if w.n == 0 {
 		return 0
+	}
+	if w.nbrsStale {
+		w.deriveNeighbors()
 	}
 	return float64(len(w.nbrs)) / float64(w.n)
 }
@@ -972,11 +1119,14 @@ func (w *World) RxPowerMwOn(l *Link, tx, rx Aim) units.MilliWatt {
 // RxPowerMw returns the power vehicle rx receives from tx given both beam
 // configurations, or 0 if the pair is out of interference range.
 func (w *World) RxPowerMw(tx, rx int, txBeam, rxBeam phy.Beam) units.MilliWatt {
-	l, ok := w.Link(rx, tx)
-	if !ok {
+	e := w.find(rx, tx)
+	if e < 0 {
 		return 0
 	}
-	return w.RxPowerMwOn(&l, w.Aim(txBeam), w.Aim(rxBeam))
+	if w.links[e].Blockers < 0 {
+		w.complete(rx, e)
+	}
+	return w.RxPowerMwOn(&w.links[e], w.Aim(txBeam), w.Aim(rxBeam))
 }
 
 // SNRdB returns the interference-free SNR of a directed link with the given
