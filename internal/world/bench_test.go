@@ -20,19 +20,22 @@ func benchRefresh(b *testing.B, density float64, readAll bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchTicks(b, road, readAll)
+	benchTicks(b, road, 1, readAll)
 }
 
-// benchTicks times Step+Refresh over a fleet; with readAll each refresh is
-// followed by Links(i) for every vehicle, which completes the whole table.
-func benchTicks(b *testing.B, fleet traffic.Fleet, readAll bool) {
+// benchTicks times ticks over a fleet, each of steps 5 ms fleet steps and
+// one Refresh; with readAll each refresh is followed by Links(i) for every
+// vehicle, which completes the whole table.
+func benchTicks(b *testing.B, fleet traffic.Fleet, steps int, readAll bool) {
 	b.Helper()
 	w, err := New(DefaultConfig(), fleet)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tick := func() {
-		fleet.Step(0.005)
+		for s := 0; s < steps; s++ {
+			fleet.Step(0.005)
+		}
 		w.Refresh()
 		if readAll {
 			for i := 0; i < w.n; i++ {
@@ -133,7 +136,7 @@ func BenchmarkRxPower(b *testing.B) {
 	}
 }
 
-func benchGridRefresh(b *testing.B, rows, cols, vehicles int, readAll bool) {
+func benchGridRefresh(b *testing.B, rows, cols, vehicles, steps int, readAll bool) {
 	b.Helper()
 	grid := traffic.DefaultGridConfig(vehicles)
 	grid.Rows, grid.Cols = rows, cols
@@ -141,7 +144,7 @@ func benchGridRefresh(b *testing.B, rows, cols, vehicles int, readAll bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchTicks(b, nw, readAll)
+	benchTicks(b, nw, steps, readAll)
 }
 
 // BenchmarkRefresh1k / BenchmarkRefresh10k measure the snapshot rebuild on
@@ -151,6 +154,14 @@ func benchGridRefresh(b *testing.B, rows, cols, vehicles int, readAll bool) {
 // local density), so growing the fleet and the map together must scale far
 // sub-quadratically — the 10k run must come in well under 100× the 1k run.
 // BenchmarkRefreshReadAll10k reads the whole table after each refresh.
-func BenchmarkRefresh1k(b *testing.B)         { benchGridRefresh(b, 4, 4, 1000, false) }
-func BenchmarkRefresh10k(b *testing.B)        { benchGridRefresh(b, 12, 12, 10000, false) }
-func BenchmarkRefreshReadAll10k(b *testing.B) { benchGridRefresh(b, 12, 12, 10000, true) }
+func BenchmarkRefresh1k(b *testing.B)         { benchGridRefresh(b, 4, 4, 1000, 1, false) }
+func BenchmarkRefresh10k(b *testing.B)        { benchGridRefresh(b, 12, 12, 10000, 1, false) }
+func BenchmarkRefreshReadAll10k(b *testing.B) { benchGridRefresh(b, 12, 12, 10000, 1, true) }
+
+// BenchmarkRefreshFrame10k and BenchmarkRefreshDrive10k refresh the 10k grid
+// at the cadences that read nothing between refreshes: every 20 ms, the
+// end-to-end city benchmark's frame, and every 100 ms, mmv2v-sim -drive's
+// default, where vehicles move past the lists' loose margin between two
+// refreshes and every refresh rebuilds the lists.
+func BenchmarkRefreshFrame10k(b *testing.B) { benchGridRefresh(b, 12, 12, 10000, 4, false) }
+func BenchmarkRefreshDrive10k(b *testing.B) { benchGridRefresh(b, 12, 12, 10000, 20, false) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mmv2v/internal/geom"
+	"mmv2v/internal/obs"
 	"mmv2v/internal/traffic"
 	"mmv2v/internal/units"
 	"mmv2v/internal/xrand"
@@ -169,7 +170,7 @@ func diffCases() []diffCase {
 	}
 }
 
-// TestRefreshMatchesFullRecount steps three identical fleets, two under
+// TestRefreshMatchesFullRecount steps four identical fleets, three under
 // the Verlet-list Refresh and one under the full recount, and after every
 // refresh compares every Link field bit for bit and every neighbor set. The
 // worlds cover the road at three densities, trucks, shadowing with a link
@@ -182,7 +183,12 @@ func diffCases() []diffCase {
 // The first world is read only by the comparison, in vehicle order. The
 // second is read first in a shuffled sample through Link, RxPowerMw and the
 // medium's raw walk, so pairs are completed from either side and in any
-// order, and on about one refresh in five it is not read at all.
+// order, and on about one refresh in five it is not read at all. The third
+// is left unread until 10 refreshes after each list build and is then read
+// whole, so its owners gather their blocker candidates long after the build.
+// After every refresh each world's gathered owners must hold the candidate
+// lists an eager gather from the anchors gives, and all three must have
+// rebuilt their lists equally often.
 func TestRefreshMatchesFullRecount(t *testing.T) {
 	for _, dc := range diffCases() {
 		dc := dc
@@ -200,17 +206,24 @@ func TestRefreshMatchesFullRecount(t *testing.T) {
 }
 
 func runDiff(t *testing.T, dc diffCase, refreshes int) {
-	fa, fs, fb := dc.fleet(), dc.fleet(), dc.fleet()
-	shift := make([]geom.Vec, fa.NumVehicles())
+	fleets := []traffic.Fleet{dc.fleet(), dc.fleet(), dc.fleet(), dc.fleet()}
+	shift := make([]geom.Vec, fleets[0].NumVehicles())
 	refresh := 0
-	worlds := make([]*World, 3)
-	for k, f := range []traffic.Fleet{fa, fs, fb} {
+	worlds := make([]*World, len(fleets))
+	for k, f := range fleets {
 		var err error
 		if worlds[k], err = New(dc.cfg, &jumpFleet{f, shift}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w, sampled, ref := worlds[0], worlds[1], worlds[2]
+	w, sampled, idle, ref := worlds[0], worlds[1], worlds[2], worlds[3]
+	lazy := worlds[:3]
+	// Only the build counter is installed: a full registry would make the
+	// refreshes eager.
+	gathers := make([]candCheck, len(lazy))
+	for _, x := range lazy {
+		x.obsListBuilds = obs.New().Counter("world.list_builds")
+	}
 	// The reference of New's refresh is recounted before any fault is
 	// installed: a fault takes effect at the next refresh.
 	var tab refTable
@@ -222,6 +235,10 @@ func runDiff(t *testing.T, dc diffCase, refreshes int) {
 	}
 	rng := xrand.New(xrand.HashString(dc.name))
 	jumps := [3]int{}
+	// idleBuild is the refresh of idle's last build, and idleRead whether
+	// idle has been read since; lateReads counts its reads with a loose
+	// vehicle, whose candidate lists were gathered long after the build.
+	idleBuild, idleRead, lateReads := 0, false, 0
 	for refresh = 0; refresh <= refreshes; refresh++ {
 		if refresh > 0 {
 			if refresh%7 == 0 {
@@ -229,14 +246,18 @@ func runDiff(t *testing.T, dc diffCase, refreshes int) {
 					jumps[kind]++
 				}
 			}
-			for s := 0; s < dc.steps; s++ {
-				fa.Step(dc.dt)
-				fs.Step(dc.dt)
-				fb.Step(dc.dt)
+			for _, f := range fleets {
+				for s := 0; s < dc.steps; s++ {
+					f.Step(dc.dt)
+				}
 			}
-			w.Refresh()
-			sampled.Refresh()
+			for _, x := range lazy {
+				x.Refresh()
+			}
 			refRefresh(ref, &tab)
+			if idle.obsListBuilds.Value() != gathers[2].builds {
+				idleBuild, idleRead = refresh, false
+			}
 		}
 		compareTables(t, refresh, w, &tab)
 		if rng.Intn(5) > 0 {
@@ -244,10 +265,109 @@ func runDiff(t *testing.T, dc diffCase, refreshes int) {
 			checkMirrors(t, refresh, sampled)
 			compareTables(t, refresh, sampled, &tab)
 		}
+		if !idleRead && refresh-idleBuild >= 10 {
+			if idle.nLoose > 0 {
+				lateReads++
+			}
+			compareTables(t, refresh, idle, &tab)
+			idleRead = true
+		}
+		for k, x := range lazy {
+			gathers[k].check(t, refresh, x)
+		}
+		if b0 := gathers[0].builds; gathers[1].builds != b0 || gathers[2].builds != b0 {
+			t.Fatalf("refresh %d: list builds %d, %d, %d; the schedule must not depend on reads",
+				refresh, b0, gathers[1].builds, gathers[2].builds)
+		}
 	}
 	if refreshes >= 100 && (jumps[0] == 0 || jumps[1] == 0 || jumps[2] == 0) {
 		t.Errorf("jumps onto/off a line of sight/out of range: %v, want each at least once", jumps)
 	}
+	// At the 5 ms cadence the lists outlive 10 refreshes; on the coarser
+	// grids they are rebuilt sooner, and the idle world is never read.
+	t.Logf("idle reads with a loose vehicle: %d, builds %d", lateReads, gathers[0].builds)
+	if refreshes >= 100 && float64(dc.steps)*dc.dt <= 0.005 && lateReads == 0 {
+		t.Errorf("idle world never read with a loose vehicle 10 refreshes after a build")
+	}
+}
+
+// candCheck holds the blocker candidate lists of a world's current Verlet
+// build as an eager gather computes them, in test code, from the anchors:
+// pair p's are cand[start[p]:start[p+1]].
+type candCheck struct {
+	builds      uint64
+	start, cand []int32
+	cellStart   []int32
+	cellVeh     []int32
+}
+
+// check recomputes the eager lists whenever the world has built new ones,
+// then requires every owner gathered so far to hold them: the same
+// members in the same order.
+func (g *candCheck) check(t *testing.T, refresh int, w *World) {
+	t.Helper()
+	if b := w.obsListBuilds.Value(); b != g.builds || g.start == nil {
+		g.builds = b
+		g.gather(w)
+	}
+	for k, end := range w.candEnd {
+		if end < 0 {
+			continue
+		}
+		for p := w.listStart[k]; p < w.listStart[k+1]; p++ {
+			last := end
+			if p+1 < w.listStart[k+1] {
+				last = w.candStart[p+1]
+			}
+			got, want := w.cand[w.candStart[p]:last], g.cand[g.start[p]:g.start[p+1]]
+			if !slices.Equal(got, want) {
+				t.Fatalf("refresh %d: owner %d pair %d→%d lists candidates %v, eager gather %v",
+					refresh, w.listOwner[k], w.listOwner[k], w.pairB[p], got, want)
+			}
+		}
+	}
+}
+
+// gather lists every listed pair's candidates as the build did before the
+// lists were gathered lazily: it bins the anchors into cells itself, then
+// keeps the vehicles whose anchors pass the two culls widened by the skin.
+func (g *candCheck) gather(w *World) {
+	cells := w.cellsX * w.cellsY
+	g.cellStart = append(g.cellStart[:0], make([]int32, cells+1)...)
+	g.cellVeh = append(g.cellVeh[:0], make([]int32, w.n)...)
+	for i := 0; i < w.n; i++ {
+		g.cellStart[w.cellOf(w.anchor[i])+1]++
+	}
+	for c := 0; c < cells; c++ {
+		g.cellStart[c+1] += g.cellStart[c]
+	}
+	fill := slices.Clone(g.cellStart)
+	for i := 0; i < w.n; i++ {
+		c := w.cellOf(w.anchor[i])
+		g.cellVeh[fill[c]] = int32(i)
+		fill[c]++
+	}
+	g.start, g.cand = g.start[:0], g.cand[:0]
+	for k, a := range w.listOwner {
+		pa := w.anchor[a]
+		for _, b := range w.pairB[w.listStart[k]:w.listStart[k+1]] {
+			g.start = append(g.start, int32(len(g.cand)))
+			var s sight
+			s.set(pa, w.anchor[b], pa.Dist(w.anchor[b]).M())
+			x0, x1, y0, y1 := w.cellRange(&s, w.maxDiag+verletSkin)
+			for gy := y0; gy <= y1; gy++ {
+				for gx := x0; gx <= x1; gx++ {
+					ci := gy*w.cellsX + gx
+					for _, c := range g.cellVeh[g.cellStart[ci]:g.cellStart[ci+1]] {
+						if c != a && c != b && s.near(w.anchor[c], w.halfDiag[c]+verletSkin) {
+							g.cand = append(g.cand, c)
+						}
+					}
+				}
+			}
+		}
+	}
+	g.start = append(g.start, int32(len(g.cand)))
 }
 
 // readSample reads the world's vehicles in a shuffled order, each through

@@ -17,12 +17,13 @@
 // every refresh. Verlet lists, the neighbor lists of molecular dynamics,
 // record every pair within InterferenceRange plus a 2 m skin and, for each
 // pair, the vehicles whose bodies come within the skin of its line of
-// sight. While a vehicle stays within half the skin of where the lists were
-// built, its pairs and their blockers are read from the lists; a vehicle
-// that moved farther (a lane change, a ring wrap, a turn, or accumulated
-// drift) is loose, and its pairs are enumerated and counted by the cell
-// scans as before. The lists are rebuilt once the loose work outgrows them.
-// Counts are exact either way (DESIGN.md §10).
+// sight, gathered from the build's positions the first time one of the
+// pair owner's pairs is read. While a vehicle stays within half the skin of
+// where the lists were built, its pairs and their blockers are read from
+// the lists; a vehicle that moved farther (a lane change, a ring wrap, a
+// turn, or accumulated drift) is loose, and its pairs are enumerated and
+// counted by the cell scans as before. The lists are rebuilt once the loose
+// work outgrows them. Counts are exact either way (DESIGN.md §10).
 //
 // The table is refreshed at the paper's 5 ms cadence ("vehicle position and
 // link quality is updated every 5 ms") into one flat array: each vehicle's
@@ -209,21 +210,29 @@ type World struct {
 	// Verlet lists, built from the positions recorded in anchor. Owner
 	// listOwner[k] (the k-th vehicle in x-order at the build) holds the
 	// pairs pairB[listStart[k]:listStart[k+1]] with its higher-ranked
-	// partners, in ascending rank; pair p's blocker candidates are
-	// cand[candStart[p]:candStart[p+1]]. loose marks the vehicles now
-	// beyond verletLoose of their anchors (nLoose of them), and looseCells
-	// one bit per cell holding one. recounted counts the pairs recounted
-	// in full since the build.
-	anchor     []geom.Vec
-	listOwner  []int32
-	listStart  []int32
-	pairB      []int32
-	candStart  []int32
-	cand       []int32
-	loose      []bool
-	looseCells []uint64
-	nLoose     int
-	recounted  int
+	// partners, in ascending rank, and ownerOf maps each vehicle to its k.
+	// An owner's blocker candidates are gathered on first use, from the
+	// anchors and the build's cell index (listCellStart/listCellVeh). Pair
+	// p's candidates begin at cand[candStart[p]] and end where the owner's
+	// next pair's begin, or, for its last pair, at candEnd[k], which is -1
+	// until owner k is gathered. loose marks the vehicles now beyond
+	// verletLoose of their anchors (nLoose of them), and looseCells one bit
+	// per cell holding one. recounted counts the pairs recounted in full
+	// since the build.
+	anchor        []geom.Vec
+	listOwner     []int32
+	ownerOf       []int32
+	listStart     []int32
+	pairB         []int32
+	listCellStart []int32
+	listCellVeh   []int32
+	candStart     []int32
+	candEnd       []int32
+	cand          []int32
+	loose         []bool
+	looseCells    []uint64
+	nLoose        int
+	recounted     int
 
 	// linkFault, when non-nil, multiplies every refreshed link's path gain
 	// by an extra factor (transient blockage bursts; see internal/faults).
@@ -234,6 +243,7 @@ type World struct {
 	obsRefreshes    *obs.Counter
 	obsRefreshLinks *obs.Histogram
 	obsNLOSLinks    *obs.Counter
+	obsListBuilds   *obs.Counter
 }
 
 // LinkFault is the world's fault-injection hook: an extra linear gain
@@ -258,11 +268,13 @@ func (w *World) SetObs(r *obs.Registry) {
 	w.obsRefreshes = r.Counter("world.refreshes")
 	w.obsRefreshLinks = r.Histogram("world.refresh_links", obs.ExpBuckets(16, 2, 11))
 	w.obsNLOSLinks = r.Counter("world.nlos_links")
+	w.obsListBuilds = r.Counter("world.list_builds")
 }
 
 // New builds a World over a mobility substrate (the ring road or a road
-// graph). Refresh is called once and the neighbor sets derived, so the
-// world is immediately queryable.
+// graph). Refresh is called once, every list owner gathered, so the
+// candidate buffer is sized before the first measured refresh, and the
+// neighbor sets derived, so the world is immediately queryable.
 func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -273,29 +285,32 @@ func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 	}
 	n := fleet.NumVehicles()
 	w := &World{
-		cfg:       cfg,
-		fleet:     fleet,
-		model:     model,
-		patterns:  channel.NewPatternCache(cfg.Channel.SideLobeDB),
-		omni:      channel.OmniPattern(),
-		n:         n,
-		pos:       make([]geom.Vec, n),
-		heading:   make([]geom.Bearing, n),
-		speed:     make([]units.MeterPerSec, n),
-		linkStart: make([]int32, n+1),
-		nbrStart:  make([]int32, n+1),
-		fill:      make([]int32, n),
-		halfLen:   make([]float64, n),
-		halfWid:   make([]float64, n),
-		halfDiag:  make([]float64, n),
-		frames:    make([]geom.BodyFrame, n),
-		order:     make([]int, n),
-		rank:      make([]int32, n),
-		cellVeh:   make([]int32, n),
-		anchor:    make([]geom.Vec, n),
-		listOwner: make([]int32, n),
-		listStart: make([]int32, n+1),
-		loose:     make([]bool, n),
+		cfg:         cfg,
+		fleet:       fleet,
+		model:       model,
+		patterns:    channel.NewPatternCache(cfg.Channel.SideLobeDB),
+		omni:        channel.OmniPattern(),
+		n:           n,
+		pos:         make([]geom.Vec, n),
+		heading:     make([]geom.Bearing, n),
+		speed:       make([]units.MeterPerSec, n),
+		linkStart:   make([]int32, n+1),
+		nbrStart:    make([]int32, n+1),
+		fill:        make([]int32, n),
+		halfLen:     make([]float64, n),
+		halfWid:     make([]float64, n),
+		halfDiag:    make([]float64, n),
+		frames:      make([]geom.BodyFrame, n),
+		order:       make([]int, n),
+		rank:        make([]int32, n),
+		cellVeh:     make([]int32, n),
+		anchor:      make([]geom.Vec, n),
+		listOwner:   make([]int32, n),
+		ownerOf:     make([]int32, n),
+		listStart:   make([]int32, n+1),
+		listCellVeh: make([]int32, n),
+		candEnd:     make([]int32, n),
+		loose:       make([]bool, n),
 		// Past any list length, so the first Refresh builds the lists.
 		recounted: math.MaxInt32,
 	}
@@ -304,6 +319,7 @@ func New(cfg Config, fleet traffic.Fleet) (*World, error) {
 	}
 	w.initGrid()
 	w.Refresh()
+	w.gatherAll()
 	w.deriveNeighbors()
 	return w, nil
 }
@@ -329,6 +345,7 @@ func (w *World) initGrid() {
 	w.cellsY = int(spanY/cell) + 1
 	cells := w.cellsX * w.cellsY
 	w.cellStart = make([]int32, cells+1)
+	w.listCellStart = make([]int32, cells+1)
 	w.looseCells = make([]uint64, (cells+63)/64)
 	w.reach = int(math.Ceil(w.cfg.InterferenceRange.M() / cell))
 }
@@ -524,20 +541,21 @@ func (w *World) markLoose() bool {
 }
 
 // buildLists anchors every vehicle at its current position and rebuilds
-// the Verlet lists: every pair within InterferenceRange + verletSkin, once,
-// under its lower-ranked member in ascending partner rank, each with the
-// vehicles that pass the two blocker culls widened by verletSkin.
+// the Verlet pair lists: every pair within InterferenceRange + verletSkin,
+// once, under its lower-ranked member in ascending partner rank. It copies
+// the cell index for gatherOwner and leaves every owner ungathered.
 func (w *World) buildLists() {
 	copy(w.anchor, w.pos)
+	copy(w.listCellStart, w.cellStart)
+	copy(w.listCellVeh, w.cellVeh)
 	clear(w.loose)
 	clear(w.looseCells)
 	w.nLoose, w.recounted = 0, 0
 	listM := w.cfg.InterferenceRange.M() + verletSkin
 	reach := int(math.Ceil(listM / w.cellM))
-	pairs, candStart, cand := w.pairB[:0], w.candStart[:0], w.cand[:0]
-	var s sight
+	pairs := w.pairB[:0]
 	for k, a := range w.order {
-		w.listOwner[k] = int32(a)
+		w.listOwner[k], w.ownerOf[a], w.candEnd[k] = int32(a), int32(k), -1
 		first := len(pairs)
 		w.listStart[k] = int32(first)
 		pa, ra := w.pos[a], w.rank[a]
@@ -561,59 +579,136 @@ func (w *World) buildLists() {
 			}
 		}
 		w.sortByRank(pairs[first:])
-		for _, b := range pairs[first:] {
-			candStart = push(candStart, int32(len(cand)))
-			s.set(pa, w.pos[b], pa.Dist(w.pos[b]).M())
-			x0, x1, y0, y1 := w.cellRange(&s, w.maxDiag+verletSkin)
-			for gy := y0; gy <= y1; gy++ {
-				for gx := x0; gx <= x1; gx++ {
-					for _, c := range w.cell(gy*w.cellsX + gx) {
-						if int(c) != a && c != b && s.near(w.pos[c], w.halfDiag[c]+verletSkin) {
-							cand = push(cand, c)
-						}
+	}
+	w.listStart[w.n] = int32(len(pairs))
+	w.pairB = settle(w.pairB, pairs)
+	w.candStart = grow(w.candStart, len(pairs))
+	w.cand = w.cand[:0]
+	w.obsListBuilds.Inc()
+}
+
+// gatherOwner appends to cand the blocker candidates of owner k's pairs, in
+// pair order, recording where each pair's begin in candStart and where the
+// last pair's end in candEnd[k]. A pair's candidates are the vehicles other
+// than its members that pass the two blocker culls widened by verletSkin,
+// in the order the build's cells list them. It reads only what the build
+// left, the anchors and the cell index copy, and the body extents, which
+// are constant over a run, so an owner gathered any number of refreshes
+// after the build gets the lists an eager build would have. Callers settle
+// the buffer.
+func (w *World) gatherOwner(k int) {
+	a := w.listOwner[k]
+	pa := w.anchor[a]
+	cand := w.cand
+	var s sight
+	for p := w.listStart[k]; p < w.listStart[k+1]; p++ {
+		b := w.pairB[p]
+		w.candStart[p] = int32(len(cand))
+		s.set(pa, w.anchor[b], pa.Dist(w.anchor[b]).M())
+		x0, x1, y0, y1 := w.cellRange(&s, w.maxDiag+verletSkin)
+		for gy := y0; gy <= y1; gy++ {
+			for gx := x0; gx <= x1; gx++ {
+				ci := gy*w.cellsX + gx
+				for _, c := range w.listCellVeh[w.listCellStart[ci]:w.listCellStart[ci+1]] {
+					if c != a && c != b && s.near(w.anchor[c], w.halfDiag[c]+verletSkin) {
+						cand = push(cand, c)
 					}
 				}
 			}
 		}
 	}
-	w.listStart[w.n] = int32(len(pairs))
-	candStart = push(candStart, int32(len(cand)))
-	w.pairB = settle(w.pairB, pairs)
-	w.candStart = settle(w.candStart, candStart)
-	w.cand = settle(w.cand, cand)
+	w.candEnd[k] = int32(len(cand))
+	w.cand = cand
+}
+
+// gatherAll gathers every owner not gathered since the build and trims the
+// candidate buffer once.
+func (w *World) gatherAll() {
+	old := w.cand
+	for k, end := range w.candEnd {
+		if end < 0 {
+			w.gatherOwner(k)
+		}
+	}
+	w.cand = settle(old, w.cand)
+}
+
+// candidates returns listed pair p's blocker candidates; i and j are its
+// members. Its owner is the member listed first at the build, and is
+// gathered on first use.
+func (w *World) candidates(i, j int, p int32) []int32 {
+	k := min(w.ownerOf[i], w.ownerOf[j])
+	if w.candEnd[k] < 0 {
+		old := w.cand
+		w.gatherOwner(int(k))
+		w.cand = settle(old, w.cand)
+	}
+	end := w.candEnd[k]
+	if p+1 < w.listStart[k+1] {
+		end = w.candStart[p+1]
+	}
+	return w.cand[w.candStart[p]:end]
 }
 
 // listedPairs walks the listed pairs of two settled (not loose) vehicles
 // that are in range. With put false it counts each vehicle's degree into
-// fill; with put true it writes the pairs' pending entries. Each pair is
-// oriented from its current lower-ranked member.
+// fill; with put true it writes the pairs' pending entries.
 func (w *World) listedPairs(put bool) {
-	rangeM := w.cfg.InterferenceRange
-	for k, a := range w.listOwner {
+	for k, a32 := range w.listOwner {
+		a := int(a32)
 		if w.loose[a] {
 			continue
 		}
 		for p := w.listStart[k]; p < w.listStart[k+1]; p++ {
-			lo, hi := int(a), int(w.pairB[p])
-			if w.loose[hi] {
-				continue
-			}
-			if w.rank[lo] > w.rank[hi] {
-				lo, hi = hi, lo
-			}
-			d := w.pos[lo].Dist(w.pos[hi])
-			//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
-			if d > rangeM || d == 0 {
+			b := int(w.pairB[p])
+			if w.loose[b] {
 				continue
 			}
 			if !put {
-				w.fill[lo]++
-				w.fill[hi]++
+				if w.inRange(w.pos[a], w.pos[b]) {
+					w.fill[a]++
+					w.fill[b]++
+				}
 				continue
 			}
-			w.put(lo, hi, d, -2-p)
+			if d, ok := w.rangeDist(w.pos[a], w.pos[b]); ok {
+				w.put(a, b, d, -2-p)
+			}
 		}
 	}
+}
+
+// rangeDist returns the distance of pa and pb and whether it puts them in
+// range: distinct, and within InterferenceRange. It is the write passes'
+// test, and the one Dist of a pair per refresh.
+func (w *World) rangeDist(pa, pb geom.Vec) (units.Meter, bool) {
+	d := pa.Dist(pb)
+	//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
+	return d, !(d > w.cfg.InterferenceRange || d == 0)
+}
+
+// rangeBand is the relative width of the band around the squared
+// interference range inside which inRange defers to rangeDist. The squared
+// distance and Dist each round by a few ulps, far inside it.
+const rangeBand = 1e-9
+
+// inRange is rangeDist's verdict for the count passes, decided from the
+// squared distance without a Hypot: Dist's rounding can only matter inside
+// the rangeBand around the range, and Dist is exactly 0 only for identical
+// coordinates.
+func (w *World) inRange(pa, pb geom.Vec) bool {
+	dx, dy := pb.X-pa.X, pb.Y-pa.Y
+	d2 := dx*dx + dy*dy
+	r := w.cfg.InterferenceRange.M()
+	if d2 < r*r*(1-rangeBand) {
+		//mmv2v:exact a difference is exactly 0 only for identical coordinates, as Dist is
+		return dx != 0 || dy != 0
+	}
+	if d2 > r*r*(1+rangeBand) {
+		return false
+	}
+	_, ok := w.rangeDist(pa, pb)
+	return ok
 }
 
 // loosePairs walks the in-range pairs with a loose member, found by each
@@ -647,22 +742,17 @@ func (w *World) loosePairs(put bool) {
 						pb.Y-pa.Y > rangeM || pa.Y-pb.Y > rangeM {
 						continue
 					}
-					lo, hi := a, b
-					if w.rank[b] < ra {
-						lo, hi = b, a
-					}
-					d := w.pos[lo].Dist(w.pos[hi])
-					//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
-					if d > w.cfg.InterferenceRange || d == 0 {
-						continue
-					}
 					if !put {
-						w.fill[lo]++
-						w.fill[hi]++
+						if w.inRange(pa, pb) {
+							w.fill[a]++
+							w.fill[b]++
+						}
 						continue
 					}
-					w.put(lo, hi, d, -1)
-					w.recounted++
+					if d, ok := w.rangeDist(pa, pb); ok {
+						w.put(a, b, d, -1)
+						w.recounted++
+					}
 				}
 			}
 		}
@@ -682,10 +772,11 @@ func (w *World) put(a, b int, d units.Meter, pending int32) {
 
 // complete fills pending entry e, which vehicle i owns, and its mirror in
 // the partner's slice: the blocker count (in full for a pair with a loose
-// member, from the pair's candidate list otherwise), the path gain and both
-// bearings. Every quantity is computed from the pair's lower-ranked member,
-// the orientation the legacy x-sweep used, and from the last refresh's
-// positions, bodies, cells and lists, so the bits are an eager refresh's.
+// member, from the pair's candidate list otherwise, gathered with its
+// owner's on first use), the path gain and both bearings. Every quantity
+// is computed from the pair's lower-ranked member, the orientation the
+// legacy x-sweep used, and from the last refresh's positions, bodies,
+// cells and lists, so the bits are an eager refresh's.
 func (w *World) complete(i int, e int32) {
 	l := &w.links[e]
 	j := int(l.J)
@@ -699,10 +790,9 @@ func (w *World) complete(i int, e int32) {
 	if l.Blockers == -1 {
 		blockers = w.countBlockers(a, b, d.M(), w.maxDiag)
 	} else {
-		p := -2 - l.Blockers
 		var s sight
 		s.set(pa, pb, d.M())
-		blockers = w.listedBlockers(&s, w.cand[w.candStart[p]:w.candStart[p+1]])
+		blockers = w.listedBlockers(&s, w.candidates(i, j, -2-l.Blockers))
 	}
 	gain := w.model.PathGainLin(d, blockers) * w.shadowFactor(a, b)
 	if w.linkFault != nil {
@@ -752,6 +842,7 @@ func (w *World) mirror(j, i int, below bool) int32 {
 // completeAll completes every pending entry and returns how many pairs are
 // blocked.
 func (w *World) completeAll() (nlos int) {
+	w.gatherAll()
 	for i := 0; i < w.n; i++ {
 		for e := w.linkStart[i]; e < w.linkStart[i+1]; e++ {
 			if w.links[e].Blockers < 0 {
