@@ -26,7 +26,9 @@
 // -alloc-threshold (off when negative, the default) additionally gates
 // allocs/op and B/op by the same fractional rule. Unlike the ns/op gate,
 // zero baselines are not skipped: a hot path measured at 0 allocs/op is a
-// contract, and any fresh allocation on it fails at every threshold.
+// contract, and any fresh allocation on it fails at every threshold. B/op
+// growth must also exceed bytesFloor (8 B/op, one smallest size class):
+// benchmarks at 0 allocs/op read a byte or two per op from run to run.
 package main
 
 import (
@@ -109,6 +111,12 @@ func run(in io.Reader, out io.Writer, date, commit string) (*Report, error) {
 // allocUnits are the -benchmem metrics the allocation gate covers.
 var allocUnits = []string{"allocs/op", "B/op"}
 
+// bytesFloor is the B/op growth the allocation gate ignores at any
+// threshold: one smallest size class. A benchmark at 0 allocs/op still
+// reads 1–2 B/op on some runs (runtime allocations amortized over b.N), so
+// a 0 B/op baseline cannot gate every byte. allocs/op has no floor.
+const bytesFloor = 8
+
 // compare gates the fresh run against a baseline report: every baseline
 // (pkg, name) whose ns/op the fresh run also measured must not be slower by
 // more than the nsThreshold fraction, and — when allocThreshold is
@@ -118,7 +126,7 @@ var allocUnits = []string{"allocs/op", "B/op"}
 // the fresh run did not exercise are skipped. Zero ns/op baselines are
 // skipped as unmeasured, but zero allocation baselines gate: 0 allocs/op is
 // a contract, and any fresh allocation on such a path fails at every
-// threshold.
+// threshold. B/op fails only when it also grew by more than bytesFloor.
 func compare(base, fresh *Report, nsThreshold, allocThreshold float64) (regressions []string, compared int) {
 	measured := make(map[string]map[string]float64, len(fresh.Benchmarks))
 	for _, b := range fresh.Benchmarks {
@@ -151,7 +159,11 @@ func compare(base, fresh *Report, nsThreshold, allocThreshold float64) (regressi
 					continue
 				}
 				hit = true
-				if v > was*(1+allocThreshold) {
+				limit := was * (1 + allocThreshold)
+				if unit == "B/op" {
+					limit = max(limit, was+bytesFloor)
+				}
+				if v > limit {
 					regressions = append(regressions, fmt.Sprintf(
 						"%s %s: %g %s -> %g %s (allowed %+.0f%%)",
 						b.Pkg, b.Name, was, unit, v, unit, allocThreshold*100))

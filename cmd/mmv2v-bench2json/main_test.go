@@ -177,6 +177,38 @@ func TestCompareAllocGate(t *testing.T) {
 // TestCompareAllocGateSkipsUnmeasured keeps partial runs partial: a fresh
 // run without -benchmem metrics gates only ns/op even with the allocation
 // gate enabled.
+// TestCompareBytesFloor: B/op noise within one smallest size class passes
+// over a 0 B/op baseline, while a real allocation fails on both metrics.
+func TestCompareBytesFloor(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{
+		membench("mmv2v/internal/world", "Refresh30vpl", 1000, 0, 0),
+		membench("mmv2v/internal/traffic", "Step60vpl", 1000, 2, 0),
+	}}
+	noise := &Report{Benchmarks: []Benchmark{
+		membench("mmv2v/internal/world", "Refresh30vpl", 1000, 1, 0),
+		membench("mmv2v/internal/traffic", "Step60vpl", 1000, 10, 0),
+	}}
+	if regs, compared := compare(base, noise, 0.15, 0); compared != 2 || len(regs) != 0 {
+		t.Errorf("compared = %d, regressions = %v; want 2 compared, none regressed", compared, regs)
+	}
+	alloc := &Report{Benchmarks: []Benchmark{
+		membench("mmv2v/internal/world", "Refresh30vpl", 1000, 16, 1),
+	}}
+	regs, _ := compare(base, alloc, 0.15, 0.25)
+	joined := strings.Join(regs, "\n")
+	for _, want := range []string{
+		"Refresh30vpl: 0 B/op -> 16 B/op",
+		"Refresh30vpl: 0 allocs/op -> 1 allocs/op",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("regressions missing %q:\n%s", want, joined)
+		}
+	}
+	if len(regs) != 2 {
+		t.Errorf("regressions = %v, want both Refresh30vpl metrics", regs)
+	}
+}
+
 func TestCompareAllocGateSkipsUnmeasured(t *testing.T) {
 	base := &Report{Benchmarks: []Benchmark{
 		membench("mmv2v/internal/world", "Refresh15vpl", 1000, 2000, 20),

@@ -150,9 +150,10 @@ func (m *Model) SINR(desired, interference units.MilliWatt) units.DB {
 	return units.RatioDB(desired, m.noiseMw+interference)
 }
 
-// gaussMainLobeConst is the 3 · ln(10) / 10 exponent constant of Eq. 2
-// (10^{-0.3 x²} = e^{-c x²}).
-const gaussMainLobeConst = 0.3 * math.Ln10
+// MainLobeConst is the 3 · ln(10) / 10 exponent constant of Eq. 2
+// (10^{-0.3 x²} = e^{-c x²}). It is an untyped constant, so every use
+// rounds it to float64 the same way.
+const MainLobeConst = 0.3 * math.Ln10
 
 // Pattern is a 3GPP-style antenna pattern (Eq. 2) for one 3 dB beam width:
 // a Gaussian main lobe of peak gain g1 and a flat side lobe g2, with the
@@ -186,7 +187,7 @@ func NewPattern(width units.Radian, sideLobe units.DB) Pattern {
 		theta1 = math.Pi
 	}
 	// ∫_{-θ1}^{θ1} e^{-c (γ/half)²} dγ = half·sqrt(π/c)·erf(sqrt(c)·θ1/half)
-	c := gaussMainLobeConst
+	c := MainLobeConst
 	mainIntegral := half * math.Sqrt(math.Pi/c) * math.Erf(math.Sqrt(c)*theta1/half)
 	g1 := 2 * math.Pi / (mainIntegral + rho*(2*math.Pi-2*theta1))
 	return Pattern{Width: width, G1: g1, G2: g1 * rho, Theta1: units.Radian(theta1)}
@@ -201,7 +202,7 @@ func (p Pattern) Gain(gamma units.Radian) float64 {
 	}
 	if g < p.Theta1.Rad() {
 		x := g / (p.Width.Rad() / 2)
-		return p.G1 * math.Exp(-gaussMainLobeConst*x*x)
+		return p.G1 * math.Exp(-MainLobeConst*x*x)
 	}
 	return p.G2
 }

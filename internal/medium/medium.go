@@ -121,11 +121,14 @@ type Medium struct {
 	// transmissions overlapping the batch's window in m.active order;
 	// firstOnAir[v] is the onAir index of vehicle v's first such
 	// transmission (-1 when none), chained through onAir[k].next. heard is
-	// a bitmap over onAir of the terms collected for the current listener.
+	// a bitmap over onAir of the terms collected for the current listener,
+	// and hits collect's list of them, each with its link entry; its
+	// pointers are cleared after each resolution.
 	group      []*transmission
 	onAir      []airTerm
 	firstOnAir []int32
 	heard      []uint64
+	hits       []hit
 	// removals counts StopStream removals and Resets, so deliverGroup can
 	// tell when a handler shifted m.active under its onAir index.
 	removals uint64
@@ -150,6 +153,8 @@ type Medium struct {
 	obsFaultMuted    *obs.Counter
 	obsRxAims        *obs.Counter
 	obsStreamStarts  *obs.Counter
+	obsPowerEvals    *obs.Counter
+	obsListenerVisit *obs.Counter
 	obsControlSINRdB *obs.Histogram
 }
 
@@ -166,6 +171,8 @@ func (m *Medium) SetObs(r *obs.Registry) {
 	m.obsFaultMuted = r.Counter("medium.fault_muted_tx")
 	m.obsRxAims = r.Counter("medium.rx_beam_aims")
 	m.obsStreamStarts = r.Counter("medium.stream_starts")
+	m.obsPowerEvals = r.Counter("medium.power_evals")
+	m.obsListenerVisit = r.Counter("medium.listener_visits")
 	m.obsControlSINRdB = r.Histogram("medium.control_sinr_db", obs.LinearBuckets(phy.NearMissSINR.Decibels(), 5, 9))
 }
 
@@ -375,6 +382,13 @@ type airTerm struct {
 	group bool
 }
 
+// hit is one term a listener hears and the listener's link entry for its
+// sender.
+type hit struct {
+	term *airTerm
+	link *world.Link
+}
+
 // deliverGroup resolves reception of a batch of frames sharing an end time
 // (Eq. 3): a listener's SINR for a frame counts every other signal that
 // overlapped the batch's window as interference. The resolution contract,
@@ -407,6 +421,7 @@ func (m *Medium) deliverGroup(group []*transmission) {
 	removals := m.removals
 	m.indexOnAir(group, groupStart, now)
 	asked := m.faults == nil
+	visits, evals := 0, 0
 	for j := range m.listeners {
 		l := &m.listeners[j]
 		if !l.active {
@@ -434,11 +449,16 @@ func (m *Medium) deliverGroup(group []*transmission) {
 		if m.firstOnAir[j] >= 0 {
 			continue
 		}
-		total := m.collect(j, l.beam)
+		total, n := m.collect(j, l.beam)
+		visits++
+		evals += n
 		m.decode(j, l, total, noise, now)
 		clear(m.heard)
 	}
 	clear(m.onAir) // let retired frames be collected
+	clear(m.hits[:cap(m.hits)])
+	m.obsListenerVisit.Add(uint64(visits))
+	m.obsPowerEvals.Add(uint64(evals))
 }
 
 // indexOnAir rebuilds onAir, firstOnAir and heard from m.active for the
@@ -475,6 +495,10 @@ func (m *Medium) indexOnAir(group []*transmission, groupStart, now des.Time) {
 		m.firstOnAir[tx.from] = k
 	}
 	m.onAir = on
+	if cap(m.hits) < len(on) {
+		//mmv2v:alloc amortized: a listener hears each term at most once, so hits is regrown only with onAir
+		m.hits = make([]hit, 0, len(on))
+	}
 	words := (len(on) + 63) / 64
 	if cap(m.heard) < words {
 		//mmv2v:alloc amortized: one bit per term, regrown only past the largest window so far
@@ -494,37 +518,43 @@ func (m *Medium) askRadios(now des.Time) {
 
 // collect evaluates the power listener j receives from every live term on
 // the air whose sender is in j's link slice, marks each in heard, and
-// returns their sum in onAir (that is, m.active) order. Each power reads
-// only j's own link entry, completed only if its sender is on the air.
-func (m *Medium) collect(j int, rxBeam phy.Beam) units.MilliWatt {
-	rx := m.w.Aim(rxBeam)
+// returns their sum in onAir (that is, m.active) order with the number of
+// powers evaluated. Each power reads only j's own link entry, completed
+// only if its sender is on the air. A first pass walks the link slice and
+// gathers the hits; a second runs the gain kernel over them.
+func (m *Medium) collect(j int, rxBeam phy.Beam) (units.MilliWatt, int) {
 	links := m.w.Entries(j)
+	hits := m.hits[:0]
 	for i := range links {
-		lnk := &links[i]
-		first := m.firstOnAir[lnk.J]
+		first := m.firstOnAir[links[i].J]
 		if first < 0 {
 			continue
 		}
-		if lnk.Pending() {
+		if links[i].Pending() {
 			m.w.Complete(j, i)
 		}
 		for k := first; k >= 0; k = m.onAir[k].next {
 			a := &m.onAir[k]
 			// A transmitter whose radio died mid-frame radiates nothing.
-			if !a.live {
-				continue
+			if a.live {
+				//mmv2v:alloc never grows: indexOnAir sized hits to onAir, and each term is heard at most once
+				hits = append(hits, hit{term: a, link: &links[i]})
+				m.heard[k/64] |= 1 << (k % 64)
 			}
-			a.rxMw = m.w.RxPowerMwOn(lnk, a.aim, rx)
-			m.heard[k/64] |= 1 << (k % 64)
 		}
 	}
+	rx := m.w.Aim(rxBeam)
+	for _, h := range hits {
+		h.term.rxMw = m.w.RxPowerMwOn(h.link, h.term.aim, rx)
+	}
+	m.hits = hits
 	total := units.MilliWatt(0)
 	for w, word := range m.heard {
 		for ; word != 0; word &= word - 1 {
 			total += m.onAir[w*64+bits.TrailingZeros64(word)].rxMw
 		}
 	}
-	return total
+	return total, len(hits)
 }
 
 // silentBelow is the linear SINR under which a heard frame can neither
@@ -598,11 +628,20 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 	if m.faults != nil && (!m.faults.RadioUp(tx, now) || !m.faults.RadioUp(rx, now)) {
 		return -300
 	}
-	desired := m.w.RxPowerMw(tx, rx, txBeam, rxBeam)
-	//mmv2v:exact RxPowerMw returns exactly 0 as its out-of-range/beam-miss sentinel
-	if desired == 0 {
+	lnk := m.w.Entry(rx, tx)
+	if lnk == nil {
 		return -300
 	}
+	rxAim := m.w.Aim(rxBeam)
+	desired := m.w.RxPowerMwOn(lnk, m.w.Aim(txBeam), rxAim)
+	//mmv2v:exact the kernel returns exactly 0 only when a gain or the path gain underflows
+	if desired == 0 {
+		m.obsPowerEvals.Inc()
+		return -300
+	}
+	// Pairs beyond interference range add nothing: the all-active sum
+	// added exactly +0 for them.
+	evals := uint64(1)
 	interference := units.MilliWatt(0)
 	for _, t := range m.active {
 		if t.from == tx || t.from == rx {
@@ -614,8 +653,12 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 		if m.faults != nil && !m.faults.RadioUp(t.from, now) {
 			continue
 		}
-		interference += m.w.RxPowerMw(t.from, rx, t.beam, rxBeam)
+		if l := m.w.Entry(rx, t.from); l != nil {
+			interference += m.w.RxPowerMwOn(l, m.w.Aim(t.beam), rxAim)
+			evals++
+		}
 	}
+	m.obsPowerEvals.Add(evals)
 	return units.RatioDB(desired, m.w.Channel().NoiseMw()+interference)
 }
 

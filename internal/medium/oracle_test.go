@@ -60,6 +60,7 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 		}
 		total := units.MilliWatt(0)
 		selfBusy := false
+		evals := uint64(0)
 		for _, tx := range m.active {
 			if !overlaps(tx.start, tx.end, groupStart, now) {
 				continue
@@ -71,11 +72,19 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 			if m.faults != nil && !m.faults.RadioUp(tx.from, now) {
 				continue
 			}
+			// RxPowerMw runs the gain kernel only for a pair in range.
+			if _, ok := m.w.Link(j, tx.from); ok {
+				evals++
+			}
 			total += m.w.RxPowerMw(tx.from, j, tx.beam, l.beam)
 		}
 		if selfBusy {
 			continue
 		}
+		// The work counters count each interference term once: the
+		// desired signals below are the same evaluations again.
+		m.obsListenerVisit.Inc()
+		m.obsPowerEvals.Add(evals)
 		for _, g := range group {
 			if g.from == j {
 				continue

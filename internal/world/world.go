@@ -1098,19 +1098,29 @@ func (w *World) find(i, j int) int32 {
 	return -1
 }
 
-// Link returns the pair-table entry from i toward j, if within interference
-// range, completing it on first read.
-//
-//mmv2v:hotpath the per-slot link probe; pinned by BenchmarkLinkLookup
-func (w *World) Link(i, j int) (Link, bool) {
+// Entry returns the pair-table entry from i toward j, completed, or nil if
+// the pair is out of interference range. The entry is valid until the next
+// Refresh.
+func (w *World) Entry(i, j int) *Link {
 	e := w.find(i, j)
 	if e < 0 {
-		return Link{}, false
+		return nil
 	}
 	if w.links[e].Blockers < 0 {
 		w.complete(i, e)
 	}
-	return w.links[e], true
+	return &w.links[e]
+}
+
+// Link returns a copy of the pair-table entry from i toward j, if within
+// interference range, completing it on first read.
+//
+//mmv2v:hotpath the per-slot link probe; pinned by BenchmarkLinkLookup
+func (w *World) Link(i, j int) (Link, bool) {
+	if l := w.Entry(i, j); l != nil {
+		return *l, true
+	}
+	return Link{}, false
 }
 
 // Links returns all pair-table entries of vehicle i (within interference
@@ -1201,23 +1211,54 @@ func (w *World) Aim(beam phy.Beam) Aim {
 // power: the power l's owner receives from l.J when l.J transmits with tx
 // and the owner listens with rx. It reads only l: BackBearing is l.J's
 // bearing toward the owner and Bearing the owner's toward l.J.
+//
+// Each Eq. 2 gain is channel.Pattern.Gain(geom.AngleDiff(boresight,
+// toward)) written out in place, bit for bit: neither function inlines,
+// and the kernel runs millions of times per simulated second. AngleDiff's
+// wrap leaves the angle in (−π, π], so Gain's fold of angles beyond π never
+// applies and is left out. FuzzGainKernel holds the two forms equal.
 func (w *World) RxPowerMwOn(l *Link, tx, rx Aim) units.MilliWatt {
-	gTx := tx.pattern.Gain(geom.AngleDiff(tx.Bearing, l.BackBearing)) // tx's gain toward rx (Eq. 2)
-	gRx := rx.pattern.Gain(geom.AngleDiff(rx.Bearing, l.Bearing))     // rx's gain toward tx
+	// tx's gain toward the owner.
+	gTx := tx.pattern.G2
+	d := float64(l.BackBearing - tx.Bearing)
+	if !(d > -2*math.Pi && d < 2*math.Pi) {
+		d = math.Mod(d, 2*math.Pi)
+	}
+	if d > math.Pi {
+		d -= 2 * math.Pi
+	} else if d <= -math.Pi {
+		d += 2 * math.Pi
+	}
+	if g := math.Abs(d); g < tx.pattern.Theta1.Rad() {
+		x := g / (tx.pattern.Width.Rad() / 2)
+		gTx = tx.pattern.G1 * math.Exp(-channel.MainLobeConst*x*x)
+	}
+	// The owner's gain toward l.J, the same way.
+	gRx := rx.pattern.G2
+	d = float64(l.Bearing - rx.Bearing)
+	if !(d > -2*math.Pi && d < 2*math.Pi) {
+		d = math.Mod(d, 2*math.Pi)
+	}
+	if d > math.Pi {
+		d -= 2 * math.Pi
+	} else if d <= -math.Pi {
+		d += 2 * math.Pi
+	}
+	if g := math.Abs(d); g < rx.pattern.Theta1.Rad() {
+		x := g / (rx.pattern.Width.Rad() / 2)
+		gRx = rx.pattern.G1 * math.Exp(-channel.MainLobeConst*x*x)
+	}
 	return units.MilliWatt(w.model.TxPowerMw().MW() * gTx * l.PathGainLin * gRx)
 }
 
 // RxPowerMw returns the power vehicle rx receives from tx given both beam
 // configurations, or 0 if the pair is out of interference range.
 func (w *World) RxPowerMw(tx, rx int, txBeam, rxBeam phy.Beam) units.MilliWatt {
-	e := w.find(rx, tx)
-	if e < 0 {
+	l := w.Entry(rx, tx)
+	if l == nil {
 		return 0
 	}
-	if w.links[e].Blockers < 0 {
-		w.complete(rx, e)
-	}
-	return w.RxPowerMwOn(&w.links[e], w.Aim(txBeam), w.Aim(rxBeam))
+	return w.RxPowerMwOn(l, w.Aim(txBeam), w.Aim(rxBeam))
 }
 
 // SNRdB returns the interference-free SNR of a directed link with the given
