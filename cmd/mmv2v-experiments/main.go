@@ -39,13 +39,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 	"sync"
 	"time"
 
 	"mmv2v"
+	"mmv2v/cmd/internal/telemetry"
 )
 
 func main() {
@@ -74,20 +72,11 @@ func run(w io.Writer) error {
 	if *faultRun {
 		*fig = "faults"
 	}
-	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
-		if err != nil {
-			return err
-		}
-		// The profile is flushed by StopCPUProfile; a close error here can
-		// only lose an artifact the run already reported on, so drop it
-		// explicitly.
-		defer func() { _ = f.Close() }()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopCPU, err := telemetry.StartCPUProfile(*cpuOut)
+	if err != nil {
+		return err
 	}
+	defer stopCPU()
 	var srv *mmv2v.LiveServer
 	if *httpAddr != "" {
 		srv = mmv2v.NewLiveServer()
@@ -263,89 +252,24 @@ func run(w io.Writer) error {
 			fmt.Fprintf(w, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 		}
 	}
+	// The summary table goes to stderr, and the series gets no table, so
+	// the stdout figure tables stay byte-identical with or without either.
 	if *statsOut != "" {
-		if err := writeStats(*statsOut, statsRows); err != nil {
+		if err := telemetry.WriteStats(*statsOut, statsRows, os.Stderr); err != nil {
 			return err
 		}
 	}
 	if *seriesOut != "" {
-		if err := writeSeries(*seriesOut, seriesRows); err != nil {
+		if err := telemetry.WriteSeries(*seriesOut, seriesRows); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "mmv2v-experiments: wrote %d series rows to %s\n", len(seriesRows), *seriesOut)
 	}
-	return writeMemProfile(*memOut)
+	return telemetry.WriteMemProfile(*memOut)
 }
 
 // figure is what every experiment result prints itself as.
 type figure interface {
 	WriteTable(w io.Writer)
 	WriteCSV(w io.Writer) error
-}
-
-// writeStats exports the collected statistics rows to path — CSV when the
-// suffix asks for it, JSON Lines otherwise — and prints the summary table
-// to stderr so the stdout figure tables stay byte-identical.
-func writeStats(path string, rows []mmv2v.StatsRow) error {
-	mmv2v.SortStatsRows(rows)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = mmv2v.WriteStatsCSV(f, rows)
-	} else {
-		err = mmv2v.WriteStatsJSONL(f, rows)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr)
-	mmv2v.WriteStatsSummary(os.Stderr, rows)
-	return nil
-}
-
-// writeSeries exports the collected per-window series rows to path — CSV
-// when the suffix asks for it, JSON Lines otherwise. No summary table: the
-// series is a machine-readable artifact, and stdout stays byte-identical
-// with or without it.
-func writeSeries(path string, rows []mmv2v.SeriesRow) error {
-	mmv2v.SortSeriesRows(rows)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = mmv2v.WriteSeriesCSV(f, rows)
-	} else {
-		err = mmv2v.WriteSeriesJSONL(f, rows)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mmv2v-experiments: wrote %d series rows to %s\n", len(rows), path)
-	return nil
-}
-
-// writeMemProfile snapshots the heap (after forcing a GC so the profile
-// reflects live objects) when -memprofile asked for one.
-func writeMemProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	err = pprof.WriteHeapProfile(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

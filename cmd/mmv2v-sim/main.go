@@ -29,6 +29,12 @@
 // seed), so the re-run reproduces the lost windows byte for byte. See
 // DESIGN.md §11.
 //
+// -trace <path> writes every protocol event (SND discoveries, DCM matches
+// and break-ups, UDT stream starts, rates and completions, 802.11ad
+// associations) as JSON Lines: protocol by protocol, trial-major, in
+// emission order within a trial, so the file is identical for any number
+// of cores.
+//
 // -stats <path> records per-layer statistics (discovery sweeps, control
 // frames, SINR histograms, airtime per MCS, ...) and writes them to the
 // path as JSON Lines — or CSV when the path ends in .csv — plus a summary
@@ -50,12 +56,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 	"time"
 
 	"mmv2v"
+	"mmv2v/cmd/internal/telemetry"
 )
 
 func main() {
@@ -65,7 +69,7 @@ func main() {
 	}
 }
 
-func run() (err error) {
+func run() error {
 	var (
 		density   = flag.Float64("density", 15, "traffic density in vehicles/lane/km (paper: 15-30)")
 		protocol  = flag.String("protocol", "mmv2v", "protocol: mmv2v, rop, ad, oracle, all")
@@ -125,25 +129,16 @@ func run() (err error) {
 		}
 	}
 
-	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
-		if err != nil {
-			return err
-		}
-		// The profile is flushed by StopCPUProfile; a close error here can
-		// only lose an artifact the run already reported on, so drop it
-		// explicitly.
-		defer func() { _ = f.Close() }()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopCPU, err := telemetry.StartCPUProfile(*cpuOut)
+	if err != nil {
+		return err
 	}
+	defer stopCPU()
 	if *driveSec > 0 {
 		if err := driveGrid(gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, driveGridDefaults), *seed, *driveSec, *refreshMs, srv); err != nil {
 			return err
 		}
-		return writeMemProfile(*memOut)
+		return telemetry.WriteMemProfile(*memOut)
 	}
 
 	cfg := mmv2v.DefaultScenario(*density, *seed)
@@ -154,6 +149,7 @@ func run() (err error) {
 	// -series and -http need the windowed series, which comes with the
 	// statistics registry; all three are scenario-defining (fingerprint).
 	cfg.Stats = *statsOut != "" || *seriesOut != "" || *httpAddr != ""
+	cfg.Trace = *traceOut != ""
 	cfg.WindowSec = *seconds
 	cfg.Windows = *windows
 	cfg.DemandBits = *demand
@@ -163,20 +159,6 @@ func run() (err error) {
 	if *intensity > 0 {
 		profile := mmv2v.DefaultFaultConfig().Scale(*intensity)
 		cfg.Faults = &profile
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		// Trace events stream to f during the run; surface a close error
-		// (lost events) unless the run already failed for another reason.
-		defer func() {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		cfg.Trace = mmv2v.NewTraceRecorder(mmv2v.NewTraceJSONL(f))
 	}
 
 	params := mmv2v.DefaultParams()
@@ -233,6 +215,7 @@ func run() (err error) {
 	var rows []jsonRow
 	var statsRows []mmv2v.StatsRow
 	var seriesRows []mmv2v.SeriesRow
+	var events []mmv2v.TraceEvent
 	if srv != nil {
 		totalTrials := len(names) * *trials
 		srv.SetTotals(len(names), totalTrials, totalTrials*(*windows))
@@ -261,6 +244,7 @@ func run() (err error) {
 		if *seriesOut != "" {
 			seriesRows = append(seriesRows, mmv2v.SeriesRows(res.Series.Points(), res.Protocol)...)
 		}
+		events = append(events, res.Trace...)
 		if srv != nil {
 			srv.CellDone(res.Protocol)
 		}
@@ -294,17 +278,32 @@ func run() (err error) {
 			return err
 		}
 	}
+	if *traceOut != "" {
+		if err := telemetry.WriteTrace(*traceOut, events); err != nil {
+			return err
+		}
+	}
 	if *statsOut != "" {
-		if err := writeStats(*statsOut, statsRows, *jsonOut); err != nil {
+		// The summary table goes to stdout, or to stderr under -json so
+		// stdout stays parseable.
+		summary := os.Stdout
+		if *jsonOut {
+			summary = os.Stderr
+		}
+		if err := telemetry.WriteStats(*statsOut, statsRows, summary); err != nil {
 			return err
 		}
 	}
 	if *seriesOut != "" {
-		if err := writeSeries(*seriesOut, seriesRows); err != nil {
+		// Unlike -stats there is no summary table: the series is a
+		// machine-readable artifact, and stdout stays byte-identical with
+		// or without it.
+		if err := telemetry.WriteSeries(*seriesOut, seriesRows); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "mmv2v-sim: wrote %d series rows to %s\n", len(seriesRows), *seriesOut)
 	}
-	return writeMemProfile(*memOut)
+	return telemetry.WriteMemProfile(*memOut)
 }
 
 // runLogHeader assembles the run-log scenario recipe from the CLI flags;
@@ -333,60 +332,6 @@ func runLogHeader(protocol string, cfg mmv2v.ScenarioConfig, density float64, se
 		h.GridVehicles = cfg.Grid.Vehicles
 	}
 	return h
-}
-
-// writeStats exports the pooled statistics rows to path — CSV when the
-// suffix asks for it, JSON Lines otherwise — and prints the summary table:
-// to stdout normally, to stderr under -json so stdout stays parseable.
-func writeStats(path string, rows []mmv2v.StatsRow, jsonMode bool) error {
-	mmv2v.SortStatsRows(rows)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = mmv2v.WriteStatsCSV(f, rows)
-	} else {
-		err = mmv2v.WriteStatsJSONL(f, rows)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	out := os.Stdout
-	if jsonMode {
-		out = os.Stderr
-	}
-	fmt.Fprintln(out)
-	mmv2v.WriteStatsSummary(out, rows)
-	return nil
-}
-
-// writeSeries exports the per-window series rows to path — CSV when the
-// suffix asks for it, JSON Lines otherwise. Unlike -stats there is no
-// summary table: the series is a machine-readable artifact, and stdout
-// stays byte-identical with or without it.
-func writeSeries(path string, rows []mmv2v.SeriesRow) error {
-	mmv2v.SortSeriesRows(rows)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = mmv2v.WriteSeriesCSV(f, rows)
-	} else {
-		err = mmv2v.WriteSeriesJSONL(f, rows)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mmv2v-sim: wrote %d series rows to %s\n", len(rows), path)
-	return nil
 }
 
 // gridDefaults are the per-mode fallbacks for unset grid geometry flags:
@@ -479,22 +424,4 @@ func publishDrive(srv *mmv2v.LiveServer, g *mmv2v.GridWorld, tick, ticks, refres
 		{Name: "drive.ticks", Kind: "counter", Count: uint64(tick)},
 	}
 	srv.Publish(rows, nil, mmv2v.ProgressState{Label: "drive", WindowsDone: tick, WindowsTotal: ticks})
-}
-
-// writeMemProfile snapshots the heap (after forcing a GC so the profile
-// reflects live objects) when -memprofile asked for one.
-func writeMemProfile(path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	err = pprof.WriteHeapProfile(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

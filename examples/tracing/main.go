@@ -1,8 +1,8 @@
-// Tracing: run one second of mmV2V with the structured event recorder
-// attached and mine the event stream — how long discovery takes to
-// converge, how often matches are broken by better candidates, and how the
-// per-pair MCS rates are distributed. The same stream can be written as
-// JSON Lines with mmv2v.NewTraceJSONL for external tools
+// Tracing: run one second of mmV2V with tracing on and mine the event
+// stream in Result.Trace — how long discovery takes to converge, how often
+// matches are broken by better candidates, and how the per-pair MCS rates
+// are distributed. The same stream can be written as JSON Lines with
+// mmv2v.WriteTraceJSONL for external tools
 // (see `mmv2v-sim -trace events.jsonl`).
 //
 //	go run ./examples/tracing
@@ -17,9 +17,8 @@ import (
 )
 
 func main() {
-	ring := mmv2v.NewTraceRing(200000)
 	cfg := mmv2v.DefaultScenario(15, 42)
-	cfg.Trace = mmv2v.NewTraceRecorder(ring)
+	cfg.Trace = true
 
 	res, err := mmv2v.Run(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()))
 	if err != nil {
@@ -28,8 +27,11 @@ func main() {
 	fmt.Printf("run: OCR=%.3f ATP=%.3f over %d vehicles\n\n",
 		res.Summary.MeanOCR, res.Summary.MeanATP, res.Summary.Vehicles)
 
-	events := ring.Events()
-	counts := ring.CountByKind()
+	events := res.Trace
+	counts := map[mmv2v.TraceKind]int{}
+	for _, e := range events {
+		counts[e.Kind]++
+	}
 	fmt.Println("event volume over 1 s:")
 	for _, k := range []mmv2v.TraceKind{
 		mmv2v.TraceDiscovery, mmv2v.TraceMatch, mmv2v.TraceBreakup,

@@ -70,7 +70,7 @@ func Budget(t phy.Timing, cb phy.Codebook, k, m int) (FrameBudget, error) {
 	var b FrameBudget
 	b.SND = time.Duration(k) * 2 * time.Duration(cb.Sectors.Count) * t.SectorSlot()
 	b.DCM = time.Duration(m) * t.NegotiationSlot
-	b.Refinement = 2*time.Duration(cb.RefinementBeams())*t.SectorSlot() + 2*t.SIFS
+	b.Refinement = t.CrossSearch(cb)
 	control := b.SND + b.DCM + b.Refinement
 	if control >= t.Frame {
 		return FrameBudget{}, fmt.Errorf("analytic: control plane %v exceeds frame %v", control, t.Frame)

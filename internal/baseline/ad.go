@@ -348,8 +348,7 @@ func (a *AD) servicePeriod(spEnd des.Time) {
 	if len(pairs) == 0 {
 		return
 	}
-	refine := 2*time.Duration(a.cfg.Codebook.RefinementBeams())*a.env.Timing.SectorSlot() + 2*a.env.Timing.SIFS
-	streamStart := a.env.Sim.Now().Add(refine)
+	streamStart := a.env.Sim.Now().Add(a.env.Timing.CrossSearch(a.cfg.Codebook))
 	if streamStart >= spEnd {
 		return
 	}

@@ -25,13 +25,12 @@ func TestADSPRotationCoversPairs(t *testing.T) {
 	// With one PBSS of three members and several SPs per frame, the
 	// round-robin must visit different pairs rather than repeating one.
 	env := buildEnv(t, 1e15, []int{0, 1, 2}, []float64{0, 20, 40})
-	ring := trace.NewRing(10000)
-	env.Trace = trace.New(ring)
+	env.Trace = &trace.Log{}
 	a := NewAD(env, DefaultADParams())
 	env.DriveFrames(a, 0, 10)
 	// Collect distinct streaming pairs from the trace.
 	pairs := map[[2]int]bool{}
-	for _, e := range ring.Events() {
+	for _, e := range *env.Trace {
 		if e.Kind == trace.KindStreamStart {
 			x, y := e.A, e.B
 			if x > y {

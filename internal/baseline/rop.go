@@ -338,9 +338,7 @@ func (r *ROP) startUDT() {
 	if len(pairs) == 0 {
 		return
 	}
-	s := time.Duration(r.cfg.Codebook.RefinementBeams())
-	refine := 2*s*r.env.Timing.SectorSlot() + 2*r.env.Timing.SIFS
-	streamStart := r.env.Sim.Now().Add(refine)
+	streamStart := r.env.Sim.Now().Add(r.env.Timing.CrossSearch(r.cfg.Codebook))
 	if streamStart >= r.frameEnd {
 		return
 	}

@@ -133,15 +133,13 @@ func (p *Protocol) DCMDuration() time.Duration {
 }
 
 // RefinementDuration returns the length of the UDT beam-refinement cross
-// search: each side sweeps its s narrow beams once while the other listens,
-// plus a turnaround (or the explicit probe + feedback schedule when
-// ExplicitRefinement is on).
+// search (phy.Timing.CrossSearch), or of the explicit probe + feedback
+// schedule when ExplicitRefinement is on.
 func (p *Protocol) RefinementDuration() time.Duration {
 	if p.cfg.ExplicitRefinement {
 		return p.explicitRefinementDuration()
 	}
-	s := time.Duration(p.cfg.Codebook.RefinementBeams())
-	return 2*s*p.env.Timing.SectorSlot() + 2*p.env.Timing.SIFS
+	return p.env.Timing.CrossSearch(p.cfg.Codebook)
 }
 
 // ControlOverhead returns the non-UDT portion of a frame.

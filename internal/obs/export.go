@@ -82,16 +82,18 @@ func (r *Registry) Rows(scope string) []Row {
 
 // sortRows orders rows by (scope, name, kind) — the stable export order.
 func sortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Scope != b.Scope {
-			return a.Scope < b.Scope
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Kind < b.Kind
-	})
+	sort.Slice(rows, func(i, j int) bool { return rowLess(rows[i], rows[j]) })
+}
+
+// rowLess reports whether a sorts before b in (scope, name, kind) order.
+func rowLess(a, b Row) bool {
+	if a.Scope != b.Scope {
+		return a.Scope < b.Scope
+	}
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Kind < b.Kind
 }
 
 // SortRows orders a concatenation of row snapshots by (scope, name, kind) —
@@ -103,7 +105,10 @@ func SortRows(rows []Row) { sortRows(rows) }
 func formatFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // WriteJSONL writes rows as JSON Lines in slice order.
-func WriteJSONL(w io.Writer, rows []Row) error {
+func WriteJSONL(w io.Writer, rows []Row) error { return writeJSONL(w, rows) }
+
+// writeJSONL writes rows of any export type as JSON Lines in slice order.
+func writeJSONL[T any](w io.Writer, rows []T) error {
 	enc := json.NewEncoder(w)
 	for _, row := range rows {
 		if err := enc.Encode(row); err != nil {
@@ -116,20 +121,28 @@ func WriteJSONL(w io.Writer, rows []Row) error {
 // WriteCSV writes rows as CSV with a fixed header. Histogram buckets render
 // in one column as "le=n;le=n;...".
 func WriteCSV(w io.Writer, rows []Row) error {
-	if _, err := fmt.Fprintln(w, "scope,name,kind,count,sum,min,max,buckets"); err != nil {
+	return writeCSV(w, "scope", rows, func(r Row) (string, Row) { return r.Scope, r })
+}
+
+// writeCSV writes rows of any export type as CSV: split returns a row's
+// leading key columns (named by keyHeader) and the metric whose name, kind
+// and aggregates fill the remaining columns.
+func writeCSV[T any](w io.Writer, keyHeader string, rows []T, split func(T) (key string, m Row)) error {
+	if _, err := fmt.Fprintln(w, keyHeader+",name,kind,count,sum,min,max,buckets"); err != nil {
 		return err
 	}
 	for _, row := range rows {
+		key, m := split(row)
 		var buckets strings.Builder
-		for k, b := range row.Buckets {
+		for k, b := range m.Buckets {
 			if k > 0 {
 				_ = buckets.WriteByte(';') // strings.Builder never errors
 			}
 			fmt.Fprintf(&buckets, "%s=%d", b.LE, b.N)
 		}
 		if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%s,%s,%s,%s\n",
-			row.Scope, row.Name, row.Kind, row.Count,
-			formatFloat(row.Sum), formatFloat(row.Min), formatFloat(row.Max),
+			key, m.Name, m.Kind, m.Count,
+			formatFloat(m.Sum), formatFloat(m.Min), formatFloat(m.Max),
 			buckets.String()); err != nil {
 			return err
 		}

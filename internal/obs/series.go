@@ -23,11 +23,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // SeriesPoint is one window's sampled deltas: rows sorted by (name, kind),
@@ -208,16 +207,12 @@ func MergeSeries(parts []*Series) *Series {
 }
 
 // SeriesRow is one metric's delta in one window, flattened for export.
+// Scope and Window lead every export, so the embedded Row carries the
+// metric with its own Scope left empty.
 type SeriesRow struct {
-	Scope   string        `json:"scope,omitempty"`
-	Window  int           `json:"window"`
-	Name    string        `json:"name"`
-	Kind    string        `json:"kind"`
-	Count   uint64        `json:"count"`
-	Sum     float64       `json:"sum"`
-	Min     float64       `json:"min"`
-	Max     float64       `json:"max"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
+	Scope  string `json:"scope,omitempty"`
+	Window int    `json:"window"`
+	Row
 }
 
 // SeriesRows flattens points into export rows, all stamped with the given
@@ -226,17 +221,7 @@ func SeriesRows(points []SeriesPoint, scope string) []SeriesRow {
 	var out []SeriesRow
 	for _, pt := range points {
 		for _, row := range pt.Rows {
-			out = append(out, SeriesRow{
-				Scope:   scope,
-				Window:  pt.Window,
-				Name:    row.Name,
-				Kind:    row.Kind,
-				Count:   row.Count,
-				Sum:     row.Sum,
-				Min:     row.Min,
-				Max:     row.Max,
-				Buckets: row.Buckets,
-			})
+			out = append(out, SeriesRow{Scope: scope, Window: pt.Window, Row: row})
 		}
 	}
 	return out
@@ -254,44 +239,17 @@ func SortSeriesRows(rows []SeriesRow) {
 		if a.Window != b.Window {
 			return a.Window < b.Window
 		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Kind < b.Kind
+		return rowLess(a.Row, b.Row)
 	})
 }
 
 // WriteSeriesJSONL writes series rows as JSON Lines in slice order.
-func WriteSeriesJSONL(w io.Writer, rows []SeriesRow) error {
-	enc := json.NewEncoder(w)
-	for _, row := range rows {
-		if err := enc.Encode(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func WriteSeriesJSONL(w io.Writer, rows []SeriesRow) error { return writeJSONL(w, rows) }
 
 // WriteSeriesCSV writes series rows as CSV with a fixed header; histogram
 // buckets render in one column as "le=n;le=n;...", like WriteCSV.
 func WriteSeriesCSV(w io.Writer, rows []SeriesRow) error {
-	if _, err := fmt.Fprintln(w, "scope,window,name,kind,count,sum,min,max,buckets"); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		var buckets strings.Builder
-		for k, b := range row.Buckets {
-			if k > 0 {
-				_ = buckets.WriteByte(';') // strings.Builder never errors
-			}
-			fmt.Fprintf(&buckets, "%s=%d", b.LE, b.N)
-		}
-		if _, err := fmt.Fprintf(w, "%s,%d,%s,%s,%d,%s,%s,%s,%s\n",
-			row.Scope, row.Window, row.Name, row.Kind, row.Count,
-			formatFloat(row.Sum), formatFloat(row.Min), formatFloat(row.Max),
-			buckets.String()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeCSV(w, "scope,window", rows, func(r SeriesRow) (string, Row) {
+		return r.Scope + "," + strconv.Itoa(r.Window), r.Row
+	})
 }

@@ -168,6 +168,13 @@ func (t Timing) Validate() error {
 // round).
 func (t Timing) SectorSlot() time.Duration { return t.BeamSwitch + t.SSW }
 
+// CrossSearch returns the length of the UDT beam-refinement cross search
+// over cb's narrow beams: each side sweeps its s narrow beams once while the
+// other listens, each sweep followed by a turnaround (Sec. III-D).
+func (t Timing) CrossSearch(cb Codebook) time.Duration {
+	return 2*time.Duration(cb.RefinementBeams())*t.SectorSlot() + 2*t.SIFS
+}
+
 // Codebook is the multi-level beam codebook of a phased array: S sector-level
 // wide positions for sweeping (width α for Tx, β for Rx) and a dense ring of
 // narrow beams (pitch θ_min) for refinement.

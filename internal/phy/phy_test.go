@@ -134,6 +134,10 @@ func TestDefaultTiming(t *testing.T) {
 	if round < 700*time.Microsecond || round > 800*time.Microsecond {
 		t.Errorf("SND round duration = %v, want ≈0.8 ms", round)
 	}
+	// Cross search: 2 sides × s = 6 narrow beams × 16 µs + 2 SIFS of 3 µs.
+	if got := tm.CrossSearch(DefaultCodebook()); got != 198*time.Microsecond {
+		t.Errorf("CrossSearch = %v, want 198µs", got)
+	}
 }
 
 func TestTimingValidate(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestRunTrialsTraceIdenticalAcrossWorkers pins the parallel-trace contract:
-// traced pooled runs use every worker, and the replayed event stream —
+// traced pooled runs use every worker, and the merged event stream —
 // trial-stamped, trial-major — is identical for any worker count.
 func TestRunTrialsTraceIdenticalAcrossWorkers(t *testing.T) {
 	const trials = 4
@@ -21,12 +21,12 @@ func TestRunTrialsTraceIdenticalAcrossWorkers(t *testing.T) {
 		cfg := sim.DefaultConfig(10, 21)
 		cfg.WindowSec = 0.1
 		cfg.Workers = workers
-		cap := trace.NewCapture()
-		cfg.Trace = trace.New(cap)
-		if _, err := sim.RunTrials(cfg, greedyFactory(), trials); err != nil {
+		cfg.Trace = true
+		res, err := sim.RunTrials(cfg, greedyFactory(), trials)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return cap.Events()
+		return res.Trace
 	}
 	one := run(1)
 	eight := run(8)
@@ -36,7 +36,7 @@ func TestRunTrialsTraceIdenticalAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(one, eight) {
 		t.Fatalf("trace streams differ: %d events with 1 worker, %d with 8", len(one), len(eight))
 	}
-	// The replay stamps trial indices and orders trial-major.
+	// The merge stamps trial indices and orders trial-major.
 	seenLast := -1
 	for _, e := range one {
 		if e.Trial < seenLast {
@@ -46,6 +46,23 @@ func TestRunTrialsTraceIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if seenLast == 0 {
 		t.Fatal("all events stamped trial 0; expected events from later trials")
+	}
+}
+
+// TestMergeTrialsStampsTraceBySlot checks that the merge concatenates the
+// trials' events in slot order, stamps each with its slot, and takes none
+// from a failed (nil) slot.
+func TestMergeTrialsStampsTraceBySlot(t *testing.T) {
+	ev := func(trial, frame int) trace.Event {
+		return trace.Event{Trial: trial, Frame: frame, Kind: trace.KindMatch}
+	}
+	pooled := sim.MergeTrials([]*sim.Result{
+		{Trace: []trace.Event{ev(0, 0), ev(0, 1)}},
+		nil,
+		{Trace: []trace.Event{ev(0, 2)}},
+	})
+	if want := []trace.Event{ev(0, 0), ev(0, 1), ev(2, 2)}; !reflect.DeepEqual(pooled.Trace, want) {
+		t.Errorf("pooled trace = %+v, want %+v", pooled.Trace, want)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"mmv2v/internal/metrics"
 	"mmv2v/internal/obs"
-	"mmv2v/internal/trace"
 	"mmv2v/internal/xrand"
 )
 
@@ -96,11 +95,7 @@ func Gather(n int, job func(i int) error) error {
 // the pooled Result is bit-identical for any worker count — and to the
 // serial loop this engine replaced. cfg.Workers is ignored here: the
 // receiver's bound governs, so experiment grids sharing one Runner get one
-// global concurrency budget. When cfg.Trace is set, every trial records
-// into its own private capture and the captures replay into cfg.Trace in
-// trial order after the pool drains, each event stamped with its trial
-// index — so traced runs use every worker and still emit a deterministic
-// stream.
+// global concurrency budget.
 //
 // Each trial is crash-isolated: a panicking or erroring trial becomes a
 // TrialError in Result.Failures while the remaining trials complete and
@@ -122,19 +117,10 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 	}
 	results := make([]*Result, trials)
 	failures := make([]*TrialError, trials)
-	captures := make([]*trace.Capture, trials)
 	_ = r.Do(trials, func(tr int) error {
 		c := cfg
 		c.Seed = xrand.Mix(cfg.Seed, uint64(tr))
 		c.Trial = tr
-		// Each trial traces into a private capture; only a successful
-		// trial's capture is kept for replay, so a crash leaves no partial
-		// events behind.
-		var cp *trace.Capture
-		if cfg.Trace != nil {
-			cp = trace.NewCapture()
-			c.Trace = trace.New(cp)
-		}
 		res, err := runIsolated(c, factory)
 		if err != nil {
 			te := &TrialError{
@@ -152,22 +138,8 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 			return te
 		}
 		results[tr] = res
-		captures[tr] = cp
 		return nil
 	})
-	if cfg.Trace != nil {
-		// Replay trial-major: slot order is deterministic for any worker
-		// count, so the merged stream matches a serial traced run.
-		for tr, cp := range captures {
-			if cp == nil {
-				continue
-			}
-			for _, e := range cp.Events() {
-				e.Trial = tr
-				cfg.Trace.Emit(e)
-			}
-		}
-	}
 	if each != nil {
 		for tr, res := range results {
 			if res != nil {
@@ -193,6 +165,8 @@ func (r *Runner) RunTrialsEach(cfg Config, factory Factory, trials int, each fun
 
 // MergeTrials pools per-trial results in slice (= trial) order, skipping
 // failed (nil) slots; each failure degrades one data point, not the run.
+// Trace events concatenate in slot order, each stamped with its slot index;
+// a failed slot adds none.
 // Exported for the run-log replay path, which reconstructs the per-trial
 // results from a log and re-pools them exactly as the original run did.
 func MergeTrials(results []*Result) *Result {
@@ -200,9 +174,13 @@ func MergeTrials(results []*Result) *Result {
 	parts := make([][]metrics.VehicleStats, 0, len(results))
 	regs := make([]*obs.Registry, 0, len(results))
 	series := make([]*obs.Series, 0, len(results))
-	for _, r := range results {
+	for tr, r := range results {
 		if r == nil {
 			continue
+		}
+		for _, e := range r.Trace {
+			e.Trial = tr
+			pooled.Trace = append(pooled.Trace, e)
 		}
 		pooled.Protocol = r.Protocol
 		pooled.Windows = append(pooled.Windows, r.Windows...)

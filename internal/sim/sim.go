@@ -63,11 +63,12 @@ type Config struct {
 	// a config with every intensity zero, is an exact no-op: outputs are
 	// byte-identical to a run without fault injection.
 	Faults *faults.Config
-	// Trace, when non-nil, receives structured protocol events
-	// (discoveries, matches, streams, completions). Nil disables tracing
-	// at zero cost. Pooled runs replay per-trial captures into this
-	// recorder in trial order, each event stamped with its trial index.
-	Trace *trace.Recorder
+	// Trace, when true, gives every trial a trace.Log recording structured
+	// protocol events (discoveries, matches, streams, completions), returned
+	// as Result.Trace. Pooled logs concatenate in trial order, each event
+	// stamped with its trial index, so the stream is identical for any
+	// worker count. False (the default) keeps every emit site a no-op.
+	Trace bool
 	// Stats, when true, gives every trial an obs.Registry recording
 	// per-layer statistics (control frames, collisions, per-MCS airtime,
 	// beam switches, refresh sizes, fault events, matches/break-ups) and
@@ -160,8 +161,8 @@ type Env struct {
 	Faults *faults.Injector
 	// DemandBits is the per-neighbor task volume of the current window.
 	DemandBits float64
-	// Trace receives protocol events; nil (the default) is a valid no-op.
-	Trace *trace.Recorder
+	// Trace is the trial's event log; nil (the default) drops every event.
+	Trace *trace.Log
 	// Obs is the trial's statistics registry; nil (the default) hands out
 	// nil handles, making every instrumented path a no-op.
 	Obs *obs.Registry
@@ -250,6 +251,10 @@ type Result struct {
 	// RunTrials result; nil otherwise.
 	Obs    *obs.Registry
 	Series *obs.Series
+	// Trace holds the run's protocol events in emission order when
+	// Config.Trace was set, trial-major for a RunTrials result; nil
+	// otherwise.
+	Trace []trace.Event
 }
 
 // MeanLatencySec returns the pooled mean time-to-first-exchange in seconds,
@@ -312,7 +317,9 @@ func NewEnvWithWorld(cfg Config, w *world.World) (*Env, error) {
 		Timing:     cfg.Timing,
 		Seed:       cfg.Seed,
 		DemandBits: cfg.DemandBits,
-		Trace:      cfg.Trace,
+	}
+	if cfg.Trace {
+		env.Trace = &trace.Log{}
 	}
 	if cfg.Stats {
 		env.Obs = obs.New()
@@ -419,6 +426,9 @@ func RunOnEnv(cfg Config, env *Env, factory Factory) (*Result, error) {
 	res.Trials = 1
 	res.Obs = env.Obs
 	res.Series = env.Series
+	if env.Trace != nil {
+		res.Trace = *env.Trace
+	}
 	if cfg.Monitor != nil {
 		cfg.Monitor.TrialDone(cfg.Trial)
 	}

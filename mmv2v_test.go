@@ -153,14 +153,17 @@ func TestFacadeDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestFacadeTracing(t *testing.T) {
-	ring := mmv2v.NewTraceRing(10000)
 	cfg := mmv2v.DefaultScenario(10, 42)
 	cfg.WindowSec = 0.2
-	cfg.Trace = mmv2v.NewTraceRecorder(ring)
-	if _, err := mmv2v.Run(cfg, mmv2v.MMV2V(mmv2v.DefaultParams())); err != nil {
+	cfg.Trace = true
+	res, err := mmv2v.Run(cfg, mmv2v.MMV2V(mmv2v.DefaultParams()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	counts := ring.CountByKind()
+	counts := map[mmv2v.TraceKind]int{}
+	for _, e := range res.Trace {
+		counts[e.Kind]++
+	}
 	if counts[mmv2v.TraceDiscovery] == 0 {
 		t.Error("no discovery events traced")
 	}
@@ -171,7 +174,7 @@ func TestFacadeTracing(t *testing.T) {
 		t.Error("no stream events traced")
 	}
 	// Events carry plausible vehicle ids.
-	for _, e := range ring.Events() {
+	for _, e := range res.Trace {
 		if e.A < 0 || e.A >= 120 {
 			t.Fatalf("event with bad vehicle id: %+v", e)
 		}

@@ -6,10 +6,10 @@ import (
 	"mmv2v/internal/trace"
 )
 
-// Tracing: set ScenarioConfig.Trace to a Recorder to receive structured
-// protocol events (discoveries, matches, break-ups, stream starts, rate
-// changes, completions, PBSS associations). A nil recorder disables tracing
-// at zero cost.
+// Tracing: set ScenarioConfig.Trace to record structured protocol events
+// (discoveries, matches, break-ups, stream starts, rate changes,
+// completions, PBSS associations) into Result.Trace. Off (the default)
+// costs nothing.
 
 // TraceEvent is one recorded protocol occurrence.
 type TraceEvent = trace.Event
@@ -20,30 +20,14 @@ type TraceKind = trace.Kind
 // Trace event kinds.
 const (
 	TraceDiscovery   = trace.KindDiscovery
-	TraceNegotiation = trace.KindNegotiation
 	TraceMatch       = trace.KindMatch
 	TraceBreakup     = trace.KindBreakup
 	TraceStreamStart = trace.KindStreamStart
-	TraceStreamStop  = trace.KindStreamStop
 	TraceRate        = trace.KindRate
 	TraceCompletion  = trace.KindCompletion
 	TraceAssociation = trace.KindAssociation
 )
 
-// TraceRecorder fans protocol events out to sinks.
-type TraceRecorder = trace.Recorder
-
-// TraceSink consumes trace events.
-type TraceSink = trace.Sink
-
-// TraceRing is an in-memory most-recent-events sink.
-type TraceRing = trace.Ring
-
-// NewTraceRecorder builds a recorder over sinks.
-func NewTraceRecorder(sinks ...TraceSink) *TraceRecorder { return trace.New(sinks...) }
-
-// NewTraceRing builds a fixed-capacity in-memory sink.
-func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
-
-// NewTraceJSONL builds a sink writing one JSON object per event.
-func NewTraceJSONL(w io.Writer) *trace.JSONL { return trace.NewJSONL(w) }
+// WriteTraceJSONL writes events as JSON Lines, one object per event, and
+// returns the first write error.
+func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return trace.WriteJSONL(w, events) }
