@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint unitcheck sharecheck alloccheck test test-short race bench bench-json bench-gate profile experiments examples faults city replay fuzz-smoke clean
+.PHONY: all build vet lint unitcheck sharecheck alloccheck test test-short perf-digests race bench bench-json bench-gate profile experiments examples faults city replay fuzz-smoke clean
 
 all: build vet lint test
 
@@ -36,6 +36,12 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The end-to-end benchmark's digest check (~30 s). cmd/mmv2v-perf is its own
+# module, so `go test ./...` at the root skips its tests, which hash every
+# protocol window and the whole 10k-vehicle link table against digests/.
+perf-digests:
+	cd cmd/mmv2v-perf && $(GO) test ./...
 
 # Race-detector pass over the parallel trial runner and experiment fan-out.
 race:

@@ -16,25 +16,47 @@ import (
 )
 
 // StartCPUProfile starts a CPU profile written to path and returns the
-// function that stops it. An empty path profiles nothing.
-func StartCPUProfile(path string) (stop func(), err error) {
+// function that stops it, which reports the first error of the profile's
+// writes and the close. An empty path profiles nothing.
+func StartCPUProfile(path string) (stop func() error, err error) {
 	if path == "" {
-		return func() {}, nil
+		return func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
+	w := &errWriter{w: f}
+	if err := pprof.StartCPUProfile(w); err != nil {
 		_ = f.Close() // the profile never started; report that error instead
 		return nil, err
 	}
-	return func() {
+	return func() error {
+		// StopCPUProfile returns once the profile is written, so w.err is
+		// final here.
 		pprof.StopCPUProfile()
-		// StopCPUProfile flushed the profile; a close error here can only
-		// lose an artifact the run already reported on, so drop it.
-		_ = f.Close()
+		err := w.err
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	}, nil
+}
+
+// errWriter passes writes through to w and keeps the first error, which the
+// CPU profile's writer in runtime/pprof drops.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 // WriteMemProfile snapshots the heap to path after forcing a GC, so the

@@ -53,7 +53,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer) error {
+func run(w io.Writer) (err error) {
 	var (
 		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, t2, ablation, trucks, warmup, faults, city, all")
 		trials    = flag.Int("trials", 0, "trials per data point (0 = per-figure default)")
@@ -76,7 +76,11 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() {
+		if serr := stopCPU(); err == nil {
+			err = serr
+		}
+	}()
 	var srv *mmv2v.LiveServer
 	if *httpAddr != "" {
 		srv = mmv2v.NewLiveServer()

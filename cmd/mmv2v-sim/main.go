@@ -69,7 +69,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		density   = flag.Float64("density", 15, "traffic density in vehicles/lane/km (paper: 15-30)")
 		protocol  = flag.String("protocol", "mmv2v", "protocol: mmv2v, rop, ad, oracle, all")
@@ -133,7 +133,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() {
+		if serr := stopCPU(); err == nil {
+			err = serr
+		}
+	}()
 	if *driveSec > 0 {
 		if err := driveGrid(gridConfig(*gridRows, *gridCols, *gridBlock, *gridVeh, driveGridDefaults), *seed, *driveSec, *refreshMs, srv); err != nil {
 			return err

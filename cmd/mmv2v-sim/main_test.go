@@ -133,7 +133,7 @@ func TestOutputWriteErrorsFail(t *testing.T) {
 		t.Skip("no /dev/full on this platform")
 	}
 	bin := buildSim(t)
-	for _, flag := range []string{"trace", "stats", "series", "memprofile"} {
+	for _, flag := range []string{"trace", "stats", "series", "memprofile", "cpuprofile"} {
 		t.Run(flag, func(t *testing.T) {
 			stderr, code := runSim(t, bin, append(traceRun, "-"+flag, "/dev/full")...)
 			if code != 1 {

@@ -122,8 +122,8 @@ type Medium struct {
 	// firstOnAir[v] is the onAir index of vehicle v's first such
 	// transmission (-1 when none), chained through onAir[k].next. heard is
 	// a bitmap over onAir of the terms collected for the current listener,
-	// and hits collect's list of them, each with its link entry; its
-	// pointers are cleared after each resolution.
+	// and hits collect's list of them, each with its link entry's payload;
+	// its pointers are cleared after each resolution.
 	group      []*transmission
 	onAir      []airTerm
 	firstOnAir []int32
@@ -382,11 +382,11 @@ type airTerm struct {
 	group bool
 }
 
-// hit is one term a listener hears and the listener's link entry for its
-// sender.
+// hit is one term a listener hears and the payload of the listener's link
+// entry for its sender.
 type hit struct {
-	term *airTerm
-	link *world.Link
+	term    *airTerm
+	payload *world.Payload
 }
 
 // deliverGroup resolves reception of a batch of frames sharing an end time
@@ -396,7 +396,7 @@ type hit struct {
 // TestDeliverGroupMatchesAllPairs:
 //
 //   - A listener takes its interferers from its own link slice
-//     (world.Links), so pairs beyond the interference range are never
+//     (world.Entries), so pairs beyond the interference range are never
 //     evaluated. The all-pairs sum added exactly +0 for them, so skipping
 //     them changes no bit.
 //   - Each (transmitter, listener) received power is evaluated once. It is
@@ -409,6 +409,9 @@ type hit struct {
 //   - The fault model is asked about the same (vehicle, now) set as the
 //     all-pairs form: every active listener and, once some listener's
 //     radio is live, every sender on the air in the window.
+//   - A listener that hears no live batch frame would decode nothing, so
+//     it evaluates no power once its link slice is walked. Under slot
+//     jitter a batch is about one frame, and most listeners are such.
 func (m *Medium) deliverGroup(group []*transmission) {
 	noise := m.w.Channel().NoiseMw()
 	now := m.sim.Now()
@@ -449,10 +452,12 @@ func (m *Medium) deliverGroup(group []*transmission) {
 		if m.firstOnAir[j] >= 0 {
 			continue
 		}
-		total, n := m.collect(j, l.beam)
+		total, n, batch := m.collect(j, l.beam)
 		visits++
 		evals += n
-		m.decode(j, l, total, noise, now)
+		if batch {
+			m.decode(j, l, total, noise, now)
+		}
 		clear(m.heard)
 	}
 	clear(m.onAir) // let retired frames be collected
@@ -519,18 +524,19 @@ func (m *Medium) askRadios(now des.Time) {
 // collect evaluates the power listener j receives from every live term on
 // the air whose sender is in j's link slice, marks each in heard, and
 // returns their sum in onAir (that is, m.active) order with the number of
-// powers evaluated. Each power reads only j's own link entry, completed
-// only if its sender is on the air. A first pass walks the link slice and
-// gathers the hits; a second runs the gain kernel over them.
-func (m *Medium) collect(j int, rxBeam phy.Beam) (units.MilliWatt, int) {
-	links := m.w.Entries(j)
+// powers evaluated. Each power reads only the payload of j's own link
+// entry, completed only if its sender is on the air. A first pass walks
+// the link slice and gathers the hits; a second runs the gain kernel over
+// them, unless no hit is a batch frame, which batch reports.
+func (m *Medium) collect(j int, rxBeam phy.Beam) (total units.MilliWatt, evals int, batch bool) {
+	slots, payloads := m.w.Entries(j)
 	hits := m.hits[:0]
-	for i := range links {
-		first := m.firstOnAir[links[i].J]
+	for i := range slots {
+		first := m.firstOnAir[slots[i].J]
 		if first < 0 {
 			continue
 		}
-		if links[i].Pending() {
+		if slots[i].Pending() {
 			m.w.Complete(j, i)
 		}
 		for k := first; k >= 0; k = m.onAir[k].next {
@@ -538,23 +544,26 @@ func (m *Medium) collect(j int, rxBeam phy.Beam) (units.MilliWatt, int) {
 			// A transmitter whose radio died mid-frame radiates nothing.
 			if a.live {
 				//mmv2v:alloc never grows: indexOnAir sized hits to onAir, and each term is heard at most once
-				hits = append(hits, hit{term: a, link: &links[i]})
+				hits = append(hits, hit{term: a, payload: &payloads[i]})
 				m.heard[k/64] |= 1 << (k % 64)
+				batch = batch || a.group
 			}
 		}
 	}
+	m.hits = hits
+	if !batch {
+		return 0, 0, false
+	}
 	rx := m.w.Aim(rxBeam)
 	for _, h := range hits {
-		h.term.rxMw = m.w.RxPowerMwOn(h.link, h.term.aim, rx)
+		h.term.rxMw = m.w.RxPowerMwOn(h.payload, h.term.aim, rx)
 	}
-	m.hits = hits
-	total := units.MilliWatt(0)
 	for w, word := range m.heard {
 		for ; word != 0; word &= word - 1 {
 			total += m.onAir[w*64+bits.TrailingZeros64(word)].rxMw
 		}
 	}
-	return total, len(hits)
+	return total, len(hits), true
 }
 
 // silentBelow is the linear SINR under which a heard frame can neither

@@ -82,9 +82,16 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 			continue
 		}
 		// The work counters count each interference term once: the
-		// desired signals below are the same evaluations again.
+		// desired signals below are the same evaluations again. A listener
+		// with no live batch frame in range decodes nothing, so its terms
+		// count as no evaluations.
 		m.obsListenerVisit.Inc()
-		m.obsPowerEvals.Add(evals)
+		for _, g := range group {
+			if _, ok := m.w.Link(j, g.from); ok && (m.faults == nil || m.faults.RadioUp(g.from, now)) {
+				m.obsPowerEvals.Add(evals)
+				break
+			}
+		}
 		for _, g := range group {
 			if g.from == j {
 				continue

@@ -55,7 +55,7 @@ func FuzzGainKernel(f *testing.F) {
 		for _, bw := range widths {
 			beam := w.Aim(phy.Beam{Bearing: geom.Bearing(boresight), Width: bw})
 			want := beam.pattern.Gain(geom.AngleDiff(beam.Bearing, geom.Bearing(toward)))
-			l := Link{Bearing: geom.Bearing(toward), BackBearing: geom.Bearing(toward), PathGainLin: 1}
+			l := Payload{Bearing: geom.Bearing(toward), BackBearing: geom.Bearing(toward), PathGainLin: 1}
 			gTx := w.RxPowerMwOn(&l, beam, omni).MW()
 			gRx := w.RxPowerMwOn(&l, omni, beam).MW()
 			if math.Float64bits(gTx) != math.Float64bits(want) || math.Float64bits(gRx) != math.Float64bits(want) {

@@ -55,9 +55,10 @@ func checkLinkLookup(t *testing.T, w *World) {
 	for i := 0; i < n; i++ {
 		// Links(i) must be in ascending partner-x order — the invariant
 		// Link's binary search relies on.
-		dense := make(map[int]Link, len(w.Links(i)))
-		for k, l := range w.Links(i) {
-			if k > 0 && w.pos[l.J].X < w.pos[w.Links(i)[k-1].J].X {
+		ls := w.Links(i)
+		dense := make(map[int]Link, len(ls))
+		for k, l := range ls {
+			if k > 0 && w.pos[l.J].X < w.pos[ls[k-1].J].X {
 				t.Fatalf("vehicle %d links not sorted by partner x", i)
 			}
 			dense[int(l.J)] = l
@@ -119,6 +120,9 @@ func symmetryWorlds(t *testing.T) []namedWorld {
 func TestLinkSymmetry(t *testing.T) {
 	if size := unsafe.Sizeof(Link{}); size != 40 {
 		t.Errorf("Link is %d bytes, want 40", size)
+	}
+	if slot, payload := unsafe.Sizeof(Slot{}), unsafe.Sizeof(Payload{}); slot != 8 || payload != 32 {
+		t.Errorf("an entry is a %d-byte slot and a %d-byte payload, want 8 and 32", slot, payload)
 	}
 	bits := math.Float64bits
 	for _, nw := range symmetryWorlds(t) {
@@ -193,9 +197,10 @@ func TestRxPowerKernelMatchesTwoLookups(t *testing.T) {
 		}
 		compared := 0
 		for rx := 0; rx < w.NumVehicles(); rx++ {
-			for k := range w.Links(rx) {
-				l := &w.Links(rx)[k]
-				tx := int(l.J)
+			slots, _ := w.Entries(rx)
+			for _, s := range slots {
+				tx := int(s.J)
+				l := w.Entry(rx, tx)
 				for draw := 0; draw < 4; draw++ {
 					txBeam, rxBeam := beam(tx), beam(rx)
 					want := rxPowerMwTwoLookups(w, tx, rx, txBeam, rxBeam)

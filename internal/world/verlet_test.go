@@ -381,11 +381,12 @@ func readSample(w *World, rng *xrand.Source) {
 	}
 	for _, i := range rng.Perm(w.n) {
 		path := rng.Intn(3)
-		for k, l := range w.Entries(i) {
-			j := int(l.J)
+		slots, _ := w.Entries(i)
+		for k, s := range slots {
+			j := int(s.J)
 			switch {
 			case path == 2:
-				if onAir[j] && l.Pending() {
+				if onAir[j] && s.Pending() {
 					w.Complete(i, k)
 				}
 			case rng.Intn(4) > 0:
@@ -405,10 +406,11 @@ func readSample(w *World, rng *xrand.Source) {
 func checkMirrors(t *testing.T, refresh int, w *World) {
 	t.Helper()
 	for i := 0; i < w.n; i++ {
-		for _, l := range w.Entries(i) {
-			if m := w.links[w.find(int(l.J), i)]; m.Pending() != l.Pending() {
+		slots, _ := w.Entries(i)
+		for _, s := range slots {
+			if m := w.slots[w.find(int(s.J), i)]; m.Pending() != s.Pending() {
 				t.Fatalf("refresh %d: entry %d→%d pending %v, its mirror %v",
-					refresh, i, l.J, l.Pending(), m.Pending())
+					refresh, i, s.J, s.Pending(), m.Pending())
 			}
 		}
 	}

@@ -36,11 +36,12 @@
 // without a dense pair matrix.
 //
 // Protocols read only a fraction of the table between two refreshes, so a
-// refresh writes each in-range pair's partner and distance and leaves the
-// pair pending. Its blocker count, path gain and bearings are completed the
-// first time either entry is read, from the same refresh's positions,
-// bodies and lists, and the LOS neighbor sets are derived on first use: the
-// bits are those an eager refresh writes (DESIGN.md §10).
+// refresh writes each in-range pair's two 8-byte slots, partner and pending
+// marker, and leaves the pair pending. Its distance, blocker count, path
+// gain and bearings are completed the first time either entry is read, from
+// the same refresh's positions, bodies and lists, into the slots and a
+// parallel array of payloads, and the LOS neighbor sets are derived on first
+// use: the bits are those an eager refresh writes (DESIGN.md §10).
 package world
 
 import (
@@ -112,15 +113,9 @@ func (c Config) CellSizeM() float64 {
 // Link is one directed entry of the pair table: the link from a vehicle to
 // peer J. Dist, Blockers and PathGainLin are symmetric; Bearing is the
 // compass bearing from the owning vehicle toward J, and BackBearing the
-// bearing from J toward the owner (bit for bit J's own entry's Bearing), so
-// one entry carries everything a received power needs. J and Blockers are
-// int32, like the world's other vehicle indexes, so the entry stays 40
-// bytes.
-//
-// An entry Refresh has not completed yet is pending: only J and Dist are
-// set, and Blockers holds a negative marker for complete (-1 for a pair
-// with a loose member, -2-p for listed pair p). Links, Link, RxPowerMw and
-// Complete hand out completed entries only.
+// bearing from J toward the owner (bit for bit J's own entry's Bearing).
+// The table stores an entry as a Slot and a Payload; Link and Links
+// assemble completed entries into this value.
 type Link struct {
 	J           int32
 	Blockers    int32
@@ -133,8 +128,29 @@ type Link struct {
 // LOS reports whether the link has an unobstructed line of sight.
 func (l Link) LOS() bool { return l.Blockers == 0 }
 
+// Slot is the part of a pair-table entry Refresh writes: the partner J and
+// the blocker count. J and Blockers are int32, like the world's other
+// vehicle indexes, so a slot is 8 bytes. While the entry is pending,
+// Blockers holds a negative marker for complete (-1 for a pair with a loose
+// member, -2-p for listed pair p), and complete replaces it with the count.
+type Slot struct {
+	J        int32
+	Blockers int32
+}
+
 // Pending reports whether the entry still awaits completion.
-func (l Link) Pending() bool { return l.Blockers < 0 }
+func (s Slot) Pending() bool { return s.Blockers < 0 }
+
+// Payload is the part of a pair-table entry complete writes, 32 bytes:
+// everything a received power needs beside the partner, so the gain kernel
+// reads one payload. A pending entry's payload holds whatever an earlier
+// refresh left there.
+type Payload struct {
+	Dist        units.Meter
+	Bearing     geom.Bearing
+	BackBearing geom.Bearing
+	PathGainLin float64
+}
 
 // The Verlet lists' margins (DESIGN.md §10). They set how long the lists
 // stay useful, not whether the counts are right.
@@ -164,16 +180,19 @@ type World struct {
 	heading []geom.Bearing
 	speed   []units.MeterPerSec
 	// The pair table in CSR form: vehicle i's entries are
-	// links[linkStart[i]:linkStart[i+1]], in ascending partner rank, and its
-	// LOS neighbors nbrs[nbrStart[i]:nbrStart[i+1]], derived from the table
-	// when nbrsStale. fill holds each vehicle's degree, then its write
-	// cursor, while Refresh fills links.
-	links     []Link
+	// slots[linkStart[i]:linkStart[i+1]], in ascending partner rank, with
+	// their payloads at the same indexes of payloads, and its LOS neighbors
+	// nbrs[nbrStart[i]:nbrStart[i+1]], derived from the table when
+	// nbrsStale. fill holds each vehicle's degree, then its write cursor,
+	// while Refresh fills slots. linkBuf holds the entries Links assembles.
+	slots     []Slot
+	payloads  []Payload
 	linkStart []int32
 	nbrs      []int
 	nbrStart  []int32
 	nbrsStale bool
 	fill      []int32
+	linkBuf   []Link
 	// halfLen/halfWid/halfDiag cache per-vehicle body half extents and the
 	// half-diagonal bound used to prune blocker candidates; frames cache
 	// each body's corner geometry for the blockage tests (one sincos per
@@ -499,13 +518,14 @@ func (w *World) Refresh() {
 		entries += deg
 	}
 	w.linkStart[w.n] = entries
-	w.links = grow(w.links, int(entries))
+	w.slots = grow(w.slots, int(entries))
+	w.payloads = grow(w.payloads, int(entries))
 	w.listedPairs(true)
 	w.loosePairs(true)
-	// The fill left each vehicle's entries nearly sorted by partner rank,
-	// the order Link binary-searches, so an insertion sort suffices.
+	// The fill left each vehicle's slots nearly sorted by partner rank, the
+	// order Link binary-searches, so an insertion sort suffices.
 	for i := 0; i < w.n; i++ {
-		w.sortLinksByRank(w.links[w.linkStart[i]:w.linkStart[i+1]])
+		w.sortSlotsByRank(w.slots[w.linkStart[i]:w.linkStart[i+1]])
 	}
 	w.nbrsStale = true
 	w.obsRefreshes.Inc()
@@ -652,7 +672,7 @@ func (w *World) candidates(i, j int, p int32) []int32 {
 
 // listedPairs walks the listed pairs of two settled (not loose) vehicles
 // that are in range. With put false it counts each vehicle's degree into
-// fill; with put true it writes the pairs' pending entries.
+// fill; with put true it writes the pairs' pending slots.
 func (w *World) listedPairs(put bool) {
 	for k, a32 := range w.listOwner {
 		a := int(a32)
@@ -661,41 +681,29 @@ func (w *World) listedPairs(put bool) {
 		}
 		for p := w.listStart[k]; p < w.listStart[k+1]; p++ {
 			b := int(w.pairB[p])
-			if w.loose[b] {
+			if w.loose[b] || !w.inRange(w.pos[a], w.pos[b]) {
 				continue
 			}
-			if !put {
-				if w.inRange(w.pos[a], w.pos[b]) {
-					w.fill[a]++
-					w.fill[b]++
-				}
-				continue
-			}
-			if d, ok := w.rangeDist(w.pos[a], w.pos[b]); ok {
-				w.put(a, b, d, -2-p)
+			if put {
+				w.put(a, b, -2-p)
+			} else {
+				w.fill[a]++
+				w.fill[b]++
 			}
 		}
 	}
 }
 
-// rangeDist returns the distance of pa and pb and whether it puts them in
-// range: distinct, and within InterferenceRange. It is the write passes'
-// test, and the one Dist of a pair per refresh.
-func (w *World) rangeDist(pa, pb geom.Vec) (units.Meter, bool) {
-	d := pa.Dist(pb)
-	//mmv2v:exact Dist is exactly 0 only for identical coordinates (co-located sentinel)
-	return d, !(d > w.cfg.InterferenceRange || d == 0)
-}
-
-// rangeBand is the relative width of the band around the squared
-// interference range inside which inRange defers to rangeDist. The squared
+// rangeBand is the relative width of the band around a squared range
+// inside which the squared distance cannot decide against Dist. The squared
 // distance and Dist each round by a few ulps, far inside it.
 const rangeBand = 1e-9
 
-// inRange is rangeDist's verdict for the count passes, decided from the
-// squared distance without a Hypot: Dist's rounding can only matter inside
-// the rangeBand around the range, and Dist is exactly 0 only for identical
-// coordinates.
+// inRange reports whether pa and pb are a pair of the table: distinct, and
+// no farther apart by Dist than InterferenceRange. It decides from the
+// squared distance and runs Dist (a Hypot) only inside the rangeBand, where
+// Dist's rounding can tip the verdict; a difference, like Dist, is exactly
+// 0 only for identical coordinates.
 func (w *World) inRange(pa, pb geom.Vec) bool {
 	dx, dy := pb.X-pa.X, pb.Y-pa.Y
 	d2 := dx*dx + dy*dy
@@ -704,17 +712,21 @@ func (w *World) inRange(pa, pb geom.Vec) bool {
 		//mmv2v:exact a difference is exactly 0 only for identical coordinates, as Dist is
 		return dx != 0 || dy != 0
 	}
-	if d2 > r*r*(1+rangeBand) {
-		return false
-	}
-	_, ok := w.rangeDist(pa, pb)
-	return ok
+	return d2 <= r*r*(1+rangeBand) && !(pa.Dist(pb) > w.cfg.InterferenceRange)
+}
+
+// beyond reports whether pa and pb are farther apart by Dist than r,
+// decided from the squared distance alone: false inside the rangeBand,
+// where only Dist can tell.
+func beyond(pa, pb geom.Vec, r float64) bool {
+	dx, dy := pb.X-pa.X, pb.Y-pa.Y
+	return dx*dx+dy*dy > r*r*(1+rangeBand)
 }
 
 // loosePairs walks the in-range pairs with a loose member, found by each
 // loose vehicle's cell scan out to the interference range (a pair of two
 // loose vehicles from its lower-ranked one). With put false it counts
-// degrees into fill; with put true it writes the pairs' pending entries and
+// degrees into fill; with put true it writes the pairs' pending slots and
 // counts them as recounted in full.
 func (w *World) loosePairs(put bool) {
 	if w.nLoose == 0 {
@@ -739,19 +751,15 @@ func (w *World) loosePairs(put bool) {
 					}
 					pb := w.pos[b]
 					if pb.X-pa.X > rangeM || pa.X-pb.X > rangeM ||
-						pb.Y-pa.Y > rangeM || pa.Y-pb.Y > rangeM {
+						pb.Y-pa.Y > rangeM || pa.Y-pb.Y > rangeM || !w.inRange(pa, pb) {
 						continue
 					}
-					if !put {
-						if w.inRange(pa, pb) {
-							w.fill[a]++
-							w.fill[b]++
-						}
-						continue
-					}
-					if d, ok := w.rangeDist(pa, pb); ok {
-						w.put(a, b, d, -1)
+					if put {
+						w.put(a, b, -1)
 						w.recounted++
+					} else {
+						w.fill[a]++
+						w.fill[b]++
 					}
 				}
 			}
@@ -759,40 +767,41 @@ func (w *World) loosePairs(put bool) {
 	}
 }
 
-// put writes pair (a, b)'s two pending entries at the vehicles' fill
-// cursors: partner and distance, with pending, complete's marker, in
-// Blockers. The other fields are left as they are until complete.
-func (w *World) put(a, b int, d units.Meter, pending int32) {
+// put writes pair (a, b)'s two pending slots at the vehicles' fill
+// cursors: the partner, with pending, complete's marker, in Blockers. The
+// payloads are left as they are until complete.
+func (w *World) put(a, b int, pending int32) {
 	ka, kb := w.fill[a], w.fill[b]
-	la, lb := &w.links[ka], &w.links[kb]
-	la.J, la.Blockers, la.Dist = int32(b), pending, d
-	lb.J, lb.Blockers, lb.Dist = int32(a), pending, d
+	w.slots[ka] = Slot{J: int32(b), Blockers: pending}
+	w.slots[kb] = Slot{J: int32(a), Blockers: pending}
 	w.fill[a], w.fill[b] = ka+1, kb+1
 }
 
 // complete fills pending entry e, which vehicle i owns, and its mirror in
 // the partner's slice: the blocker count (in full for a pair with a loose
 // member, from the pair's candidate list otherwise, gathered with its
-// owner's on first use), the path gain and both bearings. Every quantity
-// is computed from the pair's lower-ranked member, the orientation the
-// legacy x-sweep used, and from the last refresh's positions, bodies,
-// cells and lists, so the bits are an eager refresh's.
+// owner's on first use) into both slots, and the distance, path gain and
+// both bearings into both payloads. Every quantity is computed from the
+// pair's lower-ranked member, the orientation the legacy x-sweep used, and
+// from the last refresh's positions, bodies, cells and lists, so the bits
+// are an eager refresh's; Dist takes the absolute value of each coordinate
+// difference, so it is the same bits from either member.
 func (w *World) complete(i int, e int32) {
-	l := &w.links[e]
-	j := int(l.J)
+	marker := w.slots[e].Blockers
+	j := int(w.slots[e].J)
 	a, b := i, j
 	if w.rank[j] < w.rank[i] {
 		a, b = j, i
 	}
 	pa, pb := w.pos[a], w.pos[b]
-	d := l.Dist
+	d := pa.Dist(pb)
 	var blockers int
-	if l.Blockers == -1 {
+	if marker == -1 {
 		blockers = w.countBlockers(a, b, d.M(), w.maxDiag)
 	} else {
 		var s sight
 		s.set(pa, pb, d.M())
-		blockers = w.listedBlockers(&s, w.candidates(i, j, -2-l.Blockers))
+		blockers = w.listedBlockers(&s, w.candidates(i, j, -2-marker))
 	}
 	gain := w.model.PathGainLin(d, blockers) * w.shadowFactor(a, b)
 	if w.linkFault != nil {
@@ -804,10 +813,9 @@ func (w *World) complete(i int, e int32) {
 	if a != i {
 		ea, eb = eb, ea
 	}
-	w.links[ea] = Link{J: int32(b), Blockers: int32(blockers), Dist: d,
-		Bearing: bAB, BackBearing: bBA, PathGainLin: gain}
-	w.links[eb] = Link{J: int32(a), Blockers: int32(blockers), Dist: d,
-		Bearing: bBA, BackBearing: bAB, PathGainLin: gain}
+	w.slots[ea].Blockers, w.slots[eb].Blockers = int32(blockers), int32(blockers)
+	w.payloads[ea] = Payload{Dist: d, Bearing: bAB, BackBearing: bBA, PathGainLin: gain}
+	w.payloads[eb] = Payload{Dist: d, Bearing: bBA, BackBearing: bAB, PathGainLin: gain}
 }
 
 // mirror returns the index of j's entry toward i; below reports whether i
@@ -820,20 +828,20 @@ func (w *World) complete(i int, e int32) {
 func (w *World) mirror(j, i int, below bool) int32 {
 	lo, hi := w.linkStart[j], w.linkStart[j+1]-1
 	if below {
-		if m := lo + w.rank[i] - w.rank[w.links[lo].J]; m <= hi && w.links[m].J == int32(i) {
+		if m := lo + w.rank[i] - w.rank[w.slots[lo].J]; m <= hi && w.slots[m].J == int32(i) {
 			return m
 		}
 		m := lo
-		for w.links[m].J != int32(i) {
+		for w.slots[m].J != int32(i) {
 			m++
 		}
 		return m
 	}
-	if m := hi - (w.rank[w.links[hi].J] - w.rank[i]); m >= lo && w.links[m].J == int32(i) {
+	if m := hi - (w.rank[w.slots[hi].J] - w.rank[i]); m >= lo && w.slots[m].J == int32(i) {
 		return m
 	}
 	m := hi
-	for w.links[m].J != int32(i) {
+	for w.slots[m].J != int32(i) {
 		m--
 	}
 	return m
@@ -845,10 +853,11 @@ func (w *World) completeAll() (nlos int) {
 	w.gatherAll()
 	for i := 0; i < w.n; i++ {
 		for e := w.linkStart[i]; e < w.linkStart[i+1]; e++ {
-			if w.links[e].Blockers < 0 {
+			s := &w.slots[e]
+			if s.Blockers < 0 {
 				w.complete(i, e)
 			}
-			if w.links[e].Blockers > 0 && int(w.links[e].J) > i {
+			if s.Blockers > 0 && int(s.J) > i {
 				nlos++
 			}
 		}
@@ -856,22 +865,24 @@ func (w *World) completeAll() (nlos int) {
 	return nlos
 }
 
-// deriveNeighbors derives the LOS neighbor sets from the table, completing
-// the entries within CommRange.
+// deriveNeighbors derives the LOS neighbor sets from the table. A pending
+// entry whose squared distance puts it beyond CommRange stays pending; the
+// others are completed, and their Dist decides.
 func (w *World) deriveNeighbors() {
 	nbrs := w.nbrs[:0]
+	commM := w.cfg.CommRange.M()
 	for i := 0; i < w.n; i++ {
 		w.nbrStart[i] = int32(len(nbrs))
 		for e := w.linkStart[i]; e < w.linkStart[i+1]; e++ {
-			l := &w.links[e]
-			if l.Dist > w.cfg.CommRange {
-				continue
-			}
-			if l.Blockers < 0 {
+			s := &w.slots[e]
+			if s.Blockers < 0 {
+				if beyond(w.pos[i], w.pos[s.J], commM) {
+					continue
+				}
 				w.complete(i, e)
 			}
-			if l.Blockers == 0 {
-				nbrs = push(nbrs, int(l.J))
+			if s.Blockers == 0 && w.payloads[e].Dist <= w.cfg.CommRange {
+				nbrs = push(nbrs, int(s.J))
 			}
 		}
 	}
@@ -880,19 +891,19 @@ func (w *World) deriveNeighbors() {
 	w.nbrsStale = false
 }
 
-// sortLinksByRank insertion-sorts a link slice by ascending partner x-rank.
+// sortSlotsByRank insertion-sorts a slot slice by ascending partner x-rank.
 // Ranks are unique, so the order is total and independent of the order the
-// entries were written in.
-func (w *World) sortLinksByRank(ls []Link) {
-	for i := 1; i < len(ls); i++ {
-		l := ls[i]
-		r := w.rank[l.J]
+// slots were written in.
+func (w *World) sortSlotsByRank(ss []Slot) {
+	for i := 1; i < len(ss); i++ {
+		s := ss[i]
+		r := w.rank[s.J]
 		j := i - 1
-		for j >= 0 && w.rank[ls[j].J] > r {
-			ls[j+1] = ls[j]
+		for j >= 0 && w.rank[ss[j].J] > r {
+			ss[j+1] = ss[j]
 			j--
 		}
-		ls[j+1] = l
+		ss[j+1] = s
 	}
 }
 
@@ -1078,16 +1089,15 @@ func (w *World) listedBlockers(s *sight, cand []int32) int {
 	return blockers
 }
 
-// find returns the index in links of i's entry toward j, or -1 if the
-// pair is out of interference range: a binary search of i's entries, which
-// are sorted by partner x-rank. Ranks are unique, so the entry ranked as j
-// is j's.
+// find returns the table index of i's entry toward j, or -1 if the pair is
+// out of interference range: a binary search of i's slots, which are sorted
+// by partner x-rank. Ranks are unique, so the slot ranked as j is j's.
 func (w *World) find(i, j int) int32 {
 	lo, hi := w.linkStart[i], w.linkStart[i+1]
 	rj := w.rank[j]
 	for lo < hi {
 		h := int32(uint32(lo+hi) >> 1)
-		if r := w.rank[w.links[h].J]; r < rj {
+		if r := w.rank[w.slots[h].J]; r < rj {
 			lo = h + 1
 		} else if r > rj {
 			hi = h
@@ -1098,56 +1108,74 @@ func (w *World) find(i, j int) int32 {
 	return -1
 }
 
-// Entry returns the pair-table entry from i toward j, completed, or nil if
-// the pair is out of interference range. The entry is valid until the next
-// Refresh.
-func (w *World) Entry(i, j int) *Link {
+// Entry returns the payload of the pair-table entry from i toward j,
+// completed, or nil if the pair is out of interference range. The payload
+// is valid until the next Refresh.
+func (w *World) Entry(i, j int) *Payload {
 	e := w.find(i, j)
 	if e < 0 {
 		return nil
 	}
-	if w.links[e].Blockers < 0 {
+	if w.slots[e].Blockers < 0 {
 		w.complete(i, e)
 	}
-	return &w.links[e]
+	return &w.payloads[e]
 }
 
-// Link returns a copy of the pair-table entry from i toward j, if within
-// interference range, completing it on first read.
+// Link returns the pair-table entry from i toward j, if within interference
+// range, completing it on first read.
 //
 //mmv2v:hotpath the per-slot link probe; pinned by BenchmarkLinkLookup
-func (w *World) Link(i, j int) (Link, bool) {
-	if l := w.Entry(i, j); l != nil {
-		return *l, true
+func (w *World) Link(i, j int) (l Link, ok bool) {
+	e := w.find(i, j)
+	if e < 0 {
+		return l, false
 	}
-	return Link{}, false
+	if w.slots[e].Blockers < 0 {
+		w.complete(i, e)
+	}
+	w.link(&l, e)
+	return l, true
+}
+
+// link assembles completed entry e from its slot and payload into l, field
+// by field: a Link built as one value took a detour through the stack that
+// made Link 2–3 times slower.
+func (w *World) link(l *Link, e int32) {
+	s, p := &w.slots[e], &w.payloads[e]
+	l.J, l.Blockers = s.J, s.Blockers
+	l.Dist, l.Bearing, l.BackBearing, l.PathGainLin = p.Dist, p.Bearing, p.BackBearing, p.PathGainLin
 }
 
 // Links returns all pair-table entries of vehicle i (within interference
-// range), completing them. Callers must not retain the slice across
-// Refresh.
+// range), completed, assembled in a buffer the world reuses. Callers must
+// not retain the slice across the next Links call or Refresh.
 func (w *World) Links(i int) []Link {
 	lo, hi := w.linkStart[i], w.linkStart[i+1]
+	ls := grow(w.linkBuf, int(hi-lo))
 	for e := lo; e < hi; e++ {
-		if w.links[e].Blockers < 0 {
+		if w.slots[e].Blockers < 0 {
 			w.complete(i, e)
 		}
+		w.link(&ls[e-lo], e)
 	}
-	return w.links[lo:hi:hi]
+	w.linkBuf = ls
+	return ls[:len(ls):len(ls)]
 }
 
-// Entries returns vehicle i's entries as Refresh left them: J and Dist are
-// set, and a Pending entry's other fields are filled only by Complete. It
-// serves callers that read a few entries of a slice; Links completes them
-// all. Callers must not retain the slice across Refresh.
-func (w *World) Entries(i int) []Link {
+// Entries returns vehicle i's entries as Refresh left them, as two slices
+// over the same indexes: the slots, each J set and a Pending slot's
+// Blockers a marker, and the payloads, which only Complete fills for a
+// pending slot. It serves callers that read a few entries of a slice; Links
+// completes them all. Callers must not retain the slices across Refresh.
+func (w *World) Entries(i int) ([]Slot, []Payload) {
 	lo, hi := w.linkStart[i], w.linkStart[i+1]
-	return w.links[lo:hi:hi]
+	return w.slots[lo:hi:hi], w.payloads[lo:hi:hi]
 }
 
 // Complete completes entry k of Entries(i) if it is pending.
 func (w *World) Complete(i, k int) {
-	if e := w.linkStart[i] + int32(k); w.links[e].Blockers < 0 {
+	if e := w.linkStart[i] + int32(k); w.slots[e].Blockers < 0 {
 		w.complete(i, e)
 	}
 }
@@ -1187,7 +1215,7 @@ func (w *World) AvgNeighborCount() float64 {
 
 // TotalLinks returns the number of directed link-table entries of the
 // current snapshot (diagnostics for scale scenarios).
-func (w *World) TotalLinks() int { return len(w.links) }
+func (w *World) TotalLinks() int { return len(w.slots) }
 
 // Aim is a beam resolved for gain evaluation: its boresight and the antenna
 // pattern of its width, looked up once (World.Aim) and then evaluated
@@ -1208,16 +1236,17 @@ func (w *World) Aim(beam phy.Beam) Aim {
 }
 
 // RxPowerMwOn is the gain kernel, the one formula behind every received
-// power: the power l's owner receives from l.J when l.J transmits with tx
-// and the owner listens with rx. It reads only l: BackBearing is l.J's
-// bearing toward the owner and Bearing the owner's toward l.J.
+// power: the power the owner of entry l receives from its partner when the
+// partner transmits with tx and the owner listens with rx. It reads only
+// l's payload: BackBearing is the partner's bearing toward the owner and
+// Bearing the owner's toward the partner.
 //
 // Each Eq. 2 gain is channel.Pattern.Gain(geom.AngleDiff(boresight,
 // toward)) written out in place, bit for bit: neither function inlines,
 // and the kernel runs millions of times per simulated second. AngleDiff's
 // wrap leaves the angle in (−π, π], so Gain's fold of angles beyond π never
 // applies and is left out. FuzzGainKernel holds the two forms equal.
-func (w *World) RxPowerMwOn(l *Link, tx, rx Aim) units.MilliWatt {
+func (w *World) RxPowerMwOn(l *Payload, tx, rx Aim) units.MilliWatt {
 	// tx's gain toward the owner.
 	gTx := tx.pattern.G2
 	d := float64(l.BackBearing - tx.Bearing)
@@ -1233,7 +1262,7 @@ func (w *World) RxPowerMwOn(l *Link, tx, rx Aim) units.MilliWatt {
 		x := g / (tx.pattern.Width.Rad() / 2)
 		gTx = tx.pattern.G1 * math.Exp(-channel.MainLobeConst*x*x)
 	}
-	// The owner's gain toward l.J, the same way.
+	// The owner's gain toward the partner, the same way.
 	gRx := rx.pattern.G2
 	d = float64(l.Bearing - rx.Bearing)
 	if !(d > -2*math.Pi && d < 2*math.Pi) {
