@@ -66,8 +66,9 @@ bench-gate:
 	$(GO) test -bench=. -benchmem ./... | $(GO) run ./cmd/mmv2v-bench2json \
 		-baseline BENCH_2026-10-17.json -threshold 0.15 -alloc-threshold 0.25 > /dev/null
 
-# CPU + heap profiles of a representative pooled run with statistics on;
-# inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
+# CPU + heap profiles of a representative pooled run with statistics on,
+# which runs the same refresh schedule as a run without them; inspect with
+# `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile:
 	$(GO) run ./cmd/mmv2v-sim -density 20 -trials 4 -stats stats.jsonl \
 		-cpuprofile cpu.pprof -memprofile mem.pprof

@@ -6,6 +6,7 @@ import (
 	"mmv2v/internal/des"
 	"mmv2v/internal/medium"
 	"mmv2v/internal/metrics"
+	"mmv2v/internal/obs"
 	"mmv2v/internal/phy"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/traffic"
@@ -37,15 +38,18 @@ func TestROPDiscoverySlotAllocs(t *testing.T) {
 		Timing:     phy.DefaultTiming(),
 		DemandBits: 200e6,
 	}
+	reg := obs.New()
+	env.Medium.SetObs(reg)
+	delivered := reg.Counter("medium.control_delivered")
 	r := NewROP(env, DefaultROPParams())
 	slot := func() {
 		r.discoverSlot(5)
 		s.Run(s.Now().Add(env.Timing.SectorSlot()))
 	}
 	slot()
-	before := env.Medium.Delivered
+	before := delivered.Value()
 	allocs := testing.AllocsPerRun(50, slot)
-	if env.Medium.Delivered == before {
+	if delivered.Value() == before {
 		t.Fatal("the slot delivered nothing; the guard exercises no handler")
 	}
 	if allocs != 0 {

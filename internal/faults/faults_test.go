@@ -74,6 +74,7 @@ func TestZeroConfigIsNeutral(t *testing.T) {
 	inj := NewInjector(Config{}, 42, clk)
 	for tick := 0; tick < 100; tick++ {
 		clk.t = des.At(time.Duration(tick) * 5 * time.Millisecond)
+		inj.Refreshed()
 		if g := inj.LinkFactorLin(1, 2); g != 1 {
 			t.Fatalf("tick %d: link factor %v, want exactly 1", tick, g)
 		}
@@ -92,35 +93,52 @@ func TestZeroConfigIsNeutral(t *testing.T) {
 // TestBlockageQueryOrderIndependence pins the determinism-by-construction
 // property: a pair's blockage state at tick T is the same whether the pair
 // was evaluated at every tick or only at T — so fault histories do not
-// depend on when a pair first comes into range or on worker scheduling.
+// depend on when a pair first comes into range or on worker scheduling. The
+// factor is that of the tick of the last refresh, however late the pair is
+// read after it.
 func TestBlockageQueryOrderIndependence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BlockageRatePerSec = 20 // dense bursts so both states are exercised
 	cfg.BlockageMeanSec = 0.05
-	const seed, ticks = 99, 400
+	const seed, ticks, late = 99, 400, 37
+	at := func(tick int) des.Time { return des.At(time.Duration(tick) * 5 * time.Millisecond) }
 
-	eager := NewInjector(cfg, seed, &fakeClock{})
+	clk := &fakeClock{}
+	eager := NewInjector(cfg, seed, clk)
 	reg := obs.New()
 	eager.SetObs(reg)
 	trace := make([]float64, ticks)
 	for k := 0; k < ticks; k++ {
-		eager.clock.(*fakeClock).t = des.At(time.Duration(k) * 5 * time.Millisecond)
+		clk.t = at(k)
+		eager.Refreshed()
 		trace[k] = eager.LinkFactorLin(3, 9)
 	}
 	if reg.Counter("faults.blocked_ticks").Value() == 0 {
 		t.Fatal("burst process never entered the blocked state; test is vacuous")
 	}
 
-	for _, k := range []int{0, 7, 123, ticks - 1} {
-		lazy := NewInjector(cfg, seed, &fakeClock{t: des.At(time.Duration(k) * 5 * time.Millisecond)})
+	moved := 0
+	for _, k := range []int{0, 7, 123, 250, ticks - 1} {
+		lazyClk := &fakeClock{t: at(k)}
+		lazy := NewInjector(cfg, seed, lazyClk)
+		lazy.Refreshed()
+		// The pair is read `late` ticks after the refresh.
+		lazyClk.t = at(k + late)
 		if got := lazy.LinkFactorLin(3, 9); got != trace[k] {
 			t.Errorf("tick %d: lazy factor %v != eager %v", k, got, trace[k])
 		}
+		if k+late < ticks && trace[k+late] != trace[k] {
+			moved++
+		}
 		// Endpoint order must not matter: (a, b) and (b, a) are one link.
-		swapped := NewInjector(cfg, seed, &fakeClock{t: des.At(time.Duration(k) * 5 * time.Millisecond)})
+		swapped := NewInjector(cfg, seed, &fakeClock{t: at(k)})
+		swapped.Refreshed()
 		if got := swapped.LinkFactorLin(9, 3); got != trace[k] {
 			t.Errorf("tick %d: swapped endpoints factor %v != %v", k, got, trace[k])
 		}
+	}
+	if moved == 0 {
+		t.Fatalf("no factor changed %d ticks after its refresh; the late reads check nothing", late)
 	}
 }
 

@@ -70,6 +70,9 @@ type Injector struct {
 	pBadGood float64
 	attenLin float64
 
+	// tick is the 5 ms tick of the world's last refresh, the tick
+	// LinkFactorLin answers for.
+	tick  int64
 	ge    map[uint64]*geState
 	radio map[int]*radioState
 
@@ -117,22 +120,26 @@ func pairKey(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
+// Refreshed implements world.LinkFault: it records the 5 ms tick of the
+// refresh the world is making, so a link completed any time before the next
+// refresh is attenuated as it was at this one.
+func (f *Injector) Refreshed() { f.tick = int64(f.clock.Now() / des.At(geTick)) }
+
 // LinkFactorLin implements world.LinkFault: the extra linear gain factor on
-// pair (a, b) at the current refresh — 1 in the clear state, the configured
-// burst attenuation while blocked.
+// pair (a, b) at the tick of the last refresh — 1 in the clear state, the
+// configured burst attenuation while blocked.
 func (f *Injector) LinkFactorLin(a, b int) float64 {
 	//mmv2v:exact disabled-feature sentinel: pGoodBad is exactly 0 iff blockage bursts were not configured
 	if f.pGoodBad == 0 {
 		return 1
 	}
-	tick := int64(f.clock.Now() / des.At(geTick))
 	key := pairKey(a, b)
 	st, ok := f.ge[key]
 	if !ok {
 		st = &geState{tick: -1}
 		f.ge[key] = st
 	}
-	for st.tick < tick {
+	for st.tick < f.tick {
 		st.tick++
 		u := unit(f.seed, opGE, key, uint64(st.tick))
 		if st.blocked {

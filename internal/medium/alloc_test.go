@@ -45,7 +45,7 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 		if faulty {
 			end = end.Add(ff.TxDelay(first, 0))
 		}
-		allocs := -1.0
+		allocs, delivered := -1.0, 0
 		sim.ScheduleAt(end, "check", func() {
 			var group []*transmission
 			for _, tx := range m.active {
@@ -63,7 +63,7 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 		rxBeam := phy.Beam{Bearing: sectors.Center(sectors.Opposite(6)), Width: geom.Deg(12)}
 		for v := 0; v < w.NumVehicles(); v++ {
 			if v%2 == 0 {
-				m.StartListen(v, rxBeam, func(Delivery) {})
+				m.StartListen(v, rxBeam, func(Delivery) { delivered++ })
 			} else {
 				m.Transmit(v, txBeam, 15*time.Microsecond, v)
 			}
@@ -73,7 +73,7 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 		}
 		m.StartStream(0, txBeam)
 		sim.Run(end + 1)
-		if m.Delivered == 0 {
+		if delivered == 0 {
 			t.Errorf("faults=%v: the batch delivered nothing; the guard exercises no handler", faulty)
 		}
 		if allocs != 0 {

@@ -133,22 +133,12 @@ type Medium struct {
 	// tell when a handler shifted m.active under its onAir index.
 	removals uint64
 
-	// Delivered counts decoded control frames (diagnostics).
-	Delivered uint64
-	// Lost counts control frames that at least one aligned listener failed
-	// to decode due to SINR (diagnostics; deaf listeners don't count).
-	Lost uint64
-	// FaultLost counts decodable control frames killed by the fault model's
-	// loss process, and FaultMutedTx counts transmissions suppressed because
-	// the transmitter's radio was down (diagnostics).
-	FaultLost    uint64
-	FaultMutedTx uint64
-
 	// Statistics handles (nil-safe no-ops until SetObs installs a live
 	// registry).
 	obsControlTx     *obs.Counter
 	obsControlDeliv  *obs.Counter
 	obsControlLost   *obs.Counter
+	obsControlSilent *obs.Counter
 	obsControlFault  *obs.Counter
 	obsFaultMuted    *obs.Counter
 	obsRxAims        *obs.Counter
@@ -167,6 +157,7 @@ func (m *Medium) SetObs(r *obs.Registry) {
 	m.obsControlTx = r.Counter("medium.control_tx")
 	m.obsControlDeliv = r.Counter("medium.control_delivered")
 	m.obsControlLost = r.Counter("medium.control_lost_sinr")
+	m.obsControlSilent = r.Counter("medium.control_silent")
 	m.obsControlFault = r.Counter("medium.control_fault_lost")
 	m.obsFaultMuted = r.Counter("medium.fault_muted_tx")
 	m.obsRxAims = r.Counter("medium.rx_beam_aims")
@@ -221,7 +212,6 @@ func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload an
 	start := now
 	if m.faults != nil {
 		if !m.faults.RadioUp(from, now) {
-			m.FaultMutedTx++
 			m.obsFaultMuted.Inc()
 			return
 		}
@@ -574,8 +564,8 @@ func (m *Medium) collect(j int, rxBeam phy.Beam) (total units.MilliWatt, evals i
 var silentBelow = (min(phy.NearMissSINR, phy.MCS(0).MinSNRdB()) - 0.01).Linear()
 
 // decode delivers the batch frames listener j heard, in onAir order, given
-// j's total incident power. With statistics off, a frame below silentBelow
-// is skipped before its logarithm: its SINR observation is its only effect.
+// j's total incident power. A frame below silentBelow is counted as silent
+// and skipped before its logarithm.
 func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now des.Time) {
 	for w, word := range m.heard {
 		for ; word != 0; word &= word - 1 {
@@ -591,18 +581,17 @@ func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now de
 				continue
 			}
 			rest := noise + (total - desired)
-			if m.obsControlSINRdB == nil && desired < rest.Times(silentBelow) {
+			if desired < rest.Times(silentBelow) {
+				m.obsControlSilent.Inc()
 				continue
 			}
 			sinr := units.RatioDB(desired, rest)
 			m.obsControlSINRdB.Observe(sinr.Decibels())
 			if phy.ControlDecodable(sinr) {
 				if m.faults != nil && m.faults.DropControl(g.from, j, now) {
-					m.FaultLost++
 					m.obsControlFault.Inc()
 					continue
 				}
-				m.Delivered++
 				m.obsControlDeliv.Inc()
 				l.handler(Delivery{
 					From:    g.from,
@@ -619,7 +608,6 @@ func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now de
 			} else if sinr > phy.NearMissSINR {
 				// Near-miss: an aligned listener lost a decodable-class
 				// frame to interference or blockage.
-				m.Lost++
 				m.obsControlLost.Inc()
 			}
 		}

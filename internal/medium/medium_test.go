@@ -7,6 +7,7 @@ import (
 
 	"mmv2v/internal/des"
 	"mmv2v/internal/geom"
+	"mmv2v/internal/obs"
 	"mmv2v/internal/phy"
 	"mmv2v/internal/traffic"
 	"mmv2v/internal/units"
@@ -51,6 +52,8 @@ func aim(w *world.World, i, j int, txW, rxW units.Radian) (phy.Beam, phy.Beam) {
 
 func TestAlignedFrameDelivered(t *testing.T) {
 	w, sim, m := lineWorld(t, []int{1, 1}, []float64{0, 40})
+	reg := obs.New()
+	m.SetObs(reg)
 	txBeam, rxBeam := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	var got []Delivery
 	m.StartListen(1, rxBeam, func(d Delivery) { got = append(got, d) })
@@ -69,8 +72,8 @@ func TestAlignedFrameDelivered(t *testing.T) {
 	if d.At != des.At(15*time.Microsecond) {
 		t.Errorf("delivered at %v", d.At)
 	}
-	if m.Delivered != 1 {
-		t.Errorf("Delivered = %d", m.Delivered)
+	if n := reg.Counter("medium.control_delivered").Value(); n != 1 {
+		t.Errorf("medium.control_delivered = %d", n)
 	}
 }
 
@@ -90,13 +93,14 @@ func TestMisalignedListenerHearsNothing(t *testing.T) {
 
 func TestNotListeningHearsNothing(t *testing.T) {
 	w, sim, m := lineWorld(t, []int{1, 1}, []float64{0, 40})
+	reg := obs.New()
+	m.SetObs(reg)
 	txBeam, _ := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
 	sim.RunAll()
-	if m.Delivered != 0 {
-		t.Errorf("Delivered = %d without listeners", m.Delivered)
+	if n := reg.Counter("medium.control_delivered").Value(); n != 0 {
+		t.Errorf("medium.control_delivered = %d without listeners", n)
 	}
-	_ = w
 }
 
 func TestStopListen(t *testing.T) {
@@ -134,6 +138,8 @@ func TestCollisionNeitherDecodedWhenComparable(t *testing.T) {
 	// Two transmitters equidistant from the listener transmit
 	// simultaneously into its beam: mutual interference must kill both.
 	w, sim, m := lineWorld(t, []int{1, 1, 1}, []float64{0, 40, 80})
+	reg := obs.New()
+	m.SetObs(reg)
 	tx0, _ := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	tx2, _ := aim(w, 2, 1, geom.Deg(30), geom.Deg(12))
 	// Listener uses a wide (quasi-omni) beam to hear both directions.
@@ -145,7 +151,7 @@ func TestCollisionNeitherDecodedWhenComparable(t *testing.T) {
 	if delivered != 0 {
 		t.Errorf("comparable collision still delivered %d frames", delivered)
 	}
-	if m.Lost == 0 {
+	if reg.Counter("medium.control_lost_sinr").Value() == 0 {
 		t.Error("collision not recorded as loss")
 	}
 }

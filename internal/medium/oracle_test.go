@@ -39,7 +39,8 @@ func (m *Medium) resolveAllPairs() {
 // deliverGroupAllPairs is the plain resolution deliverGroup replaced, kept
 // as the reference it must match bit for bit: every listener walks every
 // active transmission and evaluates RxPowerMw once for its interference
-// total and again for each batch frame's desired signal.
+// total and again for each batch frame's desired signal. A frame below
+// silentBelow is counted as silent, as decode counts it.
 func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 	noise := m.w.Channel().NoiseMw()
 	n := m.w.NumVehicles()
@@ -107,15 +108,18 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 			if desired == 0 {
 				continue
 			}
-			sinr := units.RatioDB(desired, noise+(total-desired))
+			rest := noise + (total - desired)
+			if desired < rest.Times(silentBelow) {
+				m.obsControlSilent.Inc()
+				continue
+			}
+			sinr := units.RatioDB(desired, rest)
 			m.obsControlSINRdB.Observe(sinr.Decibels())
 			if phy.ControlDecodable(sinr) {
 				if m.faults != nil && m.faults.DropControl(g.from, j, now) {
-					m.FaultLost++
 					m.obsControlFault.Inc()
 					continue
 				}
-				m.Delivered++
 				m.obsControlDeliv.Inc()
 				h := l.handler
 				h(Delivery{
@@ -130,7 +134,6 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 					break
 				}
 			} else if sinr > -10 {
-				m.Lost++
 				m.obsControlLost.Inc()
 			}
 		}
@@ -233,12 +236,12 @@ func newOracleCase(rng *xrand.Source, w *world.World) oracleCase {
 
 // oracleRun is what one resolution did, in comparable form.
 type oracleRun struct {
-	calls    []string
-	counters string
+	calls []string
 	// outcomes tallies delivered, SINR-lost and fault-lost frames, the
 	// handlers' StopStream removals and Resets (each forces a re-index), and
-	// the SINR observations at or below the near-miss floor (the frames
-	// decode skips with statistics off; 0 when statistics are off).
+	// the silent frames, heard below the near-miss floor. All but the
+	// removals are read from the registry, and are 0 when statistics are
+	// off.
 	outcomes  [5]uint64
 	stats     []byte
 	asked     map[[2]int64]bool
@@ -313,16 +316,11 @@ func runOracleCase(w *world.World, c oracleCase, resolve func(*Medium), stats bo
 	sim.ScheduleAt(c.now, "resolve", func() { resolve(m) })
 	sim.Run(c.now + 1)
 
-	run.counters = fmt.Sprintf("delivered=%d lost=%d faultLost=%d mutedTx=%d",
-		m.Delivered, m.Lost, m.FaultLost, m.FaultMutedTx)
-	run.outcomes = [5]uint64{m.Delivered, m.Lost, m.FaultLost, m.removals}
+	count := func(name string) uint64 { return reg.Counter(name).Value() }
+	run.outcomes = [5]uint64{count("medium.control_delivered"), count("medium.control_lost_sinr"),
+		count("medium.control_fault_lost"), m.removals, count("medium.control_silent")}
 	if reg != nil {
 		rows := reg.Rows("")
-		for _, row := range rows {
-			if row.Name == "medium.control_sinr_db" {
-				run.outcomes[4] = row.Buckets[0].N
-			}
-		}
 		var buf bytes.Buffer
 		if err := obs.WriteCSV(&buf, rows); err != nil {
 			panic(err)
@@ -380,11 +378,10 @@ func oracleWorlds(t *testing.T) []namedWorld {
 
 // TestDeliverGroupMatchesAllPairs drives the neighbor-indexed resolution and
 // the all-pairs reference over randomized cases and requires the same
-// handler calls (SINR and SNR compared bit for bit), counters, statistics
-// (the SINR histogram's float sum included), fault-model queries, and final
-// medium state. Each case runs the resolution a second time with statistics
-// off, where decode skips the frames below both thresholds before taking
-// their logarithm: everything but the statistics must still match the
+// handler calls (SINR and SNR compared bit for bit), statistics (every
+// counter, and the SINR histogram's float sum), fault-model queries, and
+// final medium state. Each case runs the resolution a second time with
+// statistics off: everything but the statistics must still match the
 // reference.
 func TestDeliverGroupMatchesAllPairs(t *testing.T) {
 	cases := 150
@@ -431,9 +428,6 @@ func compareOracleRuns(t *testing.T, label string, got, want oracleRun) {
 			t.Errorf("%s: handler call %d\n got  %s\n want %s", label, i, got.calls[i], want.calls[i])
 			break
 		}
-	}
-	if got.counters != want.counters {
-		t.Errorf("%s: counters %s, reference %s", label, got.counters, want.counters)
 	}
 	if !bytes.Equal(got.stats, want.stats) {
 		t.Errorf("%s: statistics differ\n got\n%s want\n%s", label, got.stats, want.stats)

@@ -182,8 +182,6 @@ func runRetireCase(t *testing.T, w *world.World, c retireCase, retire func(*Medi
 	}
 	sim.Run(c.horizon)
 
-	run.counters = fmt.Sprintf("delivered=%d lost=%d faultLost=%d mutedTx=%d",
-		m.Delivered, m.Lost, m.FaultLost, m.FaultMutedTx)
 	var buf bytes.Buffer
 	if err := obs.WriteCSV(&buf, reg.Rows("")); err != nil {
 		panic(err)

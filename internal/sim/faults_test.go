@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mmv2v/internal/baseline"
+	"mmv2v/internal/core"
 	"mmv2v/internal/faults"
 	"mmv2v/internal/sim"
 )
@@ -89,5 +91,47 @@ func TestFaultsDegradeCompletion(t *testing.T) {
 	}
 	if lat := clean.MeanLatencySec(); !math.IsNaN(lat) && lat < 0 {
 		t.Errorf("negative mean latency %v", lat)
+	}
+}
+
+// TestFaultedWindowsPinned pins by their digests the windows of
+// `mmv2v-sim -density 12 -seed 3 -seconds 0.3 -windows 3 -faults 1` for
+// mmV2V, ROP and 802.11ad. Every window after the first opens on the table
+// of the refresh before its boundary, so a link fault keyed on the clock at
+// a link's first read, or on a count of refreshes, instead of on the tick
+// of the link's refresh, keeps every first window: the clock moves
+// 802.11ad's second window, and the count the later windows of mmV2V and
+// 802.11ad.
+func TestFaultedWindowsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three 0.9 s faulted runs run without -short")
+	}
+	want := map[string][]uint64{
+		"mmV2V":    {0xc6f877438dde8f83, 0x220534408b8ae317, 0xcb62105427056f83},
+		"ROP":      {0xd72972e184141166, 0x1198fed094bb8983, 0x65d8bf40eb518eae},
+		"802.11ad": {0xd5b3e036035ad12c, 0x5d6752e888dbde2a, 0x9b5a195e93977b7f},
+	}
+	factories := []sim.Factory{
+		core.Factory(core.DefaultParams()),
+		baseline.ROPFactory(baseline.DefaultROPParams()),
+		baseline.ADFactory(baseline.DefaultADParams()),
+	}
+	for _, factory := range factories {
+		cfg := sim.DefaultConfig(12, 3)
+		cfg.WindowSec = 0.3
+		cfg.Windows = 3
+		profile := faults.DefaultConfig().Scale(1)
+		cfg.Faults = &profile
+		res, err := sim.RunTrials(cfg, factory, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		for _, w := range res.Windows {
+			got = append(got, sim.WindowDigest(0, w))
+		}
+		if !reflect.DeepEqual(got, want[res.Protocol]) {
+			t.Errorf("%s: window digests %#x, pinned %#x", res.Protocol, got, want[res.Protocol])
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"mmv2v/internal/baseline"
 	"mmv2v/internal/core"
+	"mmv2v/internal/faults"
 	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
 	"mmv2v/internal/trace"
@@ -112,36 +113,39 @@ func TestStatsOffKeepsObsNil(t *testing.T) {
 	}
 }
 
-// TestStatsOnOffSameWindows pins the world's two completion schedules
-// against each other end to end. With statistics on, every refresh
-// completes the whole link table; with them off, entries are completed as
-// the protocols read them. mmV2V, ROP and 802.11ad must measure identical
-// windows either way.
+// TestStatsOnOffSameWindows checks end to end that statistics observe a run
+// without changing it: mmV2V, ROP and 802.11ad must measure identical
+// windows with statistics on and off, on the clean channel and under the
+// full fault profile.
 func TestStatsOnOffSameWindows(t *testing.T) {
 	factories := []sim.Factory{
 		core.Factory(core.DefaultParams()),
 		baseline.ROPFactory(baseline.DefaultROPParams()),
 		baseline.ADFactory(baseline.DefaultADParams()),
 	}
+	profile := faults.DefaultConfig()
 	for _, factory := range factories {
-		cfg := sim.DefaultConfig(15, 31)
-		cfg.WindowSec = 0.1
-		cfg.Windows = 2
-		off, err := sim.Run(cfg, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Stats = true
-		on, err := sim.Run(cfg, factory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if on.Obs == nil {
-			t.Fatalf("%s: statistics on recorded no registry", on.Protocol)
-		}
-		if !reflect.DeepEqual(off.Windows, on.Windows) {
-			t.Errorf("%s: windows differ with statistics on:\noff %+v\non  %+v",
-				off.Protocol, off.Windows, on.Windows)
+		for _, fc := range []*faults.Config{nil, &profile} {
+			cfg := sim.DefaultConfig(15, 31)
+			cfg.WindowSec = 0.1
+			cfg.Windows = 2
+			cfg.Faults = fc
+			off, err := sim.Run(cfg, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Stats = true
+			on, err := sim.Run(cfg, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if on.Obs == nil {
+				t.Fatalf("%s: statistics on recorded no registry", on.Protocol)
+			}
+			if !reflect.DeepEqual(off.Windows, on.Windows) {
+				t.Errorf("%s (faulted %v): windows differ with statistics on:\noff %+v\non  %+v",
+					off.Protocol, fc != nil, off.Windows, on.Windows)
+			}
 		}
 	}
 }

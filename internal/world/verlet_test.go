@@ -24,10 +24,15 @@ type refTable struct {
 // lists must match: every refresh, each vehicle scans its cell neighborhood
 // and takes the in-range partners of higher x-rank, every pair's blockers
 // are counted in full by countBlockers, both entries are appended to
-// per-vehicle slices, and each slice is then sorted by partner rank.
+// per-vehicle slices, and each slice is then sorted by partner rank. A link
+// fault installed since the last refresh applies from this one on.
 func refRefresh(w *World, t *refTable) {
 	if t.links == nil {
 		t.links, t.neighbors = make([][]Link, w.n), make([][]int, w.n)
+	}
+	w.linkFault = w.nextFault
+	if w.linkFault != nil {
+		w.linkFault.Refreshed()
 	}
 	w.loadPoses()
 	w.sortOrderByX()
@@ -85,6 +90,18 @@ func refRefresh(w *World, t *refTable) {
 	}
 }
 
+// nlosPairs counts the table's blocked pairs.
+func (t *refTable) nlosPairs() (n uint64) {
+	for i, ls := range t.links {
+		for _, l := range ls {
+			if l.Blockers > 0 && int(l.J) > i {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // jumpFleet displaces chosen vehicles of a fleet: shift[i] is added to
 // vehicle i's position from the refresh it is set on. Jumps of meters make
 // vehicles loose at will, so a test can put a loose body on a listed pair's
@@ -100,13 +117,19 @@ func (f *jumpFleet) Pose(i int) (geom.Vec, geom.Bearing, units.MeterPerSec) {
 	return p.Add(f.shift[i]), h, v
 }
 
-// pairFault is an order-sensitive LinkFault: a pure hash of (a, b, refresh)
+// pairFault is an order-sensitive LinkFault: a pure hash of (a, b, tick)
 // attenuates about one pair in five, so a pair evaluated from the wrong
-// side gets a different gain.
-type pairFault struct{ refresh *int }
+// side, or for the wrong refresh, gets a different gain. Refreshed takes the
+// tick from clock, which a test may move between a refresh and its reads.
+type pairFault struct {
+	clock *int
+	tick  int
+}
 
-func (f pairFault) LinkFactorLin(a, b int) float64 {
-	h := xrand.Mix(0xfa17, uint64(a), uint64(b), uint64(*f.refresh))
+func (f *pairFault) Refreshed() { f.tick = *f.clock }
+
+func (f *pairFault) LinkFactorLin(a, b int) float64 {
+	h := xrand.Mix(0xfa17, uint64(a), uint64(b), uint64(f.tick))
 	if h%5 != 0 {
 		return 1
 	}
@@ -178,9 +201,13 @@ func diffCases() []diffCase {
 // with a short interference range. Every seventh refresh one vehicle jumps
 // 3–50 m: onto the line of sight of a listed pair, off the line of sight it
 // blocks, or out of a partner's range, so loose vehicles are seen through
-// the cell bitmap, skipped in the lists and recounted in full.
+// the cell bitmap, skipped in the lists and recounted in full. The three
+// worlds under test carry a statistics registry, and the fault's clock
+// moves between each refresh and its reads, so a completion must take the
+// fault of the refresh its entry belongs to.
 //
-// The first world is read only by the comparison, in vehicle order. The
+// The first world is read only by the comparison, in vehicle order, and
+// must count each blocked pair of a refresh once in world.nlos_links. The
 // second is read first in a shuffled sample through Link, RxPowerMw and the
 // medium's raw walk, so pairs are completed from either side and in any
 // order, and on about one refresh in five it is not read at all. The third
@@ -208,7 +235,6 @@ func TestRefreshMatchesFullRecount(t *testing.T) {
 func runDiff(t *testing.T, dc diffCase, refreshes int) {
 	fleets := []traffic.Fleet{dc.fleet(), dc.fleet(), dc.fleet(), dc.fleet()}
 	shift := make([]geom.Vec, fleets[0].NumVehicles())
-	refresh := 0
 	worlds := make([]*World, len(fleets))
 	for k, f := range fleets {
 		var err error
@@ -218,19 +244,22 @@ func runDiff(t *testing.T, dc diffCase, refreshes int) {
 	}
 	w, sampled, idle, ref := worlds[0], worlds[1], worlds[2], worlds[3]
 	lazy := worlds[:3]
-	// Only the build counter is installed: a full registry would make the
-	// refreshes eager.
 	gathers := make([]candCheck, len(lazy))
-	for _, x := range lazy {
-		x.obsListBuilds = obs.New().Counter("world.list_builds")
+	regs := make([]*obs.Registry, len(lazy))
+	for k, x := range lazy {
+		regs[k] = obs.New()
+		x.SetObs(regs[k])
 	}
+	nlos := regs[0].Counter("world.nlos_links")
 	// The reference of New's refresh is recounted before any fault is
-	// installed: a fault takes effect at the next refresh.
+	// installed: a fault takes effect at the next refresh. The fault's clock
+	// reads 2r at refresh r and 2r+1 while its entries are read.
 	var tab refTable
 	refRefresh(ref, &tab)
+	clock := 1
 	if dc.fault {
 		for _, x := range worlds {
-			x.SetLinkFault(pairFault{&refresh})
+			x.SetLinkFault(&pairFault{clock: &clock})
 		}
 	}
 	rng := xrand.New(xrand.HashString(dc.name))
@@ -239,7 +268,7 @@ func runDiff(t *testing.T, dc diffCase, refreshes int) {
 	// idle has been read since; lateReads counts its reads with a loose
 	// vehicle, whose candidate lists were gathered long after the build.
 	idleBuild, idleRead, lateReads := 0, false, 0
-	for refresh = 0; refresh <= refreshes; refresh++ {
+	for refresh := 0; refresh <= refreshes; refresh++ {
 		if refresh > 0 {
 			if refresh%7 == 0 {
 				if kind := jump(w, shift, refresh/7%3, rng); kind >= 0 {
@@ -251,15 +280,23 @@ func runDiff(t *testing.T, dc diffCase, refreshes int) {
 					f.Step(dc.dt)
 				}
 			}
+			clock = 2 * refresh
 			for _, x := range lazy {
 				x.Refresh()
 			}
 			refRefresh(ref, &tab)
+			clock = 2*refresh + 1
 			if idle.obsListBuilds.Value() != gathers[2].builds {
 				idleBuild, idleRead = refresh, false
 			}
 		}
+		// New completed some of its entries before the registry was
+		// installed, so the count is checked from refresh 1 on.
+		before := nlos.Value()
 		compareTables(t, refresh, w, &tab)
+		if got, want := nlos.Value()-before, tab.nlosPairs(); refresh > 0 && got != want {
+			t.Fatalf("refresh %d: world.nlos_links counted %d pairs, the table has %d blocked", refresh, got, want)
+		}
 		if rng.Intn(5) > 0 {
 			readSample(sampled, rng)
 			checkMirrors(t, refresh, sampled)
@@ -499,6 +536,47 @@ func jump(w *World, shift []geom.Vec, kind int, rng *xrand.Source) int {
 		}
 	}
 	return -1
+}
+
+// TestRefreshStaysLazy pins the one refresh schedule: with a statistics
+// registry and a link fault installed, Refresh notifies the fault and leaves
+// every entry pending, as it does without them.
+func TestRefreshStaysLazy(t *testing.T) {
+	road, err := traffic.New(traffic.DefaultConfig(15), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(DefaultConfig(), road)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	w.SetObs(reg)
+	clock := 0
+	fault := &pairFault{clock: &clock}
+	w.SetLinkFault(fault)
+	for clock = 1; clock <= 3; clock++ {
+		road.Step(0.005)
+		w.Refresh()
+		if fault.tick != clock {
+			t.Fatalf("refresh at %d: the fault answers for %d", clock, fault.tick)
+		}
+		for i := 0; i < w.n; i++ {
+			slots, _ := w.Entries(i)
+			for _, s := range slots {
+				if !s.Pending() {
+					t.Fatalf("refresh at %d: Refresh completed entry %d→%d", clock, i, s.J)
+				}
+			}
+		}
+	}
+	if w.TotalLinks() == 0 || reg.Counter("world.refreshes").Value() != 3 {
+		t.Fatalf("%d links, %d refreshes recorded; the test checks nothing",
+			w.TotalLinks(), reg.Counter("world.refreshes").Value())
+	}
+	if n := reg.Counter("world.nlos_links").Value(); n != 0 {
+		t.Errorf("world.nlos_links = %d with no entry read", n)
+	}
 }
 
 // TestRefreshAllocFree pins the steady-state contract: once the lists, the

@@ -253,9 +253,11 @@ type World struct {
 	nLoose        int
 	recounted     int
 
-	// linkFault, when non-nil, multiplies every refreshed link's path gain
+	// linkFault, when non-nil, multiplies every completed link's path gain
 	// by an extra factor (transient blockage bursts; see internal/faults).
-	linkFault LinkFault
+	// It is the hook of the last Refresh: SetLinkFault installs nextFault,
+	// which the next Refresh takes up.
+	linkFault, nextFault LinkFault
 
 	// Refresh statistics handles (nil-safe no-ops until SetObs installs a
 	// live registry).
@@ -270,16 +272,18 @@ type World struct {
 // sets — the OHM task definition — are unaffected, so faults degrade what
 // protocols achieve, never what they are asked to achieve.
 type LinkFault interface {
+	// Refreshed is called once per Refresh, before any of its entries is
+	// completed.
+	Refreshed()
+	// LinkFactorLin returns pair (a, b)'s factor at the refresh last
+	// notified, however long after it the pair is completed.
 	LinkFactorLin(a, b int) float64
 }
 
 // SetLinkFault installs a link-fault hook; nil restores the clean channel.
-// Takes effect at the next Refresh: the last refresh's pending entries are
-// completed first, under the hook they were refreshed with.
-func (w *World) SetLinkFault(f LinkFault) {
-	w.completeAll()
-	w.linkFault = f
-}
+// It takes effect at the next Refresh, so the last refresh's entries keep
+// the channel they were refreshed under whenever they are completed.
+func (w *World) SetLinkFault(f LinkFault) { w.nextFault = f }
 
 // SetObs installs the statistics registry. A nil registry (the default)
 // hands out nil handles, so the Refresh hot path stays a no-op.
@@ -485,12 +489,16 @@ func (w *World) rebuildCells() {
 
 // Refresh recomputes positions and the pair table from the fleet state.
 // Call after every traffic step (the paper's 5 ms update). It writes every
-// in-range pair's two entries pending; with statistics on or a link fault
-// installed it completes them all before returning.
+// in-range pair's two entries pending, whatever registry or link fault is
+// installed, and notifies the link fault it takes up.
 //
 //mmv2v:hotpath the 5 ms link-table rebuild; pinned by BenchmarkRefresh*
 func (w *World) Refresh() {
 	w.loadPoses()
+	w.linkFault = w.nextFault
+	if w.linkFault != nil {
+		w.linkFault.Refreshed()
+	}
 
 	// Re-sort the cached x-order permutation. The previous tick's order is
 	// nearly sorted, so the insertion sort is O(n) amortized and
@@ -530,11 +538,6 @@ func (w *World) Refresh() {
 	w.nbrsStale = true
 	w.obsRefreshes.Inc()
 	w.obsRefreshLinks.Observe(float64(entries))
-	// world.nlos_links counts every pair's blockers, and a link fault is
-	// read at the refresh instant: either completes the table now.
-	if w.obsNLOSLinks != nil || w.linkFault != nil {
-		w.obsNLOSLinks.Add(uint64(w.completeAll()))
-	}
 }
 
 // markLoose flags the vehicles beyond verletLoose of their anchors and the
@@ -572,6 +575,11 @@ func (w *World) buildLists() {
 	clear(w.looseCells)
 	w.nLoose, w.recounted = 0, 0
 	listM := w.cfg.InterferenceRange.M() + verletSkin
+	// The cull compares squared distances, which round differently from
+	// Dist near listM. That is harmless: two settled vehicles each sit
+	// within verletLoose of their anchors, so a pair in range now was within
+	// listM less 2 µm at the build, and the rounding is some 1e-13 m.
+	listM2 := listM * listM
 	reach := int(math.Ceil(listM / w.cellM))
 	pairs := w.pairB[:0]
 	for k, a := range w.order {
@@ -589,9 +597,8 @@ func (w *World) buildLists() {
 					if w.rank[b] <= ra {
 						continue
 					}
-					pb := w.pos[b]
-					if pb.X-pa.X > listM || pa.X-pb.X > listM ||
-						pb.Y-pa.Y > listM || pa.Y-pb.Y > listM || pa.Dist(pb).M() > listM {
+					dx, dy := w.pos[b].X-pa.X, w.pos[b].Y-pa.Y
+					if dx > listM || -dx > listM || dy > listM || -dy > listM || dx*dx+dy*dy > listM2 {
 						continue
 					}
 					pairs = push(pairs, b)
@@ -803,6 +810,9 @@ func (w *World) complete(i int, e int32) {
 		s.set(pa, pb, d.M())
 		blockers = w.listedBlockers(&s, w.candidates(i, j, -2-marker))
 	}
+	if blockers > 0 {
+		w.obsNLOSLinks.Inc()
+	}
 	gain := w.model.PathGainLin(d, blockers) * w.shadowFactor(a, b)
 	if w.linkFault != nil {
 		gain *= w.linkFault.LinkFactorLin(a, b)
@@ -845,24 +855,6 @@ func (w *World) mirror(j, i int, below bool) int32 {
 		m--
 	}
 	return m
-}
-
-// completeAll completes every pending entry and returns how many pairs are
-// blocked.
-func (w *World) completeAll() (nlos int) {
-	w.gatherAll()
-	for i := 0; i < w.n; i++ {
-		for e := w.linkStart[i]; e < w.linkStart[i+1]; e++ {
-			s := &w.slots[e]
-			if s.Blockers < 0 {
-				w.complete(i, e)
-			}
-			if s.Blockers > 0 && int(s.J) > i {
-				nlos++
-			}
-		}
-	}
-	return nlos
 }
 
 // deriveNeighbors derives the LOS neighbor sets from the table. A pending
