@@ -94,7 +94,8 @@ replay:
 	$(GO) run ./cmd/mmv2v-replay -verify testdata/golden.runlog
 
 # Short fuzzing pass over the geometry, channel and spatial-index kernels,
-# the run-log record reader and the run-log recipe header (mirrors CI).
+# the run-log record reader, the run-log recipe header and the scenario
+# config boundary (mirrors CI).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentBlocked -fuzztime=10s ./internal/geom/
 	$(GO) test -run='^$$' -fuzz=FuzzSINR -fuzztime=10s ./internal/channel/
@@ -102,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGainKernel -fuzztime=10s ./internal/world/
 	$(GO) test -run='^$$' -fuzz=FuzzRunLogHeader -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeLog -fuzztime=10s ./internal/persist/
+	$(GO) test -run='^$$' -fuzz=FuzzConfig -fuzztime=10s ./internal/sim/
 
 examples:
 	$(GO) run ./examples/quickstart

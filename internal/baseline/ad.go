@@ -62,19 +62,6 @@ func (p ADParams) Validate() error {
 	return p.Codebook.Validate()
 }
 
-// beacon is a DMG beacon swept by a PCP during the BTI: the swept sector.
-// The PCP is the delivery's From. An integer below 256 boxes into a
-// Delivery payload without allocating.
-type beacon int
-
-// assocReq is an A-BFT association frame from a member toward its PCP.
-type assocReq struct {
-	from, pcp int
-	// towardSector is the member's own sector index pointing at the PCP, so
-	// the PCP can reply on the opposite sector.
-	towardSector int
-}
-
 // AD is the IEEE 802.11ad PBSS baseline: per beacon interval (= one frame),
 // vehicles elect PCPs, PCPs beacon via sector sweep, non-PCPs join a random
 // heard PBSS via slotted A-BFT, and the PCP time-shares the DTI among member
@@ -96,10 +83,10 @@ type AD struct {
 	members [][]int
 	// spRotation[p] persists PCP p's round-robin position across frames.
 	spRotation []int
-	// beaconRx[i] and assocRx[i] are vehicle i's BTI and A-BFT receive
-	// handlers, built once.
-	beaconRx []medium.Handler
-	assocRx  []medium.Handler
+	// beaconRx and assocRx are the BTI and A-BFT receive handlers, bound
+	// once.
+	beaconRx medium.Handler
+	assocRx  medium.Handler
 
 	frame    int
 	sessions []*udt.Session
@@ -125,13 +112,9 @@ func NewAD(env *sim.Env, cfg ADParams) *AD {
 		joined:       make([]int, n),
 		members:      make([][]int, n),
 		spRotation:   make([]int, n),
-		beaconRx:     make([]medium.Handler, n),
-		assocRx:      make([]medium.Handler, n),
 	}
-	for i := range a.beaconRx {
-		a.beaconRx[i] = func(d medium.Delivery) { a.onBeacon(i, d) }
-		a.assocRx[i] = func(d medium.Delivery) { a.onAssoc(i, d) }
-	}
+	a.beaconRx = a.onBeacon
+	a.assocRx = a.onAssoc
 	a.obsBeaconTx = env.Obs.Counter("ad.beacon_tx")
 	a.obsAssocTx = env.Obs.Counter("ad.assoc_tx")
 	a.obsAssociations = env.Obs.Counter("ad.associations")
@@ -200,14 +183,16 @@ func (a *AD) btiSlot(sector int) {
 		if a.isPCP[i] {
 			continue
 		}
-		a.env.Medium.StartListen(i, phy.Omni, a.beaconRx[i])
+		a.env.Medium.StartListen(i, phy.Omni, a.beaconRx)
 	}
+	// A DMG beacon carries the swept sector; the PCP is the delivery's From.
 	beam := phy.Beam{Bearing: cb.Sectors.Center(sector), Width: cb.TxWidth}
+	beacon := medium.Frame{Kind: medium.KindBeacon, Dest: -1, Index: int32(sector)}
 	for i := 0; i < n; i++ {
 		if !a.isPCP[i] {
 			continue
 		}
-		a.env.Medium.Transmit(i, beam, a.env.Timing.SSW, beacon(sector))
+		a.env.Medium.Transmit(i, beam, a.env.Timing.SSW, beacon)
 		a.obsBeaconTx.Inc()
 	}
 }
@@ -216,12 +201,11 @@ func (a *AD) btiSlot(sector int) {
 // of the strongest beacon reveals the member's direction toward the PCP
 // (sectors are indexed from absolute north for everyone, so the member's
 // toward-sector is the opposite of the PCP's best sweep sector).
-func (a *AD) onBeacon(me int, d medium.Delivery) {
-	sector, ok := d.Payload.(beacon)
-	if !ok {
+func (a *AD) onBeacon(d medium.Delivery) {
+	if d.Frame.Kind != medium.KindBeacon {
 		return
 	}
-	a.heardBeacons[me].Hear(d.From, d.SNRdB, a.cfg.Codebook.Sectors.Opposite(int(sector)), a.frame)
+	a.heardBeacons[d.To].Hear(d.From, d.SNRdB, a.cfg.Codebook.Sectors.Opposite(int(d.Frame.Index)), a.frame)
 }
 
 // planABFT: each non-PCP that heard beacons joins a uniformly random heard
@@ -250,7 +234,7 @@ func (a *AD) abftSlot(k int) {
 		if !a.isPCP[i] {
 			continue
 		}
-		a.env.Medium.StartListen(i, phy.Omni, a.assocRx[i])
+		a.env.Medium.StartListen(i, phy.Omni, a.assocRx)
 	}
 	for i := 0; i < n; i++ {
 		p := a.joined[i]
@@ -261,29 +245,31 @@ func (a *AD) abftSlot(k int) {
 		if rng.Intn(a.cfg.ABFTSlots) != k {
 			continue
 		}
+		// The frame names the member's own sector toward the PCP, so the
+		// PCP can reply on the opposite sector.
 		info, _ := a.heardBeacons[i].Get(p)
 		beam := phy.Beam{Bearing: cb.Sectors.Center(int(info.Sector)), Width: cb.TxWidth}
 		a.env.Medium.Transmit(i, beam, a.env.Timing.SSW,
-			assocReq{from: i, pcp: p, towardSector: int(info.Sector)})
+			medium.Frame{Kind: medium.KindAssoc, Dest: int32(p), Index: info.Sector})
 		a.obsAssocTx.Inc()
 	}
 }
 
 // onAssoc registers a successfully decoded association at the PCP.
-func (a *AD) onAssoc(pcp int, d medium.Delivery) {
-	req, ok := d.Payload.(assocReq)
-	if !ok || req.pcp != pcp {
+func (a *AD) onAssoc(d medium.Delivery) {
+	pcp := d.To
+	if d.Frame.Kind != medium.KindAssoc || int(d.Frame.Dest) != pcp {
 		return
 	}
 	for _, m := range a.members[pcp] {
-		if m == req.from {
+		if m == d.From {
 			return
 		}
 	}
-	a.members[pcp] = append(a.members[pcp], req.from)
+	a.members[pcp] = append(a.members[pcp], d.From)
 	a.obsAssociations.Inc()
 	a.env.Trace.Emit(trace.Event{
-		At: d.At, Frame: a.frame, Kind: trace.KindAssociation, A: req.from, B: pcp,
+		At: d.At, Frame: a.frame, Kind: trace.KindAssociation, A: d.From, B: pcp,
 	})
 }
 

@@ -14,13 +14,11 @@ import (
 	"mmv2v/internal/xrand"
 )
 
-// TestROPDiscoverySlotAllocs pins the steady-state allocation of one ROP
-// discovery slot at 15 vpl: every vehicle's private role and sector draw,
-// the aims and sweeps, and scheduling and running the slot's resolution
-// allocate nothing. The slot repeats with the same draws, so after the
-// first run every decoded neighbor is already known.
-func TestROPDiscoverySlotAllocs(t *testing.T) {
-	road, err := traffic.New(traffic.DefaultConfig(15), xrand.New(3))
+// newAllocEnv builds an environment over the road at a density, with the
+// medium's delivery counter for the tests' guards.
+func newAllocEnv(t *testing.T, density float64) (*sim.Env, *obs.Counter) {
+	t.Helper()
+	road, err := traffic.New(traffic.DefaultConfig(density), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,19 +38,56 @@ func TestROPDiscoverySlotAllocs(t *testing.T) {
 	}
 	reg := obs.New()
 	env.Medium.SetObs(reg)
-	delivered := reg.Counter("medium.control_delivered")
-	r := NewROP(env, DefaultROPParams())
-	slot := func() {
-		r.discoverSlot(5)
-		s.Run(s.Now().Add(env.Timing.SectorSlot()))
-	}
+	return env, reg.Counter("medium.control_delivered")
+}
+
+// pinZeroAllocs runs a warmed slot and requires that it allocates nothing
+// and delivers frames, so that the handlers are exercised.
+func pinZeroAllocs(t *testing.T, what string, delivered *obs.Counter, slot func()) {
+	t.Helper()
 	slot()
 	before := delivered.Value()
 	allocs := testing.AllocsPerRun(50, slot)
 	if delivered.Value() == before {
-		t.Fatal("the slot delivered nothing; the guard exercises no handler")
+		t.Fatalf("%s delivered nothing; the guard exercises no handler", what)
 	}
 	if allocs != 0 {
-		t.Errorf("a ROP discovery slot allocates %v times, want 0", allocs)
+		t.Errorf("%s allocates %v times, want 0", what, allocs)
 	}
+}
+
+// TestROPDiscoverySlotAllocs pins the steady-state allocation of one ROP
+// discovery slot at 15 vpl: every vehicle's private role and sector draw,
+// the aims and sweeps, and scheduling and running the slot's resolution
+// allocate nothing. The slot repeats with the same draws, so after the
+// first run every decoded neighbor is already known.
+func TestROPDiscoverySlotAllocs(t *testing.T) {
+	env, delivered := newAllocEnv(t, 15)
+	s := env.Sim
+	r := NewROP(env, DefaultROPParams())
+	pinZeroAllocs(t, "a ROP discovery slot", delivered, func() {
+		r.discoverSlot(5)
+		s.Run(s.Now().Add(env.Timing.SectorSlot()))
+	})
+}
+
+// TestABFTSlotAllocs pins 802.11ad's association plane at 30 vpl: after a
+// beacon interval that formed the PBSSs, repeating one A-BFT slot (the
+// PCPs' aims, the members' association frames and their resolution)
+// allocates nothing, since every member it decodes is already associated.
+func TestABFTSlotAllocs(t *testing.T) {
+	env, delivered := newAllocEnv(t, 30)
+	s := env.Sim
+	a := NewAD(env, DefaultADParams())
+	a.RunFrame(0)
+	s.Run(des.At(env.Timing.Frame))
+	// The next frame would stop the last service period's streams.
+	for _, ss := range a.sessions {
+		ss.Stop()
+	}
+	const k = 3
+	pinZeroAllocs(t, "an A-BFT slot", delivered, func() {
+		a.abftSlot(k)
+		s.Run(s.Now().Add(env.Timing.SectorSlot() + env.Timing.SIFS))
+	})
 }

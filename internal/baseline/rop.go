@@ -87,11 +87,6 @@ func (p ROPParams) Validate() error {
 	return p.Codebook.Validate()
 }
 
-// ropSweep is the payload of a random discovery sweep: the swept sector.
-// The sender is the delivery's From. An integer below 256 boxes into a
-// Delivery payload without allocating.
-type ropSweep int
-
 // txPlan is a transmitter of a discovery slot and the sector it sweeps.
 type txPlan struct {
 	i      int
@@ -120,9 +115,9 @@ type ROP struct {
 	pairBits   []float64
 	idleFrames []int
 	// senseSector[i] is the sector vehicle i last aimed its receiver at, and
-	// rx[i] its receive handler, built once.
+	// rx the receive handler, bound once.
 	senseSector []int
-	rx          []medium.Handler
+	rx          medium.Handler
 	// txs is discoverSlot's scratch list of the slot's transmitters, and
 	// elig matchRound's of a vehicle's eligible neighbors.
 	txs  []txPlan
@@ -154,11 +149,10 @@ func NewROP(env *sim.Env, cfg ROPParams) *ROP {
 		pairBits:    make([]float64, n),
 		idleFrames:  make([]int, n),
 		senseSector: make([]int, n),
-		rx:          make([]medium.Handler, n),
 	}
+	r.rx = r.onSweep
 	for i := range r.matched {
 		r.matched[i] = -1
-		r.rx[i] = func(d medium.Delivery) { r.onSweep(i, d) }
 	}
 	r.obsSweepTx = env.Obs.Counter("rop.sweep_tx")
 	r.obsDiscoveries = env.Obs.Counter("rop.discoveries")
@@ -243,27 +237,25 @@ func (r *ROP) discoverSlot(k int) {
 			// duration, so the handler reads the sector of the aim that
 			// heard it.
 			r.senseSector[i] = sector
-			r.env.Medium.StartListen(i, beam, r.rx[i])
+			r.env.Medium.StartListen(i, beam, r.rx)
 		}
 	}
 	r.txs = txs
 	for _, tx := range txs {
 		beam := phy.Beam{Bearing: cb.Sectors.Center(tx.sector), Width: cb.TxWidth}
-		r.env.Medium.Transmit(tx.i, beam, r.env.Timing.SSW, ropSweep(tx.sector))
+		r.env.Medium.Transmit(tx.i, beam, r.env.Timing.SSW,
+			medium.Frame{Kind: medium.KindSweep, Dest: -1, Index: int32(tx.sector)})
 		r.obsSweepTx.Inc()
 	}
 }
 
 // onSweep records a decoded random sweep, keeping the strongest reception
 // per frame like mmV2V's SND.
-func (r *ROP) onSweep(me int, d medium.Delivery) {
-	if _, ok := d.Payload.(ropSweep); !ok {
+func (r *ROP) onSweep(d medium.Delivery) {
+	if d.Frame.Kind != medium.KindSweep || d.SINRdB < r.cfg.MinLinkSNRdB {
 		return
 	}
-	if d.SINRdB < r.cfg.MinLinkSNRdB {
-		return
-	}
-	if r.discovered[me].Hear(d.From, d.SINRdB, r.senseSector[me], r.frame) {
+	if r.discovered[d.To].Hear(d.From, d.SINRdB, r.senseSector[d.To], r.frame) {
 		r.obsDiscoveries.Inc()
 	}
 }

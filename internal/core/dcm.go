@@ -11,24 +11,6 @@ import (
 	"mmv2v/internal/units"
 )
 
-// negMsg is a DCM candidate-information message (first half of a slot):
-// the sender tells its designated peer the SNR it measured on their mutual
-// link and the quality of its current candidate link, if any (Sec. III-C2).
-type negMsg struct {
-	from, to int
-	// linkSNR is the sender's SSW measurement of the (from, to) link.
-	linkSNR units.DB
-	// candSNR is the sender's current candidate link quality.
-	candSNR units.DB
-	hasCand bool
-}
-
-// breakMsg informs a previous candidate that the sender has switched away
-// (second half of a slot).
-type breakMsg struct {
-	from, to int
-}
-
 // breakup is a break-up notification decided in a slot: from has switched
 // away from its previous candidate to.
 type breakup struct{ from, to int }
@@ -39,7 +21,7 @@ type breakup struct{ from, to int }
 // Slot micro-structure (fits the paper's 30 µs with the 4.3 µs control
 // preamble and 3 µs SIFS):
 //
-//	t+0        first sender (larger ID) transmits its negMsg
+//	t+0        first sender (larger ID) transmits its candidate information
 //	t+pre+SIFS second sender replies (only if it decoded the first message)
 //	t+half     decision point; break-up notifications transmitted
 func (p *Protocol) scheduleDCM(start des.Time) {
@@ -63,11 +45,11 @@ func (p *Protocol) dcmSlotBegin(m int) {
 	n := p.env.N()
 	for i := 0; i < n; i++ {
 		p.negPeer[i] = -1
-		p.gotMsg[i] = negotiationState{}
+		p.gotMsg[i] = medium.Frame{}
 		p.elig = p.env.Eligible(p.elig[:0], i, p.discovered[i], p.frame, p.cfg.StalenessFrames)
 		inBucket := p.inBucket[:0]
 		for _, j := range p.elig {
-			if p.Bucket(i, j) == bucket {
+			if p.cfg.Bucket(i, j) == bucket {
 				inBucket = append(inBucket, j)
 			}
 		}
@@ -108,7 +90,7 @@ func (p *Protocol) dcmReply() {
 			continue
 		}
 		if i < j {
-			if p.gotMsg[i].got {
+			if p.gotMsg[i].Kind == medium.KindNeg {
 				p.transmitNeg(i, j)
 			}
 		} else {
@@ -129,19 +111,22 @@ func (p *Protocol) pairQuality(i, j int, mySNR, theirSNR units.DB) units.DB {
 	return q
 }
 
-// transmitNeg sends vehicle i's negotiation message to j with a sector beam.
+// transmitNeg sends vehicle i's candidate-information message to j with a
+// sector beam (first half of a slot): the SNR i measured on their mutual
+// link and the quality of i's current candidate link, if any
+// (Sec. III-C2).
 func (p *Protocol) transmitNeg(i, j int) {
 	info, ok := p.discovered[i].Get(j)
 	if !ok {
 		return
 	}
 	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(int(info.Sector)), Width: p.cfg.Codebook.TxWidth}
-	msg := negMsg{from: i, to: j, linkSNR: info.SNR}
+	f := medium.Frame{Kind: medium.KindNeg, Dest: int32(j), LinkSNR: info.SNR}
 	if p.cand[i].valid {
-		msg.hasCand = true
-		msg.candSNR = p.cand[i].snrDB
+		f.HasCand = true
+		f.CandSNR = p.cand[i].snrDB
 	}
-	p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble, msg)
+	p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble, f)
 	p.obsNegTx.Inc()
 }
 
@@ -153,34 +138,29 @@ func (p *Protocol) listenToward(i, j int) {
 		return
 	}
 	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(int(info.Sector)), Width: p.cfg.Codebook.RxWidth}
-	p.env.Medium.StartListen(i, beam, p.negRx[i])
+	p.env.Medium.StartListen(i, beam, p.negRx)
 }
 
-// onNegTraffic handles negotiation-plane receptions at vehicle me.
-func (p *Protocol) onNegTraffic(me int, d medium.Delivery) {
-	switch msg := d.Payload.(type) {
-	case negMsg:
-		if msg.to != me || msg.from != p.negPeer[me] {
-			return // overheard someone else's negotiation
+// onNegTraffic handles negotiation-plane receptions.
+func (p *Protocol) onNegTraffic(d medium.Delivery) {
+	me := d.To
+	if int(d.Frame.Dest) != me {
+		return // overheard someone else's negotiation
+	}
+	switch d.Frame.Kind {
+	case medium.KindNeg:
+		if d.From == p.negPeer[me] {
+			p.gotMsg[me] = d.Frame
 		}
-		p.gotMsg[me] = negotiationState{
-			got:     true,
-			linkSNR: msg.linkSNR,
-			candSNR: msg.candSNR,
-			hasCand: msg.hasCand,
-		}
-	case breakMsg:
-		if msg.to != me {
-			return
-		}
+	case medium.KindBreak:
 		// Our candidate has switched to someone better (Sec. III-C2,
 		// condition 2 update): we are single again.
-		if p.cand[me].valid && p.cand[me].peer == msg.from {
+		if p.cand[me].valid && p.cand[me].peer == d.From {
 			p.cand[me] = candidate{}
 			p.obsBreakupsRecv.Inc()
 			p.env.Trace.Emit(trace.Event{
 				At: d.At, Frame: p.frame, Kind: trace.KindBreakup,
-				A: msg.from, B: me,
+				A: d.From, B: me,
 			})
 		}
 	}
@@ -199,7 +179,7 @@ func (p *Protocol) dcmDecide(slot int) {
 	for i := 0; i < n; i++ {
 		j := p.negPeer[i]
 		st := p.gotMsg[i]
-		if j < 0 || !st.got {
+		if j < 0 || st.Kind != medium.KindNeg {
 			continue
 		}
 		// For the larger-ID side the decoded message was the reply, which
@@ -211,9 +191,9 @@ func (p *Protocol) dcmDecide(slot int) {
 		if !ok {
 			continue
 		}
-		pairQ := p.pairQuality(i, j, mine.SNR, st.linkSNR)
+		pairQ := p.pairQuality(i, j, mine.SNR, st.LinkSNR)
 		myOK := !p.cand[i].valid || pairQ > p.cand[i].snrDB
-		theirOK := !st.hasCand || pairQ > st.candSNR
+		theirOK := !st.HasCand || pairQ > st.CandSNR
 		if !(myOK && theirOK) {
 			continue
 		}
@@ -254,16 +234,13 @@ func (p *Protocol) dcmDecide(slot int) {
 }
 
 // transmitBreak sends a break-up notification from i to its previous
-// candidate.
+// candidate (second half of a slot): i has switched away.
 func (p *Protocol) transmitBreak(i, to int) {
 	info, ok := p.discovered[i].Get(to)
 	if !ok {
 		return
 	}
 	beam := phy.Beam{Bearing: p.cfg.Codebook.Sectors.Center(int(info.Sector)), Width: p.cfg.Codebook.TxWidth}
-	p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble, breakMsg{from: i, to: to})
+	p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble, medium.Frame{Kind: medium.KindBreak, Dest: int32(to)})
 	p.obsBreakTx.Inc()
 }
-
-// Bucket exposes the CNS bucket of a pair (for tests).
-func (p *Protocol) Bucket(i, j int) int { return p.cfg.Bucket(i, j) }

@@ -8,6 +8,7 @@ import (
 	"mmv2v/internal/medium"
 	"mmv2v/internal/obs"
 	"mmv2v/internal/sim"
+	"mmv2v/internal/udt"
 	"mmv2v/internal/units"
 )
 
@@ -36,14 +37,15 @@ type Protocol struct {
 	// negPeer[i] is the neighbor i negotiates with in the current slot
 	// (-1 when idle).
 	negPeer []int
-	// gotMsg[i] holds the peer message i decoded in the current slot.
-	gotMsg []negotiationState
+	// gotMsg[i] is the candidate-information frame i decoded from its peer
+	// in the current slot, the zero Frame until one is.
+	gotMsg []medium.Frame
 	// senseSector[i] is the sector vehicle i last aimed its SND receiver at.
 	senseSector []int
-	// sswRx[i] and negRx[i] are vehicle i's SND and DCM receive handlers,
-	// built once so that aiming a receiver allocates nothing.
-	sswRx []medium.Handler
-	negRx []medium.Handler
+	// sswRx and negRx are the SND and DCM receive handlers, bound once so
+	// that aiming a receiver allocates nothing.
+	sswRx medium.Handler
+	negRx medium.Handler
 	// DCM slot scratch, reused across slots: a vehicle's eligible
 	// neighbors, those in the slot's bucket, and the slot's break-ups.
 	elig     []int
@@ -52,7 +54,7 @@ type Protocol struct {
 
 	frame    int
 	frameEnd des.Time
-	udt      udtState
+	session  *udt.Session
 	// slotObserver, when set, is invoked after every DCM negotiation slot
 	// (experiment instrumentation, e.g. Fig. 6's capacity-vs-slots curve).
 	slotObserver func(frame, slot int)
@@ -64,14 +66,6 @@ type Protocol struct {
 	obsBreakTx      *obs.Counter
 	obsMatches      *obs.Counter
 	obsBreakupsRecv *obs.Counter
-}
-
-// negotiationState records the peer negotiation message decoded in a slot.
-type negotiationState struct {
-	got     bool
-	linkSNR units.DB
-	candSNR units.DB
-	hasCand bool
 }
 
 // New builds the mmV2V protocol over an environment. It panics on invalid
@@ -89,15 +83,11 @@ func New(env *sim.Env, cfg Params) *Protocol {
 		cand:        make([]candidate, n),
 		roleTx:      make([]bool, n),
 		negPeer:     make([]int, n),
-		gotMsg:      make([]negotiationState, n),
+		gotMsg:      make([]medium.Frame, n),
 		senseSector: make([]int, n),
-		sswRx:       make([]medium.Handler, n),
-		negRx:       make([]medium.Handler, n),
 	}
-	for i := range p.sswRx {
-		p.sswRx[i] = func(d medium.Delivery) { p.onSSW(i, d) }
-		p.negRx[i] = func(d medium.Delivery) { p.onNegTraffic(i, d) }
-	}
+	p.sswRx = p.onSSW
+	p.negRx = p.onNegTraffic
 	p.obsSSWTx = env.Obs.Counter("snd.ssw_tx")
 	p.obsDiscoveries = env.Obs.Counter("snd.discoveries")
 	p.obsNegTx = env.Obs.Counter("dcm.neg_tx")
@@ -174,11 +164,6 @@ func (p *Protocol) Discovered(i int) []int {
 		}
 	}
 	return out
-}
-
-// CandidateOf returns vehicle i's current candidate (peer, ok) — for tests.
-func (p *Protocol) CandidateOf(i int) (int, bool) {
-	return p.cand[i].peer, p.cand[i].valid
 }
 
 // SetSlotObserver installs a callback invoked after each DCM negotiation

@@ -28,28 +28,15 @@ import (
 // decoded the peer's feedback (fixes its transmit beam; by array
 // reciprocity both are the same index, so one confirmed index suffices).
 
-// refineProbe is a narrow-beam training frame.
-type refineProbe struct {
-	from, to int
-	beamIdx  int
-}
-
-// refineFeedback reports the best received probe index back to the prober.
-type refineFeedback struct {
-	from, to int
-	bestIdx  int
-	ok       bool
-}
-
 // refineState tracks one vehicle's cross-search progress in a frame.
 type refineState struct {
 	peer int
 	// coarse is the discovery sector toward the peer.
 	coarse int
-	// bestIdx/bestSNR track the strongest decoded peer probe.
+	// bestIdx/bestSNR track the strongest decoded peer probe (bestIdx is -1
+	// until one is decoded).
 	bestIdx int
 	bestSNR units.DB
-	gotAny  bool
 	// fbIdx is the beam index the peer reported back (-1 until received).
 	fbIdx int
 }
@@ -109,14 +96,14 @@ func (p *Protocol) scheduleExplicitRefinement(pairs [][2]int, start des.Time, do
 // listen on their wide discovery beams.
 func (p *Protocol) refineProbeSlot(states []*refineState, phase, k int) {
 	cb := p.cfg.Codebook
+	onProbe := func(d medium.Delivery) { p.onProbe(states, d) }
 	// Listeners first (must be aimed before probes start resolving).
 	for i, st := range states {
 		if st == nil || p.probesInPhase(i, st.peer, phase) {
 			continue
 		}
 		beam := phy.Beam{Bearing: cb.Sectors.Center(st.coarse), Width: cb.RxWidth}
-		i := i
-		p.env.Medium.StartListen(i, beam, func(d medium.Delivery) { p.onProbe(i, states, d) })
+		p.env.Medium.StartListen(i, beam, onProbe)
 	}
 	for i, st := range states {
 		if st == nil || !p.probesInPhase(i, st.peer, phase) {
@@ -124,7 +111,8 @@ func (p *Protocol) refineProbeSlot(states []*refineState, phase, k int) {
 		}
 		coarse := cb.Sectors.Center(st.coarse)
 		beam := phy.Beam{Bearing: cb.NarrowBeamBearing(coarse, k), Width: cb.NarrowWidth}
-		p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, refineProbe{from: i, to: st.peer, beamIdx: k})
+		p.env.Medium.Transmit(i, beam, p.env.Timing.SSW,
+			medium.Frame{Kind: medium.KindProbe, Dest: int32(st.peer), Index: int32(k)})
 	}
 }
 
@@ -138,19 +126,14 @@ func (p *Protocol) probesInPhase(i, peer, phase int) bool {
 }
 
 // onProbe records the strongest decoded probe from the expected peer.
-func (p *Protocol) onProbe(me int, states []*refineState, d medium.Delivery) {
-	st := states[me]
-	if st == nil {
+func (p *Protocol) onProbe(states []*refineState, d medium.Delivery) {
+	st := states[d.To]
+	if st == nil || d.Frame.Kind != medium.KindProbe || int(d.Frame.Dest) != d.To || d.From != st.peer {
 		return
 	}
-	probe, ok := d.Payload.(refineProbe)
-	if !ok || probe.to != me || probe.from != st.peer {
-		return
-	}
-	if !st.gotAny || d.SINRdB > st.bestSNR {
-		st.gotAny = true
+	if st.bestIdx < 0 || d.SINRdB > st.bestSNR {
 		st.bestSNR = d.SINRdB
-		st.bestIdx = probe.beamIdx
+		st.bestIdx = int(d.Frame.Index)
 	}
 }
 
@@ -158,6 +141,15 @@ func (p *Protocol) onProbe(me int, states []*refineState, d medium.Delivery) {
 // 1: larger IDs) while the peer listens.
 func (p *Protocol) refineFeedbackSlot(states []*refineState, sub int) {
 	cb := p.cfg.Codebook
+	// A feedback frame reports a probe only when its sender decoded one.
+	onFeedback := func(d medium.Delivery) {
+		if d.Frame.Kind != medium.KindFeedback || int(d.Frame.Dest) != d.To || d.Frame.Index < 0 {
+			return
+		}
+		if s := states[d.To]; s != nil && d.From == s.peer {
+			s.fbIdx = int(d.Frame.Index)
+		}
+	}
 	for i, st := range states {
 		if st == nil {
 			continue
@@ -167,16 +159,7 @@ func (p *Protocol) refineFeedbackSlot(states []*refineState, sub int) {
 			continue
 		}
 		beam := phy.Beam{Bearing: cb.Sectors.Center(st.coarse), Width: cb.RxWidth}
-		i := i
-		p.env.Medium.StartListen(i, beam, func(d medium.Delivery) {
-			fb, ok := d.Payload.(refineFeedback)
-			if !ok || fb.to != i || !fb.ok {
-				return
-			}
-			if s := states[i]; s != nil && fb.from == s.peer {
-				s.fbIdx = fb.bestIdx
-			}
-		})
+		p.env.Medium.StartListen(i, beam, onFeedback)
 	}
 	for i, st := range states {
 		if st == nil {
@@ -188,7 +171,7 @@ func (p *Protocol) refineFeedbackSlot(states []*refineState, sub int) {
 		}
 		beam := phy.Beam{Bearing: cb.Sectors.Center(st.coarse), Width: cb.TxWidth}
 		p.env.Medium.Transmit(i, beam, p.env.Timing.ControlPreamble,
-			refineFeedback{from: i, to: st.peer, bestIdx: st.bestIdx, ok: st.gotAny})
+			medium.Frame{Kind: medium.KindFeedback, Dest: int32(st.peer), Index: int32(st.bestIdx)})
 	}
 }
 

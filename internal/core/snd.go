@@ -9,13 +9,6 @@ import (
 	"mmv2v/internal/trace"
 )
 
-// sswMsg is the payload of a Sector Sweep frame: the sector the transmitter
-// is currently sweeping (Sec. III-B2: "a transmitter sends out its ID (e.g.,
-// MAC address) and the sector ID"). The transmitter's ID is the delivery's
-// From. An integer below 256 boxes into a Delivery payload without
-// allocating.
-type sswMsg int
-
 // scheduleSND schedules the Synchronized Neighbor Discovery phase
 // (Sec. III-B): K independent rounds, each with probabilistic role
 // selection, a synchronized sweep/sense half-round, and a role-swapped
@@ -92,8 +85,15 @@ func (p *Protocol) sndSweepOne(i, half, sector int) {
 	}
 	cb := p.cfg.Codebook
 	beam := phy.Beam{Bearing: cb.Sectors.Center(sector), Width: cb.TxWidth}
-	p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswMsg(sector))
+	p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswFrame(sector))
 	p.obsSSWTx.Inc()
+}
+
+// sswFrame is a Sector Sweep frame on a sector (Sec. III-B2: "a transmitter
+// sends out its ID (e.g., MAC address) and the sector ID"); the
+// transmitter's ID is the delivery's From.
+func sswFrame(sector int) medium.Frame {
+	return medium.Frame{Kind: medium.KindSSW, Dest: -1, Index: int32(sector)}
 }
 
 // selectRoles performs Probabilistic Role Selection (Sec. III-B1): each
@@ -136,7 +136,7 @@ func (p *Protocol) sndAim(half, sector int) {
 // sector of the aim that heard the frame.
 func (p *Protocol) listenSSW(i int, beam phy.Beam, senseSector int) {
 	p.senseSector[i] = senseSector
-	p.env.Medium.StartListen(i, beam, p.sswRx[i])
+	p.env.Medium.StartListen(i, beam, p.sswRx)
 }
 
 // sndSweep fires every transmitter's SSW frame on the current sweep sector.
@@ -147,7 +147,7 @@ func (p *Protocol) sndSweep(half, sector int) {
 		if !p.isTransmitter(i, half) {
 			continue
 		}
-		p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswMsg(sector))
+		p.env.Medium.Transmit(i, beam, p.env.Timing.SSW, sswFrame(sector))
 		p.obsSSWTx.Inc()
 	}
 }
@@ -155,10 +155,11 @@ func (p *Protocol) sndSweep(half, sector int) {
 // onSSW records a decoded SSW frame: the receiver now knows the transmitter,
 // the link SNR and which of its own sectors points at the transmitter
 // (the sensing sector it was aimed at).
-func (p *Protocol) onSSW(me int, d medium.Delivery) {
-	if _, ok := d.Payload.(sswMsg); !ok {
+func (p *Protocol) onSSW(d medium.Delivery) {
+	if d.Frame.Kind != medium.KindSSW {
 		return // other protocol traffic
 	}
+	me := d.To
 	if d.SINRdB < p.cfg.MinLinkSNRdB {
 		return // too weak to be a one-hop neighbor (out of the task disk)
 	}

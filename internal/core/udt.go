@@ -4,11 +4,6 @@ import (
 	"mmv2v/internal/udt"
 )
 
-// udtState tracks the UDT phase of the current frame.
-type udtState struct {
-	session *udt.Session
-}
-
 // startUDT runs at the end of DCM (Sec. III-D): mutually agreed pairs
 // refine beams via the cross search (a fixed time cost, outcome modeled by
 // udt.RefineBeams) and then stream data for the remainder of the frame.
@@ -63,32 +58,24 @@ func (p *Protocol) openSession(pairs []udt.Pair) {
 	if len(pairs) == 0 {
 		return
 	}
-	p.udt.session = udt.Start(p.env, pairs, p.frame)
+	p.session = udt.Start(p.env, pairs, p.frame)
 	if p.cfg.BeamTracking {
-		p.udt.session.EnableTracking(p.cfg.Codebook)
+		p.session.EnableTracking(p.cfg.Codebook)
 	}
 }
 
 // onRefresh is the 5 ms link-refresh hook driving UDT rate adaptation.
 func (p *Protocol) onRefresh() {
-	if p.udt.session != nil {
-		p.udt.session.OnRefresh()
+	if p.session != nil {
+		p.session.OnRefresh()
 	}
 }
 
 // teardownUDT settles the ledger and removes all streams at a frame
 // boundary.
 func (p *Protocol) teardownUDT() {
-	if p.udt.session != nil {
-		p.udt.session.Stop()
-		p.udt.session = nil
+	if p.session != nil {
+		p.session.Stop()
+		p.session = nil
 	}
-}
-
-// ActivePairs returns the number of streaming pairs (for tests).
-func (p *Protocol) ActivePairs() int {
-	if p.udt.session == nil {
-		return 0
-	}
-	return p.udt.session.ActivePairs()
 }

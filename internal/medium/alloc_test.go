@@ -3,6 +3,7 @@ package medium
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"mmv2v/internal/des"
 	"mmv2v/internal/geom"
@@ -65,7 +66,7 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 			if v%2 == 0 {
 				m.StartListen(v, rxBeam, func(Delivery) { delivered++ })
 			} else {
-				m.Transmit(v, txBeam, 15*time.Microsecond, v)
+				m.Transmit(v, txBeam, 15*time.Microsecond, Frame{Kind: KindSSW, Dest: -1, Index: 6})
 			}
 		}
 		if m.active[0].end != end {
@@ -79,5 +80,14 @@ func TestDeliverGroupAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("faults=%v: deliverGroup allocates %v times per run, want 0", faulty, allocs)
 		}
+	}
+}
+
+// TestTransmissionRecordSize pins the on-air record to the 80-byte size
+// class: StartStream allocates one per data stream, so a larger record
+// raises every protocol's allocation per simulated second.
+func TestTransmissionRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(transmission{}); size > 80 {
+		t.Errorf("transmission is %d bytes, want at most 80", size)
 	}
 }

@@ -39,7 +39,7 @@ func BenchmarkSectorSlotResolution(b *testing.B) {
 		}
 		for v := 0; v < w.NumVehicles(); v++ {
 			if v%2 == 1 {
-				m.Transmit(v, txBeam, 15*time.Microsecond, v)
+				m.Transmit(v, txBeam, 15*time.Microsecond, Frame{Kind: KindSSW, Dest: -1, Index: 6})
 			}
 		}
 		sim.RunAll()

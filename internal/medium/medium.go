@@ -29,11 +29,55 @@ import (
 	"mmv2v/internal/world"
 )
 
+// Kind names a control frame's message.
+type Kind uint8
+
+// The control messages of mmV2V and the two baselines. The zero Kind is no
+// message.
+const (
+	// KindSSW is an SND sector-sweep frame (Sec. III-B2).
+	KindSSW Kind = iota + 1
+	// KindNeg is a DCM candidate-information message (Sec. III-C2).
+	KindNeg
+	// KindBreak is a DCM break-up notification to a previous candidate.
+	KindBreak
+	// KindProbe is an explicit-refinement narrow-beam training probe.
+	KindProbe
+	// KindFeedback reports the best received probe back to the prober.
+	KindFeedback
+	// KindSweep is a ROP random discovery sweep.
+	KindSweep
+	// KindBeacon is an 802.11ad DMG beacon swept during the BTI.
+	KindBeacon
+	// KindAssoc is an 802.11ad A-BFT association frame toward a PCP.
+	KindAssoc
+)
+
+// Frame is the content of a control frame. The sender is the delivery's
+// From; the fields a message does not use stay zero.
+type Frame struct {
+	Kind Kind
+	// HasCand marks a candidate-information message whose sender holds a
+	// candidate link, of quality CandSNR.
+	HasCand bool
+	// Dest is the vehicle the frame is addressed to, -1 for sweeps and
+	// beacons, which are for whoever hears them.
+	Dest int32
+	// Index is the swept sector (SSW, sweep, beacon), the probe's beam, the
+	// best probe a feedback reports (-1 when none was decoded), or an
+	// association sender's sector toward its PCP.
+	Index int32
+	// LinkSNR is a candidate-information sender's SSW measurement of its
+	// link to Dest, and CandSNR its current candidate's link quality.
+	LinkSNR units.DB
+	CandSNR units.DB
+}
+
 // Delivery reports a successfully decoded control frame.
 type Delivery struct {
-	From    int
-	To      int
-	Payload any
+	From  int
+	To    int
+	Frame Frame
 	// SINRdB is the signal-to-interference-plus-noise ratio the frame was
 	// decoded at (Eq. 3).
 	SINRdB units.DB
@@ -43,7 +87,8 @@ type Delivery struct {
 	At    des.Time
 }
 
-// Handler consumes decoded control frames at a listening vehicle.
+// Handler consumes decoded control frames at a listening vehicle. The
+// vehicle is the delivery's To, so one handler can serve every vehicle.
 type Handler func(d Delivery)
 
 // StreamID identifies a data-plane stream.
@@ -51,17 +96,20 @@ type StreamID int64
 
 // transmission is one on-air signal, either a control frame (finite End,
 // resolved on completion) or a data stream (End = Infinity until stopped).
+// StartStream allocates one per stream, so the record is kept within 80
+// bytes: from is an int32 like the world's vehicle indexes, and the flags
+// share its word.
 type transmission struct {
-	id      int64
-	from    int
-	beam    phy.Beam
-	start   des.Time
-	end     des.Time
-	payload any
-	stream  bool
+	id     int64
+	from   int32
+	stream bool
 	// resolved marks a delivered control frame kept around only so that
 	// later partially-overlapping frames still see its interference.
 	resolved bool
+	beam     phy.Beam
+	start    des.Time
+	end      des.Time
+	frame    Frame
 }
 
 // listener is a vehicle's receive state.
@@ -201,10 +249,10 @@ func (m *Medium) StopListen(i int) {
 // Listening reports whether vehicle i currently has an active receiver.
 func (m *Medium) Listening(i int) bool { return m.listeners[i].active }
 
-// Transmit puts a control frame on the air from vehicle `from` for the given
+// Transmit puts control frame f on the air from vehicle `from` for the given
 // duration. Reception resolves when the frame ends. Under a fault model the
 // frame may start late (slot jitter) or not at all (radio down).
-func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload any) {
+func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, f Frame) {
 	if dur <= 0 {
 		panic(fmt.Sprintf("medium: non-positive frame duration %v", dur))
 	}
@@ -226,12 +274,12 @@ func (m *Medium) Transmit(from int, beam phy.Beam, dur time.Duration, payload an
 		tx = new(transmission)
 	}
 	*tx = transmission{
-		id:      m.nextID,
-		from:    from,
-		beam:    beam,
-		start:   start,
-		end:     start.Add(dur),
-		payload: payload,
+		id:    m.nextID,
+		from:  int32(from),
+		beam:  beam,
+		start: start,
+		end:   start.Add(dur),
+		frame: f,
 	}
 	m.nextID++
 	m.active = append(m.active, tx)
@@ -248,7 +296,7 @@ func (m *Medium) StartStream(from int, beam phy.Beam) StreamID {
 	now := m.sim.Now()
 	tx := &transmission{
 		id:     m.nextID,
-		from:   from,
+		from:   int32(from),
 		beam:   beam,
 		start:  now,
 		end:    des.Infinity,
@@ -347,7 +395,6 @@ func (m *Medium) retire(now des.Time) {
 			kept = append(kept, tx)
 			continue
 		}
-		tx.payload = nil
 		//mmv2v:alloc amortized: the free list regrows only when a retirement outnumbers every earlier pool
 		m.free = append(m.free, tx)
 	}
@@ -507,7 +554,7 @@ func (m *Medium) indexOnAir(group []*transmission, groupStart, now des.Time) {
 func (m *Medium) askRadios(now des.Time) {
 	for k := range m.onAir {
 		a := &m.onAir[k]
-		a.live = m.faults.RadioUp(a.tx.from, now)
+		a.live = m.faults.RadioUp(int(a.tx.from), now)
 	}
 }
 
@@ -588,18 +635,18 @@ func (m *Medium) decode(j int, l *listener, total, noise units.MilliWatt, now de
 			sinr := units.RatioDB(desired, rest)
 			m.obsControlSINRdB.Observe(sinr.Decibels())
 			if phy.ControlDecodable(sinr) {
-				if m.faults != nil && m.faults.DropControl(g.from, j, now) {
+				if m.faults != nil && m.faults.DropControl(int(g.from), j, now) {
 					m.obsControlFault.Inc()
 					continue
 				}
 				m.obsControlDeliv.Inc()
 				l.handler(Delivery{
-					From:    g.from,
-					To:      j,
-					Payload: g.payload,
-					SINRdB:  sinr,
-					SNRdB:   units.RatioDB(desired, noise),
-					At:      now,
+					From:   int(g.from),
+					To:     j,
+					Frame:  g.frame,
+					SINRdB: sinr,
+					SNRdB:  units.RatioDB(desired, noise),
+					At:     now,
 				})
 				// The handler may have re-aimed or stopped the listener.
 				if !l.active {
@@ -641,16 +688,16 @@ func (m *Medium) SINRNow(tx, rx int, txBeam, rxBeam phy.Beam) units.DB {
 	evals := uint64(1)
 	interference := units.MilliWatt(0)
 	for _, t := range m.active {
-		if t.from == tx || t.from == rx {
+		if int(t.from) == tx || int(t.from) == rx {
 			continue
 		}
 		if t.end <= now {
 			continue // resolved frame not yet retired
 		}
-		if m.faults != nil && !m.faults.RadioUp(t.from, now) {
+		if m.faults != nil && !m.faults.RadioUp(int(t.from), now) {
 			continue
 		}
-		if l := m.w.Entry(rx, t.from); l != nil {
+		if l := m.w.Entry(rx, int(t.from)); l != nil {
 			interference += m.w.RxPowerMwOn(l, m.w.Aim(t.beam), rxAim)
 			evals++
 		}

@@ -57,13 +57,14 @@ func TestAlignedFrameDelivered(t *testing.T) {
 	txBeam, rxBeam := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	var got []Delivery
 	m.StartListen(1, rxBeam, func(d Delivery) { got = append(got, d) })
-	m.Transmit(0, txBeam, 15*time.Microsecond, "ssw")
+	f := Frame{Kind: KindSSW, Dest: -1, Index: 7}
+	m.Transmit(0, txBeam, 15*time.Microsecond, f)
 	sim.RunAll()
 	if len(got) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(got))
 	}
 	d := got[0]
-	if d.From != 0 || d.To != 1 || d.Payload != "ssw" {
+	if d.From != 0 || d.To != 1 || d.Frame != f {
 		t.Errorf("delivery = %+v", d)
 	}
 	if d.SINRdB < 10 {
@@ -84,7 +85,7 @@ func TestMisalignedListenerHearsNothing(t *testing.T) {
 	rxBeam.Bearing = geom.NormalizeBearing(rxBeam.Bearing + geom.Bearing(math.Pi))
 	delivered := 0
 	m.StartListen(1, rxBeam, func(Delivery) { delivered++ })
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if delivered != 0 {
 		t.Errorf("misaligned listener decoded %d frames", delivered)
@@ -96,7 +97,7 @@ func TestNotListeningHearsNothing(t *testing.T) {
 	reg := obs.New()
 	m.SetObs(reg)
 	txBeam, _ := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if n := reg.Counter("medium.control_delivered").Value(); n != 0 {
 		t.Errorf("medium.control_delivered = %d without listeners", n)
@@ -112,7 +113,7 @@ func TestStopListen(t *testing.T) {
 	if m.Listening(1) {
 		t.Error("still listening after StopListen")
 	}
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if delivered != 0 {
 		t.Errorf("delivered = %d after StopListen", delivered)
@@ -123,7 +124,7 @@ func TestLateListenerMissesFrame(t *testing.T) {
 	w, sim, m := lineWorld(t, []int{1, 1}, []float64{0, 40})
 	txBeam, rxBeam := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	delivered := 0
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	// Listener tunes in 5 µs into the frame: must not decode.
 	sim.ScheduleAt(des.At(5*time.Microsecond), "tune", func() {
 		m.StartListen(1, rxBeam, func(Delivery) { delivered++ })
@@ -145,8 +146,8 @@ func TestCollisionNeitherDecodedWhenComparable(t *testing.T) {
 	// Listener uses a wide (quasi-omni) beam to hear both directions.
 	delivered := 0
 	m.StartListen(1, phy.Omni, func(Delivery) { delivered++ })
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
-	m.Transmit(2, tx2, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
+	m.Transmit(2, tx2, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if delivered != 0 {
 		t.Errorf("comparable collision still delivered %d frames", delivered)
@@ -163,8 +164,8 @@ func TestCaptureEffect(t *testing.T) {
 	tx2, _ := aim(w, 2, 1, geom.Deg(30), geom.Deg(12))
 	var froms []int
 	m.StartListen(1, rx, func(d Delivery) { froms = append(froms, d.From) })
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
-	m.Transmit(2, tx2, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
+	m.Transmit(2, tx2, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if len(froms) != 1 || froms[0] != 0 {
 		t.Errorf("captured froms = %v, want [0]", froms)
@@ -180,8 +181,8 @@ func TestHalfDuplexTransmitterCannotReceive(t *testing.T) {
 	m.StartListen(1, rx1, func(d Delivery) { got[1]++ })
 	// Both transmit simultaneously at each other: neither can decode
 	// because both are busy transmitting (half duplex).
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
-	m.Transmit(1, tx1, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
+	m.Transmit(1, tx1, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if got[0] != 0 || got[1] != 0 {
 		t.Errorf("half-duplex violated: %v", got)
@@ -194,9 +195,9 @@ func TestSequentialFramesBothDelivered(t *testing.T) {
 	tx2, _ := aim(w, 2, 1, geom.Deg(30), geom.Deg(12))
 	var froms []int
 	m.StartListen(1, phy.Omni, func(d Delivery) { froms = append(froms, d.From) })
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
 	sim.ScheduleAt(des.At(16*time.Microsecond), "second", func() {
-		m.Transmit(2, tx2, 15*time.Microsecond, nil)
+		m.Transmit(2, tx2, 15*time.Microsecond, Frame{})
 	})
 	sim.RunAll()
 	if len(froms) != 2 {
@@ -213,7 +214,7 @@ func TestStreamInterferesWithControl(t *testing.T) {
 	delivered := 0
 	m.StartListen(1, phy.Omni, func(Delivery) { delivered++ })
 	id := m.StartStream(2, streamBeam)
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if delivered != 0 {
 		t.Errorf("control frame decoded through a data stream beam: %d", delivered)
@@ -226,7 +227,7 @@ func TestStreamInterferesWithControl(t *testing.T) {
 	}
 	// After the stream stops, a retry succeeds.
 	m.StartListen(1, rx, func(Delivery) { delivered++ })
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if delivered != 1 {
 		t.Errorf("retry delivered = %d, want 1", delivered)
@@ -300,7 +301,7 @@ func TestNonPositiveDurationPanics(t *testing.T) {
 			t.Error("zero duration should panic")
 		}
 	}()
-	m.Transmit(0, phy.Omni, 0, nil)
+	m.Transmit(0, phy.Omni, 0, Frame{})
 }
 
 func TestBlockedFrameNotDelivered(t *testing.T) {
@@ -313,7 +314,7 @@ func TestBlockedFrameNotDelivered(t *testing.T) {
 	txBeam, rxBeam := aim(w, 0, 2, geom.Deg(30), geom.Deg(12))
 	delivered := 0
 	m.StartListen(2, rxBeam, func(Delivery) { delivered++ })
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	// One blocker costs 15 dB; at 40 m the link often survives one blocker,
 	// so assert only consistency with the SINR math rather than a hard no.
@@ -331,7 +332,7 @@ func TestListenerReaimLosesInFlightFrame(t *testing.T) {
 	txBeam, rxBeam := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	delivered := 0
 	m.StartListen(1, rxBeam, func(Delivery) { delivered++ })
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.ScheduleAt(des.At(8*time.Microsecond), "reaim", func() {
 		m.StartListen(1, rxBeam, func(Delivery) { delivered++ })
 	})
@@ -348,13 +349,13 @@ func TestHandlerReaimAffectsLaterFramesOnly(t *testing.T) {
 	var got []int
 	var handler Handler
 	handler = func(d Delivery) {
-		got = append(got, d.Payload.(int))
+		got = append(got, int(d.Frame.Index))
 		m.StartListen(1, rxBeam, handler) // re-aim from inside the handler
 	}
 	m.StartListen(1, rxBeam, handler)
-	m.Transmit(0, txBeam, 15*time.Microsecond, 1)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{Index: 1})
 	sim.ScheduleAt(des.At(20*time.Microsecond), "second", func() {
-		m.Transmit(0, txBeam, 15*time.Microsecond, 2)
+		m.Transmit(0, txBeam, 15*time.Microsecond, Frame{Index: 2})
 	})
 	sim.RunAll()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -372,9 +373,9 @@ func TestStopListenInsideHandler(t *testing.T) {
 		delivered++
 		m.StopListen(1)
 	})
-	m.Transmit(0, tx0, 15*time.Microsecond, nil)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
 	sim.ScheduleAt(des.At(20*time.Microsecond), "later", func() {
-		m.Transmit(0, tx0, 15*time.Microsecond, nil)
+		m.Transmit(0, tx0, 15*time.Microsecond, Frame{})
 	})
 	sim.RunAll()
 	if delivered != 1 {
@@ -396,7 +397,7 @@ func TestDeliveryCarriesBothSNRAndSINR(t *testing.T) {
 	txBeam, rxBeam := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
 	var clean Delivery
 	m.StartListen(1, rxBeam, func(d Delivery) { clean = d })
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if clean.SNRdB == 0 {
 		t.Fatal("no delivery")
@@ -410,7 +411,7 @@ func TestDeliveryCarriesBothSNRAndSINR(t *testing.T) {
 	m.StartStream(2, ib)
 	var dirty Delivery
 	m.StartListen(1, rxBeam, func(d Delivery) { dirty = d })
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	if dirty.SNRdB != 0 && dirty.SINRdB >= dirty.SNRdB {
 		t.Errorf("interfered frame: SINR %v not below SNR %v", dirty.SINRdB, dirty.SNRdB)
@@ -427,9 +428,9 @@ func TestPartialOverlapInterferenceCounted(t *testing.T) {
 	tx2, _ := aim(w, 2, 1, geom.Deg(30), geom.Deg(12))
 	var froms []int
 	m.StartListen(1, phy.Omni, func(d Delivery) { froms = append(froms, d.From) })
-	m.Transmit(0, tx0, 15*time.Microsecond, nil) // [0, 15µs)
+	m.Transmit(0, tx0, 15*time.Microsecond, Frame{}) // [0, 15µs)
 	sim.ScheduleAt(des.At(8*time.Microsecond), "late", func() {
-		m.Transmit(2, tx2, 15*time.Microsecond, nil) // [8, 23µs)
+		m.Transmit(2, tx2, 15*time.Microsecond, Frame{}) // [8, 23µs)
 	})
 	sim.RunAll()
 	// A itself is corrupted by B's second half; B is corrupted by A's
@@ -444,11 +445,11 @@ func TestPartialOverlapInterferenceCounted(t *testing.T) {
 func TestResolvedFramesEventuallyRetired(t *testing.T) {
 	w, sim, m := lineWorld(t, []int{1, 1}, []float64{0, 40})
 	txBeam, _ := aim(w, 0, 1, geom.Deg(30), geom.Deg(12))
-	m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+	m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	sim.RunAll()
 	// Grace keeps it briefly; a later transmission's resolution prunes it.
 	sim.ScheduleAt(des.At(time.Millisecond), "later", func() {
-		m.Transmit(0, txBeam, 15*time.Microsecond, nil)
+		m.Transmit(0, txBeam, 15*time.Microsecond, Frame{})
 	})
 	sim.RunAll()
 	if m.ActiveTransmissions() > 1 {

@@ -66,18 +66,19 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 			if !overlaps(tx.start, tx.end, groupStart, now) {
 				continue
 			}
-			if tx.from == j {
+			if int(tx.from) == j {
 				selfBusy = true
 				continue
 			}
-			if m.faults != nil && !m.faults.RadioUp(tx.from, now) {
+			from := int(tx.from)
+			if m.faults != nil && !m.faults.RadioUp(from, now) {
 				continue
 			}
 			// RxPowerMw runs the gain kernel only for a pair in range.
-			if _, ok := m.w.Link(j, tx.from); ok {
+			if _, ok := m.w.Link(j, from); ok {
 				evals++
 			}
-			total += m.w.RxPowerMw(tx.from, j, tx.beam, l.beam)
+			total += m.w.RxPowerMw(from, j, tx.beam, l.beam)
 		}
 		if selfBusy {
 			continue
@@ -88,22 +89,23 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 		// count as no evaluations.
 		m.obsListenerVisit.Inc()
 		for _, g := range group {
-			if _, ok := m.w.Link(j, g.from); ok && (m.faults == nil || m.faults.RadioUp(g.from, now)) {
+			if _, ok := m.w.Link(j, int(g.from)); ok && (m.faults == nil || m.faults.RadioUp(int(g.from), now)) {
 				m.obsPowerEvals.Add(evals)
 				break
 			}
 		}
 		for _, g := range group {
-			if g.from == j {
+			from := int(g.from)
+			if from == j {
 				continue
 			}
 			if l.since > g.start {
 				continue
 			}
-			if m.faults != nil && !m.faults.RadioUp(g.from, now) {
+			if m.faults != nil && !m.faults.RadioUp(from, now) {
 				continue
 			}
-			desired := m.w.RxPowerMw(g.from, j, g.beam, l.beam)
+			desired := m.w.RxPowerMw(from, j, g.beam, l.beam)
 			//mmv2v:exact RxPowerMw returns exactly 0 as its out-of-range/beam-miss sentinel
 			if desired == 0 {
 				continue
@@ -116,19 +118,19 @@ func (m *Medium) deliverGroupAllPairs(group []*transmission) {
 			sinr := units.RatioDB(desired, rest)
 			m.obsControlSINRdB.Observe(sinr.Decibels())
 			if phy.ControlDecodable(sinr) {
-				if m.faults != nil && m.faults.DropControl(g.from, j, now) {
+				if m.faults != nil && m.faults.DropControl(from, j, now) {
 					m.obsControlFault.Inc()
 					continue
 				}
 				m.obsControlDeliv.Inc()
 				h := l.handler
 				h(Delivery{
-					From:    g.from,
-					To:      j,
-					Payload: g.payload,
-					SINRdB:  sinr,
-					SNRdB:   units.RatioDB(desired, noise),
-					At:      m.sim.Now(),
+					From:   from,
+					To:     j,
+					Frame:  g.frame,
+					SINRdB: sinr,
+					SNRdB:  units.RatioDB(desired, noise),
+					At:     m.sim.Now(),
 				})
 				if !l.active {
 					break
@@ -207,8 +209,8 @@ func newOracleCase(rng *xrand.Source, w *world.World) oracleCase {
 	}
 	add := func(from int, start, end des.Time, stream, resolved bool) {
 		c.active = append(c.active, transmission{
-			from: from, beam: randomBeam(rng, w, from), start: start, end: end,
-			payload: len(c.active), stream: stream, resolved: resolved,
+			from: int32(from), beam: randomBeam(rng, w, from), start: start, end: end,
+			frame: Frame{Index: int32(len(c.active))}, stream: stream, resolved: resolved,
 		})
 	}
 	for v := 0; v < n; v++ {
@@ -274,8 +276,8 @@ func runOracleCase(w *world.World, c oracleCase, resolve func(*Medium), stats bo
 	var handler func(j int) Handler
 	handler = func(j int) Handler {
 		return func(d Delivery) {
-			run.calls = append(run.calls, fmt.Sprintf("rx%d %d->%d %v sinr=%016x snr=%016x at=%d",
-				j, d.From, d.To, d.Payload, math.Float64bits(d.SINRdB.Decibels()),
+			run.calls = append(run.calls, fmt.Sprintf("rx%d %d->%d %+v sinr=%016x snr=%016x at=%d",
+				j, d.From, d.To, d.Frame, math.Float64bits(d.SINRdB.Decibels()),
 				math.Float64bits(d.SNRdB.Decibels()), d.At))
 			other := rng.Intn(n)
 			switch r := rng.Float64(); {
@@ -288,7 +290,7 @@ func runOracleCase(w *world.World, c oracleCase, resolve func(*Medium), stats bo
 			case r < 0.25:
 				m.StartListen(other, randomBeam(rng, w, other), handler(other))
 			case r < 0.3:
-				m.Transmit(j, randomBeam(rng, w, j), 15*time.Microsecond, "reply")
+				m.Transmit(j, randomBeam(rng, w, j), 15*time.Microsecond, Frame{Kind: KindNeg, Dest: int32(d.From)})
 			case r < 0.35 && len(streams) > 0:
 				m.StopStream(streams[rng.Intn(len(streams))])
 			case r < 0.38:

@@ -123,8 +123,8 @@ func runRetireCase(t *testing.T, w *world.World, c retireCase, retire func(*Medi
 	var handler func(j int) Handler
 	handler = func(j int) Handler {
 		return func(d Delivery) {
-			run.calls = append(run.calls, fmt.Sprintf("rx%d %d->%d %v sinr=%016x snr=%016x at=%d",
-				j, d.From, d.To, d.Payload, math.Float64bits(d.SINRdB.Decibels()),
+			run.calls = append(run.calls, fmt.Sprintf("rx%d %d->%d %+v sinr=%016x snr=%016x at=%d",
+				j, d.From, d.To, d.Frame, math.Float64bits(d.SINRdB.Decibels()),
 				math.Float64bits(d.SNRdB.Decibels()), d.At))
 			switch r := rng.Float64(); {
 			case r < 0.1:
@@ -132,7 +132,7 @@ func runRetireCase(t *testing.T, w *world.World, c retireCase, retire func(*Medi
 			case r < 0.15:
 				m.StopListen(j)
 			case r < 0.25:
-				m.Transmit(j, randomBeam(rng, w, j), frameDuration(rng), "reply")
+				m.Transmit(j, randomBeam(rng, w, j), frameDuration(rng), Frame{Kind: KindNeg, Dest: int32(d.From)})
 			case r < 0.3:
 				stopStream(rng.Intn(n))
 			case r < 0.33:
@@ -172,7 +172,7 @@ func runRetireCase(t *testing.T, w *world.World, c retireCase, retire func(*Medi
 			case aimAction:
 				m.StartListen(a.v, randomBeam(arng, w, a.v), handler(a.v))
 			case txAction:
-				m.Transmit(a.v, randomBeam(arng, w, a.v), frameDuration(arng), a.v)
+				m.Transmit(a.v, randomBeam(arng, w, a.v), frameDuration(arng), Frame{Kind: KindSSW, Dest: -1, Index: int32(a.v)})
 			case streamAction:
 				streams = append(streams, m.StartStream(a.v, randomBeam(arng, w, a.v)))
 			case stopAction:

@@ -144,11 +144,19 @@ func DefaultTiming() Timing {
 	}
 }
 
+// maxTiming bounds every timing value. The protocols schedule a frame as
+// slot counts times these durations on the simulator's int64 nanosecond
+// clock, which a longer value could wrap around.
+const maxTiming = time.Hour
+
 // Validate reports timing configuration errors.
 func (t Timing) Validate() error {
 	if t.Frame <= 0 || t.SSW <= 0 || t.BeamSwitch < 0 || t.SIFS < 0 ||
 		t.ControlPreamble <= 0 || t.NegotiationSlot <= 0 || t.PositionUpdate <= 0 {
 		return fmt.Errorf("phy: non-positive timing value in %+v", t)
+	}
+	if longest := max(t.Frame, t.SSW, t.BeamSwitch, t.SIFS, t.ControlPreamble, t.NegotiationSlot, t.PositionUpdate); longest > maxTiming {
+		return fmt.Errorf("phy: timing value %v exceeds %v in %+v", longest, maxTiming, t)
 	}
 	if t.NegotiationSlot < 2*t.ControlPreamble {
 		return fmt.Errorf("phy: negotiation slot %v cannot fit two control messages of %v",

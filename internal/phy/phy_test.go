@@ -149,6 +149,8 @@ func TestTimingValidate(t *testing.T) {
 		{"zero frame", func(tm *Timing) { tm.Frame = 0 }},
 		{"position update longer than frame", func(tm *Timing) { tm.PositionUpdate = 30 * time.Millisecond }},
 		{"position update not dividing frame", func(tm *Timing) { tm.PositionUpdate = 3 * time.Millisecond }},
+		{"SSW long enough to wrap the clock", func(tm *Timing) { tm.SSW = maxTiming + 1 }},
+		{"SIFS long enough to wrap the clock", func(tm *Timing) { tm.SIFS = math.MaxInt64 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

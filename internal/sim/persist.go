@@ -37,20 +37,44 @@ func Fingerprint(cfg Config) uint64 {
 // to clamp hostile element counts while decoding.
 const vehicleStatsWire = 8 + 8 + 3*8
 
-// EncodeWindowResult appends one window's results in the canonical form
-// shared by run-log window records and digests: field order is fixed and
-// floats are encoded as IEEE-754 bits, so equal results always produce
-// equal bytes.
-func EncodeWindowResult(e *persist.Encoder, w WindowResult) {
-	e.Int(w.Window)
-	e.U32(uint32(len(w.Stats)))
-	for _, vs := range w.Stats {
+// EncodeVehicleStats appends per-vehicle statistics in canonical form: a
+// count, then each vehicle's fields in a fixed order. Window records,
+// digests and run-log trial records share it.
+func EncodeVehicleStats(e *persist.Encoder, stats []metrics.VehicleStats) {
+	e.U32(uint32(len(stats)))
+	for _, vs := range stats {
 		e.Int(vs.Vehicle)
 		e.Int(vs.Neighbors)
 		e.F64(vs.OCR)
 		e.F64(vs.ATP)
 		e.F64(vs.DTP)
 	}
+}
+
+// DecodeVehicleStats restores what EncodeVehicleStats wrote, clamping the
+// count by the bytes that remain. It stops at the first decode error.
+func DecodeVehicleStats(d *persist.Decoder) []metrics.VehicleStats {
+	var stats []metrics.VehicleStats
+	ns := d.Count(vehicleStatsWire)
+	for i := 0; i < ns && d.Err() == nil; i++ {
+		stats = append(stats, metrics.VehicleStats{
+			Vehicle:   d.Int(),
+			Neighbors: d.Int(),
+			OCR:       d.F64(),
+			ATP:       d.F64(),
+			DTP:       d.F64(),
+		})
+	}
+	return stats
+}
+
+// EncodeWindowResult appends one window's results in the canonical form
+// shared by run-log window records and digests: field order is fixed and
+// floats are encoded as IEEE-754 bits, so equal results always produce
+// equal bytes.
+func EncodeWindowResult(e *persist.Encoder, w WindowResult) {
+	e.Int(w.Window)
+	EncodeVehicleStats(e, w.Stats)
 	e.Int(w.Summary.Vehicles)
 	e.F64(w.Summary.MeanOCR)
 	e.F64(w.Summary.MeanATP)
@@ -64,19 +88,7 @@ func EncodeWindowResult(e *persist.Encoder, w WindowResult) {
 func DecodeWindowResult(d *persist.Decoder) WindowResult {
 	var w WindowResult
 	w.Window = d.Int()
-	ns := d.Count(vehicleStatsWire)
-	for i := 0; i < ns; i++ {
-		w.Stats = append(w.Stats, metrics.VehicleStats{
-			Vehicle:   d.Int(),
-			Neighbors: d.Int(),
-			OCR:       d.F64(),
-			ATP:       d.F64(),
-			DTP:       d.F64(),
-		})
-		if d.Err() != nil {
-			return w
-		}
-	}
+	w.Stats = DecodeVehicleStats(d)
 	w.Summary.Vehicles = d.Int()
 	w.Summary.MeanOCR = d.F64()
 	w.Summary.MeanATP = d.F64()

@@ -266,12 +266,3 @@ func bestNarrow(env *sim.Env, owner, peer int, cb phy.Codebook, coarseSector int
 	}
 	return best
 }
-
-// DebugPairs returns (rate, done) per pair for diagnostics in tests.
-func (s *Session) DebugPairs() []float64 {
-	out := make([]float64, 0, len(s.pairs))
-	for _, ps := range s.pairs {
-		out = append(out, ps.rate)
-	}
-	return out
-}

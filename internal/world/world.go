@@ -357,9 +357,10 @@ func (w *World) initGrid() {
 	spanY := math.Max(max.Y-min.Y, 1)
 	cell := w.cfg.CellSizeM()
 	// Bound the grid to ~2M cells: beyond that, coarser cells cost less
-	// than the per-refresh clear of an enormous dense grid.
+	// than the per-refresh clear of an enormous dense grid. The count is
+	// taken in floats, because a cell far below the span overflows int.
 	const maxCells = 1 << 21
-	for float64(int(spanX/cell)+1)*float64(int(spanY/cell)+1) > maxCells {
+	for (math.Floor(spanX/cell)+1)*(math.Floor(spanY/cell)+1) > maxCells {
 		cell *= 2
 	}
 	w.cellM = cell

@@ -174,14 +174,7 @@ func encodeTrialTail(trial int, r *Result) []byte {
 	var e persist.Encoder
 	e.Int(trial)
 	e.String(r.Protocol)
-	e.U32(uint32(len(r.Stats)))
-	for _, vs := range r.Stats {
-		e.Int(vs.Vehicle)
-		e.Int(vs.Neighbors)
-		e.F64(vs.OCR)
-		e.F64(vs.ATP)
-		e.F64(vs.DTP)
-	}
+	sim.EncodeVehicleStats(&e, r.Stats)
 	e.F64(r.AvgNeighbors)
 	e.F64(r.LatencySumSec)
 	e.Int(r.LatencyPairs)
@@ -335,19 +328,7 @@ func ReadRunLog(path string) (*RunLog, error) {
 					path, i+1, persist.ErrCorrupt, tr, len(windows[tr]), header.Windows)
 			}
 			res := &Result{Protocol: d.String(), Windows: windows[tr], Trials: 1}
-			ns := d.Count(5 * 8)
-			for k := 0; k < ns; k++ {
-				res.Stats = append(res.Stats, VehicleStats{
-					Vehicle:   d.Int(),
-					Neighbors: d.Int(),
-					OCR:       d.F64(),
-					ATP:       d.F64(),
-					DTP:       d.F64(),
-				})
-				if d.Err() != nil {
-					break
-				}
-			}
+			res.Stats = sim.DecodeVehicleStats(d)
 			res.AvgNeighbors = d.F64()
 			res.LatencySumSec = d.F64()
 			res.LatencyPairs = d.Int()
